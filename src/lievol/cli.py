@@ -17,11 +17,13 @@ import os
 import sys
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .curvature import (CLAIMED_CHI, curvature_report, ricci_bound_sequence,
                         rescaled_levy_check)
-from .montecarlo import SamplerConfig, concentration_experiment, xi_histogram
+from .montecarlo import (CHUNK, SamplerConfig, concentration_experiment,
+                         xi_histogram)
 from .roots import Series, build_root_system, root_system_json
 from .volumes import (USP_DIMENSION_NOTE, closed_form_volume, group_volume,
                       log_volume, ratio_exponent, ratio_scale)
@@ -30,7 +32,12 @@ from .volumes import (USP_DIMENSION_NOTE, closed_form_volume, group_volume,
 def _provenance(args) -> dict:
     cfg = {k: v for k, v in vars(args).items()
            if k not in ("func",) and v is not None}
-    return {"artifact_version": __version__, "config": cfg}
+    # Monte Carlo output is bit-reproducible only per LAPACK kernel
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"artifact_version": __version__, "config": cfg,
+            "numpy": np.__version__, "scipy": scipy.__version__,
+            "blas": f"{blas.get('name')} {blas.get('version')}",
+            "montecarlo_chunk": CHUNK}
 
 
 def _emit(payload: dict, args) -> None:

@@ -5,6 +5,14 @@ correction, which is exactly invariant.  Samples are produced in fixed
 chunks, each chunk driven by its own counter-keyed Philox stream, so
 the statistics are bit-identical for a given (seed, count) at any
 worker count.
+
+A sampler given ``columns=k`` returns only the first k columns of each
+sample.  It draws the same Gaussians as the full sampler but
+orthonormalizes only the k columns it returns: the first k < m columns
+of a Haar matrix are uniform on the Stiefel manifold, the law of
+Gram-Schmidt applied to k Gaussian columns (Mezzadri, Notices AMS
+2007).  The concentration statistics read at most two columns, so they
+take this route; the full matrices stay the reference.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import betainc
+from scipy.special import betainc, kolmogorov
 
 from .roots import Series
 
@@ -64,6 +72,28 @@ def _map_chunks(cfg: SamplerConfig, fn: Callable) -> list:
 
 # -- samplers ---------------------------------------------------------
 
+def _check_columns(columns: Optional[int], limit: int) -> None:
+    if columns is not None and not (isinstance(columns, (int, np.integer))
+                                    and 1 <= columns <= limit):
+        raise ValueError(f"columns must lie in [1, {limit}], got {columns}")
+
+
+def _gram_schmidt(z: np.ndarray) -> np.ndarray:
+    """Orthonormalize the k columns of each (m, k) slice, in order.
+
+    Modified Gram-Schmidt: column j equals column j of the QR factor
+    whose R has a positive diagonal, so no phase correction follows.
+    """
+    q = np.empty_like(z)
+    for j in range(z.shape[-1]):
+        v = z[:, :, j].copy()
+        for i in range(j):
+            w = q[:, :, i]
+            v -= np.einsum("sa,sa->s", np.conj(w), v)[:, None] * w
+        q[:, :, j] = v / np.linalg.norm(v, axis=1)[:, None]
+    return q
+
+
 def _haar_unitary(rng: np.random.Generator, size: int, m: int) -> np.ndarray:
     z = (rng.standard_normal((size, m, m))
          + 1j * rng.standard_normal((size, m, m))) / math.sqrt(2.0)
@@ -73,15 +103,37 @@ def _haar_unitary(rng: np.random.Generator, size: int, m: int) -> np.ndarray:
     return q
 
 
-def haar_su_chunk(rng: np.random.Generator, size: int, m: int) -> np.ndarray:
+def haar_su_chunk(rng: np.random.Generator, size: int, m: int,
+                  columns: Optional[int] = None) -> np.ndarray:
+    """(size, m, m) Haar SU(m) samples, or their first `columns` columns.
+
+    The column route leaves out the det phase: for k < m the first k
+    columns of Haar U(m) and of Haar SU(m) have the same law.
+    """
+    _check_columns(columns, m - 1)
+    if columns is not None:
+        # draw whole matrices, so that the stream stays the full route's
+        re = rng.standard_normal((size, m, m))
+        im = rng.standard_normal((size, m, m))
+        return _gram_schmidt((re[:, :, :columns] + 1j * im[:, :, :columns])
+                             / math.sqrt(2.0))
     q = _haar_unitary(rng, size, m)
     det = np.linalg.det(q)
     q *= (det ** (-1.0 / m))[:, None, None]
     return q
 
 
-def haar_so_chunk(rng: np.random.Generator, size: int, m: int) -> np.ndarray:
+def haar_so_chunk(rng: np.random.Generator, size: int, m: int,
+                  columns: Optional[int] = None) -> np.ndarray:
+    """(size, m, m) Haar SO(m) samples, or their first `columns` columns.
+
+    The column route leaves out the det-sign fold: for k < m the first
+    k columns of Haar O(m) and of Haar SO(m) have the same law.
+    """
+    _check_columns(columns, m - 1)
     z = rng.standard_normal((size, m, m))
+    if columns is not None:
+        return _gram_schmidt(z[:, :, :columns])
     q, r = np.linalg.qr(z)
     d = np.einsum("sii->si", r)
     q *= np.sign(d)[:, None, :]
@@ -100,26 +152,33 @@ def _usp_partner(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def haar_usp_chunk(rng: np.random.Generator, size: int,
-                   two_n: int) -> np.ndarray:
-    """Quaternion Gram-Schmidt on Gaussian columns, in the 2n x 2n form."""
+def haar_usp_chunk(rng: np.random.Generator, size: int, two_n: int,
+                   columns: Optional[int] = None) -> np.ndarray:
+    """Quaternion Gram-Schmidt on Gaussian columns, in the 2n x 2n form.
+
+    With `columns` = k <= n the fill stops after column k - 1, and the
+    first k columns come out bit-equal to the full sample's.
+    """
     n = two_n // 2
-    g = np.empty((size, two_n, two_n), dtype=complex)
-    for j in range(n):
+    _check_columns(columns, n)
+    k = n if columns is None else columns
+    # columns j < k, then their partners at j + k
+    g = np.empty((size, two_n, 2 * k), dtype=complex)
+    for j in range(k):
         v = (rng.standard_normal((size, two_n))
              + 1j * rng.standard_normal((size, two_n))) / math.sqrt(2.0)
         for kk in range(2 * j):
-            w = g[:, :, _col_order(kk, n)]
+            w = g[:, :, _col_order(kk, k)]
             v -= np.einsum("sa,sa->s", np.conj(w), v)[:, None] * w
         v /= np.linalg.norm(v, axis=1)[:, None]
         g[:, :, j] = v
-        g[:, :, j + n] = _usp_partner(v)
-    return g
+        g[:, :, j + k] = _usp_partner(v)
+    return g if columns is None else g[:, :, :k]
 
 
-def _col_order(kk: int, n: int) -> int:
-    # previously filled columns in fill order: j, then its partner j+n
-    return kk // 2 if kk % 2 == 0 else kk // 2 + n
+def _col_order(kk: int, k: int) -> int:
+    # previously filled columns in fill order: j, then its partner j+k
+    return kk // 2 if kk % 2 == 0 else kk // 2 + k
 
 
 def symplectic_form(two_n: int) -> np.ndarray:
@@ -130,24 +189,27 @@ def symplectic_form(two_n: int) -> np.ndarray:
     return J
 
 
-def sample_su(cfg: SamplerConfig) -> np.ndarray:
+def sample_su(cfg: SamplerConfig, columns: Optional[int] = None
+              ) -> np.ndarray:
     m = cfg.series.n
     return np.concatenate(_map_chunks(
-        cfg, lambda rng, size: haar_su_chunk(rng, size, m)))
+        cfg, lambda rng, size: haar_su_chunk(rng, size, m, columns)))
 
 
-def sample_so(cfg: SamplerConfig, m: Optional[int] = None) -> np.ndarray:
+def sample_so(cfg: SamplerConfig, m: Optional[int] = None,
+              columns: Optional[int] = None) -> np.ndarray:
     if m is None:
         n = cfg.series.n
         m = 2 * n + 1 if cfg.series.tag == "B" else 2 * n
     return np.concatenate(_map_chunks(
-        cfg, lambda rng, size: haar_so_chunk(rng, size, m)))
+        cfg, lambda rng, size: haar_so_chunk(rng, size, m, columns)))
 
 
-def sample_usp(cfg: SamplerConfig) -> np.ndarray:
-    two_n = 2 * cfg.series.n
+def sample_usp(cfg: SamplerConfig, columns: Optional[int] = None
+               ) -> np.ndarray:
+    n = cfg.series.n
     return np.concatenate(_map_chunks(
-        cfg, lambda rng, size: haar_usp_chunk(rng, size, two_n)))
+        cfg, lambda rng, size: haar_usp_chunk(rng, size, 2 * n, columns)))
 
 
 # -- chart coordinate and band statistics -----------------------------
@@ -176,14 +238,11 @@ def sphere_band_mass_quadrature(m: int, r: float) -> float:
 
 # -- KS test ----------------------------------------------------------
 
-def kolmogorov_pvalue(lam: float, terms: int = 100) -> float:
-    """Asymptotic KS tail probability by the alternating series."""
+def kolmogorov_pvalue(lam: float) -> float:
+    """Asymptotic KS tail probability P(sqrt(n) D > lam)."""
     if lam <= 0:
         return 1.0
-    total = 0.0
-    for k in range(1, terms + 1):
-        total += (-1.0) ** (k - 1) * math.exp(-2.0 * k * k * lam * lam)
-    return min(1.0, max(0.0, 2.0 * total))
+    return float(kolmogorov(lam))
 
 
 def ks_test(samples: np.ndarray, cdf: Callable) -> tuple:
@@ -267,7 +326,7 @@ def concentration_experiment(cfg: SamplerConfig, r: float
 
     if series.tag == "A":
         # SU(n): distance of the fiber point to the hyperplane at infinity
-        g = sample_su(cfg)
+        g = sample_su(cfg, columns=1)
         _, xi = cp_coordinate(g)
         dist = math.pi / 2 - xi
         inside = dist < r
@@ -278,7 +337,7 @@ def concentration_experiment(cfg: SamplerConfig, r: float
                              lambda s2: 1.0 - (1.0 - s2) ** (n - 1))
     elif series.tag in ("B", "D"):
         m = 2 * n + 1 if series.tag == "B" else 2 * n
-        g = sample_so(cfg)
+        g = sample_so(cfg, columns=2)
         first = g[:, :, 0]
         second = _householder_reduce(g[:, :, 1], first)
         d1 = _equator_distance(first[:, 0])
@@ -292,7 +351,7 @@ def concentration_experiment(cfg: SamplerConfig, r: float
         note = ("sampling on SO(m); band statistics live on the base "
                 "spheres and are unchanged under the double cover")
     else:  # C
-        g = sample_usp(cfg)
+        g = sample_usp(cfg, columns=1)
         first = g[:, :, 0]
         coord = first[:, 0].real  # first real coordinate of S^{4n-1}
         dist = _equator_distance(coord)
@@ -315,7 +374,7 @@ def concentration_experiment(cfg: SamplerConfig, r: float
 
 def xi_histogram(cfg: SamplerConfig, bins: int = 200) -> dict:
     """Histogram of the chart angle xi over Haar samples of SU(n)."""
-    g = sample_su(cfg)
+    g = sample_su(cfg, columns=1)
     _, xi = cp_coordinate(g)
     counts, edges = np.histogram(xi, bins=bins, range=(0.0, math.pi / 2))
     return {"edges": edges.tolist(), "counts": counts.tolist()}

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from lievol.montecarlo import (SamplerConfig, concentration_experiment,
+from lievol import montecarlo
+from lievol.montecarlo import (CHUNK, SamplerConfig, concentration_experiment,
                                cp_coordinate, kolmogorov_pvalue, ks_test,
                                sample_so, sample_su, sample_usp,
                                sphere_band_mass, sphere_band_mass_quadrature,
@@ -65,6 +66,69 @@ class TestDeterminism:
         a = sample_su(cfg("A", 3, count=64, seed=1))
         b = sample_su(cfg("A", 3, count=64, seed=2))
         assert not np.allclose(a, b)
+
+
+SAMPLERS = {"A": sample_su, "B": sample_so, "C": sample_usp, "D": sample_so}
+COLUMNS = {"A": 1, "B": 2, "C": 1, "D": 2}
+
+
+class TestColumnRoute:
+    """The k-column samplers against the first k columns of the full ones."""
+
+    @pytest.mark.parametrize("tag,n", [("A", 6), ("A", 21), ("B", 2),
+                                       ("D", 4)])
+    def test_pointwise_agreement(self, tag, n):
+        c = cfg(tag, n, count=3000, seed=31)
+        k = COLUMNS[tag]
+        full = SAMPLERS[tag](c)[:, :, :k]
+        cols = SAMPLERS[tag](c, columns=k)
+        assert cols.shape == (3000, full.shape[1], k)
+        assert np.max(np.abs(np.abs(cols) - np.abs(full))) < 1e-12
+        if tag in "BD":
+            # only the det-sign fold on column 0 is left out
+            assert np.max(np.abs(cols[:, :, 1] - full[:, :, 1])) < 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_usp_columns_bit_equal(self, n):
+        c = cfg("C", n, count=3000, seed=32)
+        full = sample_usp(c)
+        for k in range(1, n + 1):
+            cols = sample_usp(c, columns=k)
+            assert cols.tobytes() == full[:, :, :k].tobytes()
+
+    @pytest.mark.parametrize("tag,n", [("A", 4), ("B", 2), ("C", 2)])
+    def test_bit_identical_across_workers(self, tag, n):
+        count = CHUNK + 1000
+        k = COLUMNS[tag]
+        a = SAMPLERS[tag](cfg(tag, n, count=count, seed=3), columns=k)
+        b = SAMPLERS[tag](cfg(tag, n, count=count, seed=3, workers=4),
+                          columns=k)
+        assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("tag,n,r", [("A", 6, 0.4), ("B", 2, 0.5),
+                                         ("C", 3, 0.5), ("D", 4, 0.5)])
+    def test_reports_match_full_samplers(self, monkeypatch, tag, n, r):
+        c = cfg(tag, n, count=5000, seed=33)
+        got = concentration_experiment(c, r)
+        # reference: the same statistics read off the full matrices
+        for name in ("sample_su", "sample_so", "sample_usp"):
+            full = getattr(montecarlo, name)
+            monkeypatch.setattr(montecarlo, name,
+                                lambda cfg, columns=None, full=full:
+                                full(cfg))
+        want = concentration_experiment(c, r)
+        assert got.empirical_mass == want.empirical_mass
+        assert got.ks_statistic == pytest.approx(want.ks_statistic,
+                                                 abs=1e-12)
+
+    @pytest.mark.parametrize("sampler,tag,n,bad",
+                             [(sample_su, "A", 4, 0), (sample_su, "A", 4, 4),
+                              (sample_so, "B", 2, 5), (sample_so, "D", 4, -1),
+                              (sample_usp, "C", 2, 3),
+                              (sample_usp, "C", 2, 1.0)])
+    def test_out_of_range_columns(self, sampler, tag, n, bad):
+        with pytest.raises(ValueError):
+            sampler(cfg(tag, n, count=16), columns=bad)
 
 
 class TestInvariance:
