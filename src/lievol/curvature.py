@@ -2,9 +2,13 @@
 
 Every basis satisfies -1/2 Tr(T_i T_j) = delta_ij in the defining
 representation.  Structure constants are computed numerically from the
-matrices; the printed commutator tables of the construction then serve
-as test oracles rather than inputs.  Killing form, Ricci tensor and the
-Levy-family bound sequences follow.
+matrices, as two dense matrix products (pair products, then triple
+traces); the printed commutator tables of the construction then serve
+as test oracles rather than inputs.  The Killing form (two contraction
+routes, cross-checked), the Ricci tensor (checked against -K/4) and chi
+follow by tensordot, with K computed once per report.  Inputs whose
+dense arrays would exceed DENSE_BUDGET are refused.  The Levy-family
+bound sequences close the module.
 """
 
 from __future__ import annotations
@@ -18,6 +22,14 @@ import numpy as np
 from .roots import Series
 
 ZERO_CUTOFF = 1e-12
+
+# Largest dense allocation of one curvature chain (check_dense_budget):
+# su(16) (~0.9 GiB) runs, su(20) (~3.3 GiB) is refused.
+DENSE_BUDGET = 2 * 2 ** 30
+
+# Basis size of each algebra at matrix size m (usp: m = 2n).
+ALGEBRA_DIM = {"su": lambda m: m * m - 1, "so": lambda m: m * (m - 1) // 2,
+               "usp": lambda m: m * (m + 1) // 2}
 
 # chi values claimed for the classical algebras; the su value disagrees
 # with the brute-force adjoint trace (see chi_comparison).
@@ -148,15 +160,46 @@ class StructureTensor:
         return {tuple(map(int, t)): float(self.array[tuple(t)]) for t in idx}
 
 
+def check_dense_budget(dim: int, matrix_dim: int) -> None:
+    """Refuse a curvature chain whose dense arrays exceed DENSE_BUDGET.
+
+    With d = dim and m = matrix_dim the chain holds two complex
+    (d^2, m^2) buffers of pair products T_i T_j (the gemm output and its
+    (i, j, a, c) reordering), then the complex (d, d, d) triple traces
+    beside the real structure tensor.
+    """
+    need = 32 * dim ** 2 * matrix_dim ** 2 + 24 * dim ** 3
+    if need > DENSE_BUDGET:
+        raise ValueError(
+            f"dense curvature arrays for dim {dim}, matrix size "
+            f"{matrix_dim} need {need / 2 ** 30:.1f} GiB, above the "
+            f"{DENSE_BUDGET / 2 ** 30:.0f} GiB budget")
+
+
 def structure_constants(basis: LieAlgebraBasis) -> StructureTensor:
-    """c_ij^k = -1/2 Tr([T_i, T_j] T_k), with tiny entries dropped."""
+    """c_ij^k = -1/2 Tr([T_i, T_j] T_k), with tiny entries dropped.
+
+    Two gemms: all pair products T_i T_j as one (d m, m) @ (m, d m), then
+    t_ijk = Tr(T_i T_j T_k) as (d^2, m^2) @ (m^2, d) against the
+    transposed basis; c_ijk = -1/2 Re(t_ijk - t_jik).
+    """
+    d, m = basis.dim, basis.matrix_dim
+    check_dense_budget(d, m)
     check_orthonormal(basis)
     B = basis.elements
-    prod = np.einsum("iab,jbc->ijac", B, B)
-    comm = prod - prod.transpose(1, 0, 2, 3)
-    c = -0.5 * np.einsum("ijab,kba->ijk", comm, B).real
+    # pairs[i, a, j, c] = (T_i T_j)[a, c]
+    pairs = B.reshape(d * m, m) @ B.transpose(1, 0, 2).reshape(m, d * m)
+    pairs = pairs.reshape(d, m, d, m).transpose(0, 2, 1, 3).reshape(d * d,
+                                                                    m * m)
+    # Tr(P T_k) = sum_{a,c} P[a, c] T_k[c, a]
+    t = (pairs @ B.transpose(2, 1, 0).reshape(m * m, d)).reshape(d, d, d)
+    del pairs
+    re = t.real
+    c = re - re.transpose(1, 0, 2)
+    del t, re
+    c *= -0.5
     c[np.abs(c) < ZERO_CUTOFF] = 0.0
-    return StructureTensor(dim=basis.dim, array=c)
+    return StructureTensor(dim=d, array=c)
 
 
 def adjoint_matrices(st: StructureTensor) -> np.ndarray:
@@ -167,9 +210,9 @@ def adjoint_matrices(st: StructureTensor) -> np.ndarray:
 def killing_form(st: StructureTensor, tol: float = 1e-9) -> np.ndarray:
     """K_ij by double contraction, cross-checked against adjoint traces."""
     c = st.array
-    k_a = np.einsum("ist,jts->ij", c, c)
+    k_a = np.tensordot(c, c, axes=([1, 2], [2, 1]))
     ad = adjoint_matrices(st)
-    k_b = np.einsum("iab,jba->ij", ad, ad)
+    k_b = np.tensordot(ad, ad, axes=([1, 2], [2, 1]))
     dev = float(np.max(np.abs(k_a - k_b)))
     if dev > tol:
         raise ArithmeticError(
@@ -182,11 +225,16 @@ class ChiValues(NamedTuple):
     chi_prime: float  # K = -chi_prime * I
 
 
-def chi_coefficient(st: StructureTensor, tol: float = 1e-9) -> ChiValues:
-    """Both normalisation constants of the (scalar) Killing matrix."""
+def chi_coefficient(st: StructureTensor, tol: float = 1e-9, *,
+                    K: Optional[np.ndarray] = None) -> ChiValues:
+    """Both normalisation constants of the (scalar) Killing matrix.
+
+    K is the Killing form of st; it is computed when not given.
+    """
     ad1 = adjoint_matrices(st)[0]
     chi = float(-0.5 * np.trace(ad1 @ ad1).real)
-    K = killing_form(st)
+    if K is None:
+        K = killing_form(st)
     diag = np.diagonal(K)
     off = K - np.diag(diag)
     if np.max(np.abs(off)) > tol or np.ptp(diag) > tol:
@@ -200,11 +248,18 @@ def riemann_tensor(st: StructureTensor) -> np.ndarray:
     return 0.25 * np.einsum("lms,jsk->kjlm", c, c)
 
 
-def ricci_tensor(st: StructureTensor, tol: float = 1e-9) -> np.ndarray:
-    """Ricci by contraction, verified equal to -K/4."""
+def ricci_tensor(st: StructureTensor, tol: float = 1e-9, *,
+                 K: Optional[np.ndarray] = None) -> np.ndarray:
+    """Ricci by contraction, verified equal to -K/4.
+
+    K is the Killing form of st; it is computed when not given.
+    """
     c = st.array
-    ric = 0.25 * np.einsum("kms,jsk->jm", c, c)
-    dev = float(np.max(np.abs(ric + 0.25 * killing_form(st))))
+    # ric[j, m] = 1/4 sum_{k,s} c[k, m, s] c[j, s, k]
+    ric = 0.25 * np.tensordot(c, c, axes=([0, 2], [2, 1])).T
+    if K is None:
+        K = killing_form(st)
+    dev = float(np.max(np.abs(ric + 0.25 * K)))
     if dev > tol:
         raise ArithmeticError(
             f"Ricci contraction vs -K/4 mismatch {dev:.2e}")
@@ -252,11 +307,18 @@ class CurvatureReport:
 
 
 def curvature_report(algebra: str, matrix_dim: int) -> CurvatureReport:
+    """Killing, Ricci and chi of one algebra, from one structure tensor.
+
+    The budget is checked before the basis is built, so an oversize
+    request allocates nothing.
+    """
+    if algebra in ALGEBRA_DIM:
+        check_dense_budget(ALGEBRA_DIM[algebra](matrix_dim), matrix_dim)
     basis = build_basis(algebra, matrix_dim)
     st = structure_constants(basis)
     K = killing_form(st)
-    ric = ricci_tensor(st)
-    chi = chi_coefficient(st)
+    ric = ricci_tensor(st, K=K)
+    chi = chi_coefficient(st, K=K)
     return CurvatureReport(
         algebra=algebra, matrix_dim=matrix_dim, dim=basis.dim,
         killing_matrix=K, ricci_matrix=ric,

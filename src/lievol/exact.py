@@ -95,14 +95,6 @@ class ExactScalar:
         return ExactScalar(self.q / (other.q * other.s),
                            self.k - other.k, self.s * other.s)
 
-    def __pow__(self, m: int) -> "ExactScalar":
-        if m < 0:
-            raise ValueError("negative powers not supported")
-        out = ExactScalar.one()
-        for _ in range(m):
-            out = out * self
-        return out
-
     # -- conversions --------------------------------------------------
 
     def to_float(self) -> float:

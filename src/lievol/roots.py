@@ -1,18 +1,25 @@
 """Closed-form root data for the classical series A, B, C, D.
 
-Roots are stored as exact rational vectors in the ambient R^n (the A
-series lives in the trace-zero hyperplane), so Gram determinants and
-coroot norms come out as exact rationals.
+Roots are stored as integer vectors in the ambient Z^n (the A series
+lives in the trace-zero hyperplane).  In this embedding every coroot
+2 alpha / (alpha, alpha) is integral too, so coroot norms are integers
+and the Gram determinant of the simple coroots comes from fraction-free
+(Bareiss) elimination: exact, with no rational arithmetic.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .exact import ExactScalar
 
 _MIN_RANK = {"A": 2, "B": 2, "C": 2, "D": 4}
+
+# Largest n with exact root data: the dense root table holds about n^3
+# integers, and D200 already takes ~2 s and ~80 MiB.
+MAX_EXACT_RANK = 200
 
 # CLI / report aliases for each series tag.
 SERIES_ALIASES = {
@@ -60,32 +67,34 @@ class Series:
                 "C": f"USp({2 * n})", "D": f"Spin({2 * n})"}[self.tag]
 
 
-Vector = tuple[Fraction, ...]
+Vector = tuple[int, ...]
 
 
-def _e(i: int, dim: int) -> Vector:
-    return tuple(Fraction(1 if j == i else 0) for j in range(dim))
+def _root(dim: int, *terms: tuple[int, int]) -> Vector:
+    """The vector sum of c * e_i over the (i, c) terms."""
+    v = [0] * dim
+    for i, c in terms:
+        v[i] += c
+    return tuple(v)
 
 
-def _sub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def _add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def _scale(c, u: Vector) -> Vector:
-    c = Fraction(c)
-    return tuple(c * a for a in u)
-
-
-def dot(u: Vector, v: Vector) -> Fraction:
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+def dot(u: Vector, v: Vector) -> int:
+    return sum(map(operator.mul, u, v))
 
 
 def coroot(alpha: Vector) -> Vector:
-    return _scale(Fraction(2) / dot(alpha, alpha), alpha)
+    """2 alpha / (alpha, alpha), which is integral for every A-D root.
+
+    A and D roots have norm 2 and are their own coroots; the short B
+    root e_i gives 2 e_i and the long C root 2 e_i gives e_i.
+    """
+    norm = dot(alpha, alpha)
+    if norm == 2:
+        return alpha
+    scaled = [2 * a for a in alpha]
+    if any(a % norm for a in scaled):
+        raise ArithmeticError(f"coroot of {alpha} is not integral")
+    return tuple(a // norm for a in scaled)
 
 
 @dataclass(frozen=True)
@@ -107,45 +116,32 @@ def build_root_system(series: Series) -> RootSystem:
     """Enumerate simple and positive roots in closed form."""
     n = series.n
     tag = series.tag
-
+    if n > MAX_EXACT_RANK:
+        raise ValueError(
+            f"exact root data for {series.group_name} is refused above "
+            f"n = {MAX_EXACT_RANK} (its dense root table grows as n^3); "
+            f"use the log-gamma route")
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    simple = [_root(n, (i, 1), (i + 1, -1)) for i in range(n - 1)]
+    positive = [_root(n, (i, 1), (j, -1)) for i, j in pairs]
     if tag == "A":
-        dim = n
-        simple = [_sub(_e(i, dim), _e(i + 1, dim)) for i in range(n - 1)]
-        positive = [_sub(_e(i, dim), _e(j, dim))
-                    for i in range(n) for j in range(i + 1, n)]
         degrees = tuple(i + 1 for i in range(1, n))
-    elif tag == "B":
-        dim = n
-        simple = [_sub(_e(i, dim), _e(i + 1, dim)) for i in range(n - 1)]
-        simple.append(_e(n - 1, dim))
-        positive = [_sub(_e(i, dim), _e(j, dim))
-                    for i in range(n) for j in range(i + 1, n)]
-        positive += [_add(_e(i, dim), _e(j, dim))
-                     for i in range(n) for j in range(i + 1, n)]
-        positive += [_e(i, dim) for i in range(n)]
-        degrees = tuple(2 * i for i in range(1, n + 1))
-    elif tag == "C":
-        dim = n
-        simple = [_sub(_e(i, dim), _e(i + 1, dim)) for i in range(n - 1)]
-        simple.append(_scale(2, _e(n - 1, dim)))
-        positive = [_sub(_e(i, dim), _e(j, dim))
-                    for i in range(n) for j in range(i + 1, n)]
-        positive += [_add(_e(i, dim), _e(j, dim))
-                     for i in range(n) for j in range(i + 1, n)]
-        positive += [_scale(2, _e(i, dim)) for i in range(n)]
-        degrees = tuple(2 * i for i in range(1, n + 1))
-    else:  # D
-        dim = n
-        simple = [_sub(_e(i, dim), _e(i + 1, dim)) for i in range(n - 1)]
-        # last simple root is e_{n-1} + e_n
-        simple.append(_add(_e(n - 2, dim), _e(n - 1, dim)))
-        positive = [_sub(_e(i, dim), _e(j, dim))
-                    for i in range(n) for j in range(i + 1, n)]
-        positive += [_add(_e(i, dim), _e(j, dim))
-                     for i in range(n) for j in range(i + 1, n)]
-        degrees = tuple(2 * i for i in range(1, n)) + (n,)
+    else:
+        positive += [_root(n, (i, 1), (j, 1)) for i, j in pairs]
+        if tag == "B":
+            simple.append(_root(n, (n - 1, 1)))
+            positive += [_root(n, (i, 1)) for i in range(n)]
+            degrees = tuple(2 * i for i in range(1, n + 1))
+        elif tag == "C":
+            simple.append(_root(n, (n - 1, 2)))
+            positive += [_root(n, (i, 2)) for i in range(n)]
+            degrees = tuple(2 * i for i in range(1, n + 1))
+        else:  # D
+            # last simple root is e_{n-1} + e_n
+            simple.append(_root(n, (n - 2, 1), (n - 1, 1)))
+            degrees = tuple(2 * i for i in range(1, n)) + (n,)
 
-    rs = RootSystem(series=series, rank=series.rank, ambient_dim=dim,
+    rs = RootSystem(series=series, rank=series.rank, ambient_dim=n,
                     simple_roots=tuple(simple),
                     positive_roots=tuple(positive),
                     coroots=tuple(coroot(a) for a in positive),
@@ -157,40 +153,40 @@ def build_root_system(series: Series) -> RootSystem:
     return rs
 
 
-def _det_fraction(rows: list[list[Fraction]]) -> Fraction:
-    """Exact determinant by fraction-free-ish Gaussian elimination."""
+def _det_bareiss(rows: list[list[int]]) -> int:
+    """Exact determinant of a positive-definite integer matrix (Bareiss).
+
+    Every leading minor of a positive-definite matrix is positive, so
+    each pivot is nonzero and no row exchange is needed; each division
+    by the previous pivot is exact.
+    """
     m = [row[:] for row in rows]
     n = len(m)
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if m[r][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = Fraction(1) / m[c][c]
-        for r in range(c + 1, n):
-            f = m[r][c] * inv
-            if f:
-                m[r] = [a - f * b for a, b in zip(m[r], m[c])]
-    return det
+    prev = 1
+    for c in range(n - 1):
+        piv = m[c][c]
+        if piv <= 0:
+            raise ArithmeticError("Gram matrix is not positive definite")
+        tail = m[c][c + 1:]
+        for row in m[c + 1:]:
+            f = row[c]
+            row[c + 1:] = [(piv * a - f * b) // prev
+                           for a, b in zip(row[c + 1:], tail)]
+        prev = piv
+    return m[n - 1][n - 1]
 
 
 def torus_volume(rs: RootSystem) -> ExactScalar:
     """|a1^ ^ ... ^ ar^| = sqrt(det Gram) of the simple coroots, exactly."""
     cr = rs.simple_coroots
     gram = [[dot(u, v) for v in cr] for u in cr]
-    return ExactScalar.sqrt_rational(_det_fraction(gram))
+    return ExactScalar.sqrt_rational(_det_bareiss(gram))
 
 
 def coroot_norm_product(rs: RootSystem) -> ExactScalar:
     """Product of (a^|a^) over all positive coroots."""
-    prod = Fraction(1)
-    for cv in rs.coroots:
-        prod *= dot(cv, cv)
-    return ExactScalar.from_rational(prod)
+    return ExactScalar.from_rational(
+        math.prod(dot(cv, cv) for cv in rs.coroots))
 
 
 def root_system_json(rs: RootSystem) -> dict:

@@ -64,7 +64,10 @@ def _validate_gamma(series: Series, center_order: int) -> None:
 
 
 def group_volume(series: Series, center_order: int = 1) -> VolumeResult:
-    """Exact volume via the torus/spheres/coroot-norm pipeline."""
+    """Exact volume via the torus/spheres/coroot-norm pipeline.
+
+    Raises ValueError above n = roots.MAX_EXACT_RANK.
+    """
     _validate_gamma(series, center_order)
     rs = build_root_system(series)
     vol = torus_volume(rs)

@@ -129,6 +129,34 @@ class TestExitCodes:
         assert code == 1
         assert "error:" in err
 
+    def test_oversize_curvature_is_one(self, capsys, monkeypatch):
+        # su(40) would need ~210 GiB of dense arrays: refused before any
+        # basis matrix is built
+        import lievol.curvature
+
+        def no_basis(*args):
+            raise AssertionError("basis built for an oversize request")
+
+        monkeypatch.setattr(lievol.curvature, "build_basis", no_basis)
+        code, _, err = run(capsys, "curvature", "--series", "su",
+                           "--n", "40")
+        assert code == 1
+        assert "budget" in err
+
+    def test_oversize_exact_volume_is_one(self, capsys, monkeypatch):
+        # exact root data for SU(5000) would hold ~10^11 integers:
+        # refused before any root is built
+        import lievol.roots
+
+        def no_root(*args):
+            raise AssertionError("root built for an oversize request")
+
+        monkeypatch.setattr(lievol.roots, "_root", no_root)
+        code, _, err = run(capsys, "volume", "--series", "a", "--n", "5000",
+                           "--exact")
+        assert code == 1
+        assert "refused" in err
+
     def test_unknown_series_is_one(self, capsys):
         code, _, err = run(capsys, "roots", "--series", "e8", "--n", "8")
         assert code == 1

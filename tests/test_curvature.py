@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from lievol.curvature import (CLAIMED_CHI, build_basis, check_orthonormal,
+from lievol.curvature import (ALGEBRA_DIM, CLAIMED_CHI, build_basis,
+                              check_dense_budget, check_orthonormal,
                               chi_coefficient, codim_growth_ok,
                               curvature_report, jacobi_residual, killing_form,
                               multi_locus_bound, rescaled_levy_check,
@@ -30,6 +31,10 @@ class TestBases:
             for T in build_basis(alg, m).elements:
                 assert np.max(np.abs(T + T.conj().T)) < 1e-14
                 assert abs(np.trace(T)) < 1e-14
+
+    @pytest.mark.parametrize("alg,m", [("su", 5), ("so", 7), ("usp", 8)])
+    def test_algebra_dim(self, alg, m):
+        assert ALGEBRA_DIM[alg](m) == build_basis(alg, m).dim
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -69,6 +74,16 @@ class TestStructureConstants:
         assert np.max(np.abs(c + c.transpose(1, 0, 2))) < 1e-12
         assert np.max(np.abs(c + c.transpose(0, 2, 1))) < 1e-12
 
+    @pytest.mark.parametrize("alg,m", [("su", 4), ("so", 6), ("usp", 6)])
+    def test_per_triple_oracle(self, alg, m):
+        # a second route, one commutator trace per index triple
+        b = build_basis(alg, m)
+        c = structure_constants(b).array
+        T = b.elements
+        want = np.array([[[-0.5 * np.trace((Ti @ Tj - Tj @ Ti) @ Tk).real
+                           for Tk in T] for Tj in T] for Ti in T])
+        assert np.max(np.abs(c - want)) < 1e-13
+
     @pytest.mark.parametrize("alg,m", [("su", 5), ("so", 7), ("usp", 8)])
     def test_jacobi(self, alg, m):
         st = structure_constants(build_basis(alg, m))
@@ -85,18 +100,19 @@ class TestKillingAndChi:
         assert np.max(np.abs(K + 12 * np.eye(10))) < 1e-10
 
     @pytest.mark.parametrize("m,chi", [(3, 1.0), (5, 3.0), (8, 6.0),
-                                       (12, 10.0)])
+                                       (12, 10.0), (16, 14.0)])
     def test_chi_so(self, m, chi):
         cv = chi_coefficient(structure_constants(so_basis(m)))
         assert cv.chi == pytest.approx(chi, abs=1e-10)
         assert cv.chi_prime == pytest.approx(2 * chi, abs=1e-10)
 
-    @pytest.mark.parametrize("m,chi", [(4, 6.0), (6, 8.0), (10, 12.0)])
+    @pytest.mark.parametrize("m,chi", [(4, 6.0), (6, 8.0), (10, 12.0),
+                                       (16, 18.0)])
     def test_chi_usp(self, m, chi):
         cv = chi_coefficient(structure_constants(usp_basis(m)))
         assert cv.chi == pytest.approx(chi, abs=1e-10)
 
-    @pytest.mark.parametrize("m", range(2, 9))
+    @pytest.mark.parametrize("m", [*range(2, 9), 12])
     def test_chi_su_adjoint_trace(self, m):
         # the adjoint-trace value is 2m; it disagrees with the tabulated
         # m + 2 for m > 2, and the report records both
@@ -119,7 +135,9 @@ class TestRiemannRicci:
         R = riemann_tensor(structure_constants(su_basis(3)))
         assert np.max(np.abs(R + R.transpose(0, 1, 3, 2))) < 1e-12
 
-    @pytest.mark.parametrize("alg,m", [("su", 4), ("so", 6), ("usp", 6)])
+    @pytest.mark.parametrize("alg,m", [("su", 4), ("so", 6), ("usp", 6),
+                                       ("su", 12), ("so", 16),
+                                       ("usp", 16)])
     def test_ricci_is_minus_quarter_killing(self, alg, m):
         st = structure_constants(build_basis(alg, m))
         ric = ricci_tensor(st)
@@ -138,6 +156,41 @@ class TestRiemannRicci:
         d = rep.to_json()
         assert d["chi_claimed"] == 4.0
         assert d["chi_matches_claimed"]
+
+
+class TestKillingPassedDown:
+    def test_same_as_computed(self):
+        st = structure_constants(usp_basis(6))
+        K = killing_form(st)
+        assert np.array_equal(ricci_tensor(st, K=K), ricci_tensor(st))
+        assert chi_coefficient(st, K=K) == chi_coefficient(st)
+
+    def test_wrong_killing_is_caught(self):
+        st = structure_constants(so_basis(5))
+        K = killing_form(st)
+        with pytest.raises(ArithmeticError):
+            ricci_tensor(st, K=2 * K)
+        K[0, 1] = K[1, 0] = 1.0
+        with pytest.raises(ArithmeticError):
+            chi_coefficient(st, K=K)
+
+
+class TestDenseBudget:
+    def test_su16_fits(self):
+        check_dense_budget(ALGEBRA_DIM["su"](16), 16)
+
+    @pytest.mark.parametrize("alg,m", [("su", 20), ("so", 30), ("usp", 30)])
+    def test_oversize_refused(self, alg, m):
+        with pytest.raises(ValueError, match="budget"):
+            check_dense_budget(ALGEBRA_DIM[alg](m), m)
+
+    def test_entry_points_check(self, monkeypatch):
+        import lievol.curvature
+        monkeypatch.setattr(lievol.curvature, "DENSE_BUDGET", 1000)
+        with pytest.raises(ValueError, match="budget"):
+            structure_constants(su_basis(3))
+        with pytest.raises(ValueError, match="budget"):
+            curvature_report("su", 3)
 
 
 class TestLevySequences:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from lievol.exact import ExactScalar
-from lievol.roots import Series
+from lievol.roots import MAX_EXACT_RANK, Series
 from lievol.volumes import (closed_form_volume, group_volume, log_volume,
                             ratio_exponent, ratio_scale, sphere_volume)
 
@@ -55,7 +55,7 @@ class TestFrozenValues:
 
 class TestPipelineVsClosedForm:
     @pytest.mark.parametrize("tag", "ABCD")
-    @pytest.mark.parametrize("n", range(2, 13))
+    @pytest.mark.parametrize("n", range(2, 41))
     def test_exact_equality(self, tag, n):
         if tag == "D" and n < 4:
             pytest.skip("below minimum rank")
@@ -82,6 +82,11 @@ class TestCenterQuotient:
         with pytest.raises(ValueError):
             group_volume(Series("B", 3), 4)
         group_volume(Series("D", 5), 4)  # |Z(Spin(10))| = 4: fine
+
+
+def test_exact_rank_guard():
+    with pytest.raises(ValueError, match="refused"):
+        group_volume(Series("D", MAX_EXACT_RANK + 1))
 
 
 class TestRatioExponent:
