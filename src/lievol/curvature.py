@@ -243,7 +243,17 @@ def chi_coefficient(st: StructureTensor, tol: float = 1e-9, *,
 
 
 def riemann_tensor(st: StructureTensor) -> np.ndarray:
-    """R^k_jlm = 1/4 sum_s c_lm^s c_js^k (dense; small dims only)."""
+    """R^k_jlm = 1/4 sum_s c_lm^s c_js^k (dense; small dims only).
+
+    The (d, d, d, d) result takes 8 d^4 bytes; above DENSE_BUDGET (su(12)
+    already needs 3.1 GiB) it is refused with ValueError.
+    """
+    need = 8 * st.dim ** 4
+    if need > DENSE_BUDGET:
+        raise ValueError(
+            f"dense Riemann tensor for dim {st.dim} needs "
+            f"{need / 2 ** 30:.1f} GiB, above the "
+            f"{DENSE_BUDGET / 2 ** 30:.0f} GiB budget")
     c = st.array
     return 0.25 * np.einsum("lms,jsk->kjlm", c, c)
 

@@ -7,12 +7,17 @@ the statistics are bit-identical for a given (seed, count) at any
 worker count.
 
 A sampler given ``columns=k`` returns only the first k columns of each
-sample.  It draws the same Gaussians as the full sampler but
-orthonormalizes only the k columns it returns: the first k < m columns
-of a Haar matrix are uniform on the Stiefel manifold, the law of
-Gram-Schmidt applied to k Gaussian columns (Mezzadri, Notices AMS
-2007).  The concentration statistics read at most two columns, so they
-take this route; the full matrices stay the reference.
+sample.  For SU and SO it draws only k Gaussian columns per sample and
+orthonormalizes them: the first k < m columns of a Haar matrix are
+uniform on the Stiefel manifold, the law of Gram-Schmidt applied to k
+i.i.d. Gaussian columns (Mezzadri, Notices AMS 2007).  This is exact in
+law but is not the full sampler's stream.  For USp the fill stops after
+column k - 1, so its columns are bit-equal to the full sample's.  The
+concentration statistics read at most two columns, so they take this
+route; the full matrices stay the reference.
+
+A request whose returned array would exceed SAMPLE_BUDGET bytes is
+refused before any chunk is drawn.
 """
 
 from __future__ import annotations
@@ -29,6 +34,10 @@ from scipy.special import betainc, kolmogorov
 from .roots import Series
 
 CHUNK = 2048
+
+# Largest array a sample_* call may return: 10^6 samples of SU(21) at
+# one column (336 MB) run, 10^9 are refused.
+SAMPLE_BUDGET = 2 * 2 ** 30
 
 
 @dataclass(frozen=True)
@@ -107,16 +116,15 @@ def haar_su_chunk(rng: np.random.Generator, size: int, m: int,
                   columns: Optional[int] = None) -> np.ndarray:
     """(size, m, m) Haar SU(m) samples, or their first `columns` columns.
 
-    The column route leaves out the det phase: for k < m the first k
-    columns of Haar U(m) and of Haar SU(m) have the same law.
+    The column route draws only `columns` Gaussian columns and leaves out
+    the det phase: for k < m the first k columns of Haar U(m) and of Haar
+    SU(m) have the same law.
     """
     _check_columns(columns, m - 1)
     if columns is not None:
-        # draw whole matrices, so that the stream stays the full route's
-        re = rng.standard_normal((size, m, m))
-        im = rng.standard_normal((size, m, m))
-        return _gram_schmidt((re[:, :, :columns] + 1j * im[:, :, :columns])
-                             / math.sqrt(2.0))
+        re = rng.standard_normal((size, m, columns))
+        im = rng.standard_normal((size, m, columns))
+        return _gram_schmidt((re + 1j * im) / math.sqrt(2.0))
     q = _haar_unitary(rng, size, m)
     det = np.linalg.det(q)
     q *= (det ** (-1.0 / m))[:, None, None]
@@ -127,14 +135,14 @@ def haar_so_chunk(rng: np.random.Generator, size: int, m: int,
                   columns: Optional[int] = None) -> np.ndarray:
     """(size, m, m) Haar SO(m) samples, or their first `columns` columns.
 
-    The column route leaves out the det-sign fold: for k < m the first
-    k columns of Haar O(m) and of Haar SO(m) have the same law.
+    The column route draws only `columns` Gaussian columns and leaves out
+    the det-sign fold: for k < m the first k columns of Haar O(m) and of
+    Haar SO(m) have the same law.
     """
     _check_columns(columns, m - 1)
-    z = rng.standard_normal((size, m, m))
     if columns is not None:
-        return _gram_schmidt(z[:, :, :columns])
-    q, r = np.linalg.qr(z)
+        return _gram_schmidt(rng.standard_normal((size, m, columns)))
+    q, r = np.linalg.qr(rng.standard_normal((size, m, m)))
     d = np.einsum("sii->si", r)
     q *= np.sign(d)[:, None, :]
     # fold the det = -1 coset onto SO(m) with a fixed reflection
@@ -189,9 +197,20 @@ def symplectic_form(two_n: int) -> np.ndarray:
     return J
 
 
+def _check_sample_budget(count: int, rows: int, cols: int,
+                        itemsize: int) -> None:
+    """Refuse a sample whose returned array exceeds SAMPLE_BUDGET."""
+    need = count * rows * cols * itemsize
+    if need > SAMPLE_BUDGET:
+        raise ValueError(
+            f"{count} samples of {rows} x {cols} need {need / 2 ** 30:.1f} "
+            f"GiB, above the {SAMPLE_BUDGET / 2 ** 30:.0f} GiB sample budget")
+
+
 def sample_su(cfg: SamplerConfig, columns: Optional[int] = None
               ) -> np.ndarray:
     m = cfg.series.n
+    _check_sample_budget(cfg.count, m, columns or m, 16)
     return np.concatenate(_map_chunks(
         cfg, lambda rng, size: haar_su_chunk(rng, size, m, columns)))
 
@@ -201,6 +220,7 @@ def sample_so(cfg: SamplerConfig, m: Optional[int] = None,
     if m is None:
         n = cfg.series.n
         m = 2 * n + 1 if cfg.series.tag == "B" else 2 * n
+    _check_sample_budget(cfg.count, m, columns or m, 8)
     return np.concatenate(_map_chunks(
         cfg, lambda rng, size: haar_so_chunk(rng, size, m, columns)))
 
@@ -208,6 +228,7 @@ def sample_so(cfg: SamplerConfig, m: Optional[int] = None,
 def sample_usp(cfg: SamplerConfig, columns: Optional[int] = None
                ) -> np.ndarray:
     n = cfg.series.n
+    _check_sample_budget(cfg.count, 2 * n, columns or 2 * n, 16)
     return np.concatenate(_map_chunks(
         cfg, lambda rng, size: haar_usp_chunk(rng, size, 2 * n, columns)))
 
@@ -230,6 +251,14 @@ def sphere_band_mass(m: int, r: float) -> float:
     return float(betainc(0.5, m / 2.0, s))
 
 
+def _band_cdf(m: int, t: np.ndarray) -> np.ndarray:
+    """sphere_band_mass(m, asin(min(1, t))) elementwise, for t >= 0.
+
+    The cdf of |x_0| for x uniform on S^m: sin(asin t)^2 = t^2.
+    """
+    return betainc(0.5, m / 2.0, np.minimum(t, 1.0) ** 2)
+
+
 def sphere_band_mass_quadrature(m: int, r: float) -> float:
     num, _ = quad(lambda t: math.cos(t) ** (m - 1), -r, r)
     den, _ = quad(lambda t: math.cos(t) ** (m - 1), -math.pi / 2, math.pi / 2)
@@ -248,7 +277,9 @@ def kolmogorov_pvalue(lam: float) -> float:
 def ks_test(samples: np.ndarray, cdf: Callable) -> tuple:
     """One-sample KS statistic and asymptotic p-value.
 
-    `samples` must be sorted ascending; at least 8 values.
+    `samples` must be sorted ascending; at least 8 values.  `cdf` is
+    called once, on the whole sorted array, and must return the cdf of
+    each value elementwise (numpy ufuncs and array arithmetic do).
     """
     x = np.asarray(samples, dtype=float)
     if len(x) < 8:
@@ -256,7 +287,9 @@ def ks_test(samples: np.ndarray, cdf: Callable) -> tuple:
     if np.any(np.diff(x) < 0):
         raise ValueError("samples must be sorted ascending")
     n = len(x)
-    f = np.asarray([cdf(v) for v in x], dtype=float)
+    f = np.asarray(cdf(x), dtype=float)
+    if f.shape != x.shape:
+        raise ValueError("cdf must return one value per sample")
     i = np.arange(1, n + 1)
     d = float(max(np.max(i / n - f), np.max(f - (i - 1) / n)))
     return d, kolmogorov_pvalue(math.sqrt(n) * d)
@@ -346,8 +379,7 @@ def concentration_experiment(cfg: SamplerConfig, r: float
         predicted = sphere_band_mass(m - 1, r) * sphere_band_mass(m - 2, r)
         base = f"S^{m - 1} x S^{m - 2} bi-equator"
         samp = np.sort(np.abs(first[:, 0]))
-        stat, pval = ks_test(samp, lambda t: sphere_band_mass(
-            m - 1, math.asin(min(1.0, t))))
+        stat, pval = ks_test(samp, lambda t: _band_cdf(m - 1, t))
         note = ("sampling on SO(m); band statistics live on the base "
                 "spheres and are unchanged under the double cover")
     else:  # C
@@ -359,8 +391,7 @@ def concentration_experiment(cfg: SamplerConfig, r: float
         predicted = sphere_band_mass(4 * n - 1, r)
         base = f"S^{4 * n - 1} equator"
         samp = np.sort(np.abs(coord))
-        stat, pval = ks_test(samp, lambda t: sphere_band_mass(
-            4 * n - 1, math.asin(min(1.0, t))))
+        stat, pval = ks_test(samp, lambda t: _band_cdf(4 * n - 1, t))
 
     emp = float(np.mean(inside))
     stderr = math.sqrt(predicted * (1.0 - predicted) / cfg.count)

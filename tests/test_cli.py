@@ -82,6 +82,17 @@ class TestSubcommands:
         assert d["report"]["count"] == 2048
         assert abs(d["report"]["z_score"]) < 5.0
 
+    def test_reproduce_quick(self, tmp_path, capsys):
+        # the sweep the benchmark times, with the acceptance seed
+        target = tmp_path / "reproduce.json"
+        code, _, _ = run(capsys, "reproduce", "--seed", "42", "--quick",
+                         "--output", str(target))
+        assert code == 0
+        d = json.loads(target.read_text())
+        assert d["all_passed"] is True
+        assert len(d["criteria"]) == 8
+        assert all(c["passed"] for c in d["criteria"]), d["criteria"]
+
 
 class TestFormatsAndOutput:
     def test_csv(self, capsys):
@@ -156,6 +167,20 @@ class TestExitCodes:
                            "--exact")
         assert code == 1
         assert "refused" in err
+
+    def test_oversize_sample_is_one(self, capsys, monkeypatch):
+        # 10^9 samples of SU(21), one column each, would need 313 GiB:
+        # refused before any chunk is drawn
+        import lievol.montecarlo
+
+        def no_chunk(*args):
+            raise AssertionError("chunk drawn for an oversize request")
+
+        monkeypatch.setattr(lievol.montecarlo, "haar_su_chunk", no_chunk)
+        code, _, err = run(capsys, "sample", "--series", "su", "--n", "21",
+                           "--count", "1000000000", "--seed", "1")
+        assert code == 1
+        assert "budget" in err
 
     def test_unknown_series_is_one(self, capsys):
         code, _, err = run(capsys, "roots", "--series", "e8", "--n", "8")

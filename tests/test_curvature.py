@@ -135,6 +135,11 @@ class TestRiemannRicci:
         R = riemann_tensor(structure_constants(su_basis(3)))
         assert np.max(np.abs(R + R.transpose(0, 1, 3, 2))) < 1e-12
 
+    def test_riemann_oversize_refused(self):
+        # su(12): the dense (143,)*4 tensor would take 3.1 GiB
+        with pytest.raises(ValueError, match="budget"):
+            riemann_tensor(structure_constants(su_basis(12)))
+
     @pytest.mark.parametrize("alg,m", [("su", 4), ("so", 6), ("usp", 6),
                                        ("su", 12), ("so", 16),
                                        ("usp", 16)])

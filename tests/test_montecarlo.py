@@ -72,21 +72,51 @@ SAMPLERS = {"A": sample_su, "B": sample_so, "C": sample_usp, "D": sample_so}
 COLUMNS = {"A": 1, "B": 2, "C": 1, "D": 2}
 
 
+def statistics_read(tag, g):
+    """The coordinates concentration_experiment reads off k columns."""
+    if tag == "A":
+        return [np.abs(g[:, 0, 0]) ** 2]
+    first = g[:, :, 0]
+    second = montecarlo._householder_reduce(g[:, :, 1], first)
+    return [first[:, 0], second[:, 0]]
+
+
 class TestColumnRoute:
-    """The k-column samplers against the first k columns of the full ones."""
+    """The k-column samplers: their own stream, the full route's law."""
 
     @pytest.mark.parametrize("tag,n", [("A", 6), ("A", 21), ("B", 2),
                                        ("D", 4)])
-    def test_pointwise_agreement(self, tag, n):
-        c = cfg(tag, n, count=3000, seed=31)
+    def test_stream_oracle(self, tag, n):
+        # a column chunk is Gram-Schmidt of an explicit (size, m, k) draw
+        size, k = 3000, COLUMNS[tag]
+        rng = montecarlo._chunk_rng(31, 0)
+        if tag == "A":
+            m = n
+            got = montecarlo.haar_su_chunk(montecarlo._chunk_rng(31, 0),
+                                           size, m, k)
+            re = rng.standard_normal((size, m, k))
+            im = rng.standard_normal((size, m, k))
+            z = (re + 1j * im) / math.sqrt(2.0)
+        else:
+            m = 2 * n + 1 if tag == "B" else 2 * n
+            got = montecarlo.haar_so_chunk(montecarlo._chunk_rng(31, 0),
+                                           size, m, k)
+            z = rng.standard_normal((size, m, k))
+        assert got.shape == (size, m, k)
+        assert got.tobytes() == montecarlo._gram_schmidt(z).tobytes()
+        gram = np.conj(got).transpose(0, 2, 1) @ got
+        assert np.max(np.abs(gram - np.eye(k))) < 1e-12
+
+    @pytest.mark.parametrize("tag,n", [("A", 6), ("A", 21), ("B", 2),
+                                       ("D", 4)])
+    def test_marginals_match_full_route(self, tag, n):
+        # independent seeds: a two-sample test of the coordinates read
         k = COLUMNS[tag]
-        full = SAMPLERS[tag](c)[:, :, :k]
-        cols = SAMPLERS[tag](c, columns=k)
-        assert cols.shape == (3000, full.shape[1], k)
-        assert np.max(np.abs(np.abs(cols) - np.abs(full))) < 1e-12
-        if tag in "BD":
-            # only the det-sign fold on column 0 is left out
-            assert np.max(np.abs(cols[:, :, 1] - full[:, :, 1])) < 1e-12
+        cols = SAMPLERS[tag](cfg(tag, n, count=10000, seed=34), columns=k)
+        full = SAMPLERS[tag](cfg(tag, n, count=10000, seed=35))
+        for a, b in zip(statistics_read(tag, cols),
+                        statistics_read(tag, full[:, :, :k])):
+            assert stats.ks_2samp(a, b).pvalue > 0.01
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_usp_columns_bit_equal(self, n):
@@ -105,21 +135,34 @@ class TestColumnRoute:
                           columns=k)
         assert a.tobytes() == b.tobytes()
 
-    @pytest.mark.parametrize("tag,n,r", [("A", 6, 0.4), ("B", 2, 0.5),
-                                         ("C", 3, 0.5), ("D", 4, 0.5)])
-    def test_reports_match_full_samplers(self, monkeypatch, tag, n, r):
-        c = cfg(tag, n, count=5000, seed=33)
-        got = concentration_experiment(c, r)
-        # reference: the same statistics read off the full matrices
+    @staticmethod
+    def _full_route_report(monkeypatch, c, r):
+        # the same statistics read off the full matrices
         for name in ("sample_su", "sample_so", "sample_usp"):
             full = getattr(montecarlo, name)
             monkeypatch.setattr(montecarlo, name,
                                 lambda cfg, columns=None, full=full:
                                 full(cfg))
-        want = concentration_experiment(c, r)
+        return concentration_experiment(c, r)
+
+    @pytest.mark.parametrize("tag,n,r", [("C", 3, 0.5)])
+    def test_reports_match_full_samplers(self, monkeypatch, tag, n, r):
+        c = cfg(tag, n, count=5000, seed=33)
+        got = concentration_experiment(c, r)
+        want = self._full_route_report(monkeypatch, c, r)
         assert got.empirical_mass == want.empirical_mass
         assert got.ks_statistic == pytest.approx(want.ks_statistic,
                                                  abs=1e-12)
+
+    @pytest.mark.parametrize("tag,n,r", [("A", 6, 0.4), ("B", 2, 0.5),
+                                         ("D", 4, 0.5)])
+    def test_reports_agree_with_full_samplers(self, monkeypatch, tag, n, r):
+        # two estimates of one band mass: their gap has stderr sqrt(2)*se
+        c = cfg(tag, n, count=5000, seed=33)
+        got = concentration_experiment(c, r)
+        want = self._full_route_report(monkeypatch, c, r)
+        gap = abs(got.empirical_mass - want.empirical_mass)
+        assert gap < 4 * math.sqrt(2) * got.stderr
 
     @pytest.mark.parametrize("sampler,tag,n,bad",
                              [(sample_su, "A", 4, 0), (sample_su, "A", 4, 4),
@@ -129,6 +172,27 @@ class TestColumnRoute:
     def test_out_of_range_columns(self, sampler, tag, n, bad):
         with pytest.raises(ValueError):
             sampler(cfg(tag, n, count=16), columns=bad)
+
+
+class TestSampleBudget:
+    def test_large_column_sample_fits(self):
+        # 10^6 samples of SU(21) at one column: 336 MB
+        montecarlo._check_sample_budget(10 ** 6, 21, 1, 16)
+
+    @pytest.mark.parametrize("sampler,tag,n,columns,count",
+                             [(sample_su, "A", 21, 1, 10 ** 9),
+                              # full matrices count every column: 7 GB
+                              (sample_su, "A", 21, None, 10 ** 6),
+                              (sample_so, "B", 10, 2, 10 ** 9),
+                              (sample_usp, "C", 10, None, 10 ** 9)])
+    def test_oversize_refused_before_drawing(self, monkeypatch, sampler, tag,
+                                             n, columns, count):
+        def no_chunk(*args):
+            raise AssertionError("chunk drawn for an oversize request")
+
+        monkeypatch.setattr(montecarlo, "_map_chunks", no_chunk)
+        with pytest.raises(ValueError, match="budget"):
+            sampler(cfg(tag, n, count=count), columns=columns)
 
 
 class TestInvariance:
@@ -154,8 +218,8 @@ class TestInvariance:
         x = np.sort(np.trace(g, axis1=1, axis2=2).real / 2.0)
 
         def cdf(t):
-            t = min(1.0, max(-1.0, t))
-            return 0.5 + (t * math.sqrt(1 - t * t) + math.asin(t)) / math.pi
+            t = np.clip(t, -1.0, 1.0)
+            return 0.5 + (t * np.sqrt(1 - t * t) + np.arcsin(t)) / np.pi
 
         _, p = ks_test(x, cdf)
         assert p > 0.01
@@ -191,6 +255,13 @@ class TestSphereBandMass:
         assert sphere_band_mass(7, math.pi / 2) == pytest.approx(1.0)
         assert sphere_band_mass(7, 0.0) == pytest.approx(0.0)
 
+    @pytest.mark.parametrize("m", [3, 4, 7, 11])
+    def test_band_cdf_matches_scalar_route(self, m):
+        # the KS cdf of |x_0| on S^m, against the per-point band mass
+        t = np.concatenate([np.linspace(0.0, 1.0, 201), [1.0 + 1e-12]])
+        want = [sphere_band_mass(m, math.asin(min(1.0, v))) for v in t]
+        assert np.max(np.abs(montecarlo._band_cdf(m, t) - want)) < 1e-14
+
     def test_monotone_in_r(self):
         vals = [sphere_band_mass(9, r) for r in np.linspace(0.01, 1.5, 30)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
@@ -219,6 +290,20 @@ class TestKSTest:
         x = np.sort(rng.uniform(size=5000) ** 2)
         _, p = ks_test(x, lambda t: t)
         assert p < 1e-6
+
+    def test_cdf_called_once_on_the_array(self):
+        calls = []
+
+        def cdf(t):
+            calls.append(t)
+            return t
+
+        ks_test(np.linspace(0.0, 1.0, 50), cdf)
+        assert len(calls) == 1 and calls[0].shape == (50,)
+
+    def test_rejects_scalar_cdf_result(self):
+        with pytest.raises(ValueError):
+            ks_test(np.linspace(0.0, 1.0, 50), lambda t: 0.5)
 
     def test_pvalue_limits(self):
         assert kolmogorov_pvalue(0.0) == 1.0
