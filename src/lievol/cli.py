@@ -29,6 +29,9 @@ from .volumes import (USP_DIMENSION_NOTE, closed_form_volume, group_volume,
                       log_volume, ratio_exponent, ratio_scale)
 
 
+FORMATS = ("json", "csv", "text")
+
+
 def _provenance(args) -> dict:
     cfg = {k: v for k, v in vars(args).items()
            if k not in ("func",) and v is not None}
@@ -199,17 +202,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, series=True, fmt=True):
+    def add_common(sp, series=True):
         if series:
             sp.add_argument("--series", required=True,
                             help="a/su, b/spin-odd, c/usp, d/spin-even")
             sp.add_argument("--n", type=int, required=True)
-        if fmt:
-            sp.add_argument("--format", choices=("json", "csv", "text"),
-                            default="json")
-            sp.add_argument("--json", action="store_const", dest="format",
-                            const="json", help="shorthand for --format json")
-            sp.add_argument("--output", help="write the report to a file")
+        sp.add_argument("--format", choices=FORMATS, default="json")
+        sp.add_argument("--json", action="store_const", dest="format",
+                        const="json", help="shorthand for --format json")
+        sp.add_argument("--output", help="write the report to a file")
 
     sp = sub.add_parser("roots", help="root system data")
     add_common(sp)
@@ -231,9 +232,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--series", required=True, choices=("su", "so", "usp"))
     sp.add_argument("--n", type=int, required=True,
                     help="defining matrix size")
-    sp.add_argument("--report", choices=("json", "csv", "text"),
-                    dest="format", default="json")
-    sp.add_argument("--output")
+    add_common(sp, series=False)
+    sp.add_argument("--report", choices=FORMATS, dest="format",
+                    help="deprecated alias of --format")
     sp.set_defaults(func=cmd_curvature)
 
     sp = sub.add_parser("cpn", help="quotient-geometry checks")
@@ -242,11 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eps", type=float, default=0.3)
     sp.add_argument("--points", type=int, default=100)
     sp.add_argument("--tol", type=float, default=1e-8)
-    sp.add_argument("--format", choices=("json", "csv", "text"),
-                    default="json")
-    sp.add_argument("--json", action="store_const", dest="format",
-                    const="json")
-    sp.add_argument("--output")
+    add_common(sp, series=False)
     sp.set_defaults(func=cmd_cpn)
 
     sp = sub.add_parser("sample", help="Haar Monte Carlo band statistics")
@@ -267,19 +264,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--coroot-length", type=float)
     sp.add_argument("--rescale", choices=("log", "sqrt", "linear", "const"))
     sp.add_argument("--floor", type=float, default=0.5)
-    sp.add_argument("--format", choices=("json", "csv", "text"),
-                    default="json")
-    sp.add_argument("--json", action="store_const", dest="format",
-                    const="json")
-    sp.add_argument("--output")
+    add_common(sp, series=False)
     sp.set_defaults(func=cmd_levy)
 
     sp = sub.add_parser("reproduce", help="run the full verification sweep")
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--quick", action="store_true")
-    sp.add_argument("--format", choices=("json", "csv", "text"),
-                    default="json")
-    sp.add_argument("--output")
+    add_common(sp, series=False)
     sp.set_defaults(func=cmd_reproduce)
 
     return p

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
-EPS_A = {a: math.sqrt(2.0 / (a * (a - 1))) for a in range(2, 200)}
+from .special import gauss_legendre
 
 # Chart calibration for the quotient parametrization.  The phi_a all run
 # over [0, pi/2]; the theta_a periods below are fixed once so that the
@@ -117,7 +116,9 @@ def _chart_factors(c: QuotientCoords):
     lam = gellmann_basis(n + 1)
     factors = [(lam[2], c.thetas[0]), (lam[1], c.phis[0])]
     for a in range(2, n + 1):
-        factors.append((lam[a * a - 2] / EPS_A[a], c.thetas[a - 1]))
+        # undo the Gell-Mann normalization of the diagonal generator
+        eps = math.sqrt(2.0 / (a * (a - 1)))
+        factors.append((lam[a * a - 2] / eps, c.thetas[a - 1]))
         factors.append((lam[a * a], c.phis[a - 1]))
     return factors
 
@@ -238,13 +239,12 @@ def chart_volume(n: int) -> float:
     splits into theta periods times phi quadratures.
     """
     total = float(np.prod(theta_periods(n)))
-    val, _ = quad(lambda p: 2.0 * math.cos(p) * math.sin(p) ** (2 * n - 1),
-                  0.0, math.pi / 2)
-    total *= val
+    total *= gauss_legendre(
+        lambda p: 2.0 * np.cos(p) * np.sin(p) ** (2 * n - 1), 0.0, math.pi / 2)
     for a in range(1, n):
-        val, _ = quad(lambda p, a=a: math.sin(p) * math.cos(p) ** (2 * a - 1),
-                      0.0, math.pi / 2)
-        total *= val
+        total *= gauss_legendre(
+            lambda p, a=a: np.sin(p) * np.cos(p) ** (2 * a - 1),
+            0.0, math.pi / 2)
     return total
 
 
@@ -340,17 +340,18 @@ def angular_velocity_to_dz(a: AffineCoords, d_xi: float,
 def band_mass(n: int, eps: float, check_tol: float = 1e-10) -> float:
     """Unnormalized mass cos^{2n}(eps)/(2n) of the chart band phi_n < pi/2-eps.
 
-    Verified on the fly against adaptive quadrature of the defining
-    integral; the normalized complement 1 - cos^{2n}(eps) is the measure
-    of the radius-eps neighbourhood of the locus at infinity.
+    Verified on the fly against Gauss-Legendre quadrature of the defining
+    integral, with nodes doubled until two estimates agree; the
+    normalized complement 1 - cos^{2n}(eps) is the measure of the
+    radius-eps neighbourhood of the locus at infinity.
     """
     if not (0.0 <= eps <= math.pi / 2):
         raise ValueError("eps must lie in [0, pi/2]")
     if n < 1:
         raise ValueError("n must be >= 1")
     val = math.cos(eps) ** (2 * n) / (2 * n)
-    num, _ = quad(lambda p: math.cos(p) * math.sin(p) ** (2 * n - 1),
-                  0.0, math.pi / 2 - eps)
+    num = gauss_legendre(lambda p: np.cos(p) * np.sin(p) ** (2 * n - 1),
+                         0.0, math.pi / 2 - eps)
     if abs(num - val) > check_tol:
         raise ArithmeticError(
             f"band mass quadrature mismatch: {num} vs {val}")

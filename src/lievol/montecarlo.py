@@ -17,21 +17,26 @@ concentration statistics read at most two columns, so they take this
 route; the full matrices stay the reference.
 
 A request whose returned array would exceed SAMPLE_BUDGET bytes is
-refused before any chunk is drawn.
+refused before any chunk is drawn.  The result is allocated once and
+each chunk is copied into its slice as soon as it is drawn, so a sample
+costs its own size plus one chunk per worker.
+
+Band masses are I_x(1/2, m/2) (special.betainc_half); their second
+route, sphere_band_mass_quadrature, is Gauss-Legendre quadrature with
+node doubling (special.gauss_legendre).
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import betainc, kolmogorov
 
 from .roots import Series
+from .special import betainc_half, gauss_legendre, kolmogorov_sf
 
 CHUNK = 2048
 
@@ -68,15 +73,27 @@ def _chunks(count: int):
         idx += 1
 
 
-def _map_chunks(cfg: SamplerConfig, fn: Callable) -> list:
-    """Run fn(chunk_rng, size) per chunk; results ordered by chunk index."""
-    jobs = list(_chunks(cfg.count))
+def _map_chunks(cfg: SamplerConfig, fn: Callable, out: np.ndarray
+                ) -> np.ndarray:
+    """Write fn(chunk_rng, size) of chunk i into its rows of `out`.
+
+    Each chunk is dropped once copied, so at most one chunk per worker
+    is alive beside `out`; the rows a chunk fills depend only on its
+    index, whichever thread draws it.
+    """
+    def fill(i: int, size: int) -> None:
+        start = i * CHUNK
+        out[start:start + size] = fn(_chunk_rng(cfg.seed, i), size)
+
     if cfg.workers == 1:
-        return [fn(_chunk_rng(cfg.seed, i), size) for i, size in jobs]
-    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        futs = [pool.submit(fn, _chunk_rng(cfg.seed, i), size)
-                for i, size in jobs]
-        return [f.result() for f in futs]
+        for i, size in _chunks(cfg.count):
+            fill(i, size)
+    else:
+        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+            for fut in [pool.submit(fill, i, size)
+                        for i, size in _chunks(cfg.count)]:
+                fut.result()
+    return out
 
 
 # -- samplers ---------------------------------------------------------
@@ -207,12 +224,23 @@ def _check_sample_budget(count: int, rows: int, cols: int,
             f"GiB, above the {SAMPLE_BUDGET / 2 ** 30:.0f} GiB sample budget")
 
 
+def _sample(cfg: SamplerConfig, rows: int, cols: int, dtype,
+            fn: Callable) -> np.ndarray:
+    """(count, rows, cols) samples from fn(chunk_rng, size), chunk by chunk."""
+    dtype = np.dtype(dtype)
+    _check_sample_budget(cfg.count, rows, cols, dtype.itemsize)
+    return _map_chunks(cfg, fn, np.empty((cfg.count, rows, cols), dtype))
+
+
+# The lambdas look haar_*_chunk up when called, so rebinding one in this
+# module (to trace or to fail it) reaches every sampler.
+
 def sample_su(cfg: SamplerConfig, columns: Optional[int] = None
               ) -> np.ndarray:
     m = cfg.series.n
-    _check_sample_budget(cfg.count, m, columns or m, 16)
-    return np.concatenate(_map_chunks(
-        cfg, lambda rng, size: haar_su_chunk(rng, size, m, columns)))
+    _check_columns(columns, m - 1)
+    return _sample(cfg, m, columns or m, complex,
+                   lambda rng, size: haar_su_chunk(rng, size, m, columns))
 
 
 def sample_so(cfg: SamplerConfig, m: Optional[int] = None,
@@ -220,17 +248,18 @@ def sample_so(cfg: SamplerConfig, m: Optional[int] = None,
     if m is None:
         n = cfg.series.n
         m = 2 * n + 1 if cfg.series.tag == "B" else 2 * n
-    _check_sample_budget(cfg.count, m, columns or m, 8)
-    return np.concatenate(_map_chunks(
-        cfg, lambda rng, size: haar_so_chunk(rng, size, m, columns)))
+    _check_columns(columns, m - 1)
+    return _sample(cfg, m, columns or m, float,
+                   lambda rng, size: haar_so_chunk(rng, size, m, columns))
 
 
 def sample_usp(cfg: SamplerConfig, columns: Optional[int] = None
                ) -> np.ndarray:
     n = cfg.series.n
-    _check_sample_budget(cfg.count, 2 * n, columns or 2 * n, 16)
-    return np.concatenate(_map_chunks(
-        cfg, lambda rng, size: haar_usp_chunk(rng, size, 2 * n, columns)))
+    _check_columns(columns, n)
+    return _sample(cfg, 2 * n, columns or 2 * n, complex,
+                   lambda rng, size: haar_usp_chunk(rng, size, 2 * n,
+                                                    columns))
 
 
 # -- chart coordinate and band statistics -----------------------------
@@ -243,12 +272,9 @@ def cp_coordinate(g: np.ndarray) -> tuple:
 
 def sphere_band_mass(m: int, r: float) -> float:
     """Mass of the geodesic band of half-width r around an equator of S^m."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
     if not (0.0 <= r <= math.pi / 2):
         raise ValueError("r must lie in [0, pi/2]")
-    s = math.sin(r) ** 2
-    return float(betainc(0.5, m / 2.0, s))
+    return float(betainc_half(m, math.sin(r) ** 2))
 
 
 def _band_cdf(m: int, t: np.ndarray) -> np.ndarray:
@@ -256,22 +282,23 @@ def _band_cdf(m: int, t: np.ndarray) -> np.ndarray:
 
     The cdf of |x_0| for x uniform on S^m: sin(asin t)^2 = t^2.
     """
-    return betainc(0.5, m / 2.0, np.minimum(t, 1.0) ** 2)
+    return betainc_half(m, np.minimum(t, 1.0) ** 2)
 
 
 def sphere_band_mass_quadrature(m: int, r: float) -> float:
-    num, _ = quad(lambda t: math.cos(t) ** (m - 1), -r, r)
-    den, _ = quad(lambda t: math.cos(t) ** (m - 1), -math.pi / 2, math.pi / 2)
-    return num / den
+    """sphere_band_mass by quadrature of cos^(m-1) over the band."""
+    def density(t):
+        return np.cos(t) ** (m - 1)
+
+    return (gauss_legendre(density, -r, r)
+            / gauss_legendre(density, -math.pi / 2, math.pi / 2))
 
 
 # -- KS test ----------------------------------------------------------
 
 def kolmogorov_pvalue(lam: float) -> float:
     """Asymptotic KS tail probability P(sqrt(n) D > lam)."""
-    if lam <= 0:
-        return 1.0
-    return float(kolmogorov(lam))
+    return float(kolmogorov_sf(lam))
 
 
 def ks_test(samples: np.ndarray, cdf: Callable) -> tuple:

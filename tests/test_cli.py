@@ -1,7 +1,14 @@
 import json
+import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import lievol
 from lievol.cli import build_parser, main
 
 
@@ -68,6 +75,13 @@ class TestSubcommands:
         assert code == 0
         assert json.loads(out)["check_metric"]["passed"] is True
 
+    def test_cpn_band_mass_high_n(self, capsys):
+        # a spike next to pi/2: the quadrature check needs doubled nodes
+        code, out, _ = run(capsys, "cpn", "band-mass", "--n", "5000")
+        assert code == 0
+        assert json.loads(out)["band_mass"]["mass"] == pytest.approx(
+            math.cos(0.3) ** 10000 / 10000, rel=1e-12)
+
     def test_levy(self, capsys):
         code, out, _ = run(capsys, "levy", "--family", "so", "--start", "3",
                            "--stop", "10", "--rescale", "linear")
@@ -95,6 +109,23 @@ class TestSubcommands:
 
 
 class TestFormatsAndOutput:
+    @pytest.mark.parametrize("argv", [
+        ("cpn", "band-mass", "--n", "3"),
+        ("levy", "--family", "so", "--start", "3", "--stop", "5"),
+        ("curvature", "--series", "so", "--n", "4")])
+    def test_common_options_everywhere(self, capsys, argv):
+        _, out, _ = run(capsys, *argv, "--format", "text")
+        assert " = " in out.splitlines()[0]
+        _, out, _ = run(capsys, *argv, "--format", "csv", "--json")
+        assert json.loads(out)["provenance"]["config"]["format"] == "json"
+
+    def test_curvature_report_is_an_alias_of_format(self, capsys):
+        argv = ("curvature", "--series", "so", "--n", "4")
+        _, via_report, _ = run(capsys, *argv, "--report", "csv")
+        _, via_format, _ = run(capsys, *argv, "--format", "csv")
+        assert via_report.splitlines()[0] == "key,value"
+        assert via_report == via_format
+
     def test_csv(self, capsys):
         _, out, _ = run(capsys, "volume", "--series", "su", "--n", "3",
                         "--exact", "--format", "csv")
@@ -200,3 +231,31 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as ex:
             build_parser().parse_args(["--version"])
         assert ex.value.code == 0
+
+
+class TestImportPath:
+    def test_runtime_path_imports_no_scipy_subpackage(self, tmp_path):
+        # a fresh interpreter, so that modules the tests import do not count
+        script = textwrap.dedent("""
+            import contextlib, json, sys
+            from lievol import cli
+            with contextlib.redirect_stdout(sys.stderr):
+                assert cli.main(["reproduce", "--seed", "42", "--quick",
+                                 "--output", sys.argv[1]]) == 0
+                assert cli.main(["cpn", "band-mass", "--n", "3"]) == 0
+            print(json.dumps(sorted(m for m in sys.modules
+                                    if m.startswith("scipy."))))
+        """)
+        src = str(Path(lievol.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        res = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "r.json")],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert res.returncode == 0, res.stderr
+        loaded = json.loads(res.stdout.splitlines()[-1])
+        # only the bare package's own modules, private ones and the
+        # version: no special, integrate, stats, optimize, sparse, linalg
+        public = {m.split(".")[1] for m in loaded} - {"version"}
+        assert all(p.startswith("_") for p in public), public

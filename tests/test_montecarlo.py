@@ -1,4 +1,6 @@
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -193,6 +195,42 @@ class TestSampleBudget:
         monkeypatch.setattr(montecarlo, "_map_chunks", no_chunk)
         with pytest.raises(ValueError, match="budget"):
             sampler(cfg(tag, n, count=count), columns=columns)
+
+
+class TestSampleMemory:
+    @pytest.mark.parametrize("sampler,tag,n,columns",
+                             [(sample_su, "A", 6, 1),
+                              (sample_su, "A", 4, None),
+                              (sample_so, "B", 2, 2),
+                              (sample_usp, "C", 2, 1)])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_peak_is_the_result_plus_chunks(self, sampler, tag, n, columns,
+                                            workers):
+        # 32 chunks: holding them all beside a concatenated copy would
+        # peak at twice the result
+        c = cfg(tag, n, count=32 * CHUNK, seed=5, workers=workers)
+        tracemalloc.start()
+        try:
+            g = sampler(c, columns=columns)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * g.nbytes
+
+    def test_rows_follow_chunk_order(self):
+        # each chunk's rows are its own draw, whichever worker wrote them;
+        # four workers on seven chunks, with frequent thread switches
+        c = cfg("C", 2, count=6 * CHUNK + 5, seed=6, workers=4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            g = sample_usp(c, columns=1)
+        finally:
+            sys.setswitchinterval(interval)
+        for i, size in montecarlo._chunks(c.count):
+            want = montecarlo.haar_usp_chunk(montecarlo._chunk_rng(6, i),
+                                             size, 4, 1)
+            assert g[i * CHUNK:i * CHUNK + size].tobytes() == want.tobytes()
 
 
 class TestInvariance:
