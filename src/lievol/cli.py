@@ -9,6 +9,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -17,11 +18,10 @@ import os
 import sys
 
 import numpy as np
-import scipy
 
 from . import __version__
-from .curvature import (CLAIMED_CHI, curvature_report, ricci_bound_sequence,
-                        rescaled_levy_check)
+from .curvature import (LEVY_MIN_INDEX, curvature_report,
+                        ricci_bound_sequence, rescaled_levy_check)
 from .montecarlo import (CHUNK, SamplerConfig, concentration_experiment,
                          xi_histogram)
 from .roots import Series, build_root_system, root_system_json
@@ -32,26 +32,24 @@ from .volumes import (USP_DIMENSION_NOTE, closed_form_volume, group_volume,
 FORMATS = ("json", "csv", "text")
 
 
+def _scipy_version():
+    """scipy's installed version, read without importing scipy."""
+    from importlib import metadata
+    try:
+        return metadata.version("scipy")
+    except metadata.PackageNotFoundError:
+        return None
+
+
 def _provenance(args) -> dict:
     cfg = {k: v for k, v in vars(args).items()
            if k not in ("func",) and v is not None}
     # Monte Carlo output is bit-reproducible only per LAPACK kernel
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"artifact_version": __version__, "config": cfg,
-            "numpy": np.__version__, "scipy": scipy.__version__,
+            "numpy": np.__version__, "scipy": _scipy_version(),
             "blas": f"{blas.get('name')} {blas.get('version')}",
             "montecarlo_chunk": CHUNK}
-
-
-def _emit(payload: dict, args) -> None:
-    fmt = getattr(args, "format", "json")
-    text = _render(payload, fmt)
-    out_path = getattr(args, "output", None)
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        print(text)
 
 
 def _render(payload: dict, fmt: str) -> str:
@@ -140,7 +138,7 @@ def cmd_cpn(args) -> dict:
             "neighbourhood_measure": band_complement_mass(args.n, args.eps),
         }
     else:  # check-metric
-        res = _pyify(criterion_geometry(points=args.points))
+        res = _pyify(criterion_geometry(points=args.points, ns=(args.n,)))
         ok = bool(res["vielbein_density_dev"] < args.tol
                   and res["pullback_dev"] < args.tol)
         out["check_metric"] = {**res, "tol": args.tol, "passed": ok}
@@ -162,7 +160,11 @@ def cmd_sample(args) -> dict:
 
 
 def cmd_levy(args) -> dict:
-    ns = list(range(args.start, args.stop + 1))
+    start = (LEVY_MIN_INDEX[args.family.upper()] if args.start is None
+             else args.start)
+    if start > args.stop:
+        raise ValueError(f"--start {start} is above --stop {args.stop}")
+    ns = list(range(start, args.stop + 1))
     r_seq = ricci_bound_sequence(args.family, ns,
                                  coroot_length=args.coroot_length)
     out = {"provenance": _provenance(args),
@@ -259,7 +261,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("levy", help="Ricci bound sequences and rescaling")
     sp.add_argument("--family", required=True, choices=("su", "so", "usp"))
-    sp.add_argument("--start", type=int, default=2)
+    sp.add_argument("--start", type=int,
+                    help="first index (default: the family's smallest, "
+                         "SU 2, SO 3, USp 2)")
     sp.add_argument("--stop", type=int, default=20)
     sp.add_argument("--coroot-length", type=float)
     sp.add_argument("--rescale", choices=("log", "sqrt", "linear", "const"))
@@ -280,12 +284,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        payload = args.func(args)
+        # opened first, so that a bad path fails before the work
+        with (open(args.output, "w") if args.output
+              else contextlib.nullcontext()) as out:
+            text = _render(args.func(args), args.format)
+            if out is None:
+                print(text)
+            else:
+                out.write(text)
     except (ValueError, ArithmeticError, OverflowError, ZeroDivisionError,
-            np.linalg.LinAlgError) as exc:
+            OSError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(payload, args)
     return 0
 
 

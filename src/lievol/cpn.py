@@ -364,23 +364,3 @@ def band_complement_mass(n: int, r: float) -> float:
         raise ValueError("r must lie in [0, pi/2]")
     return 1.0 - math.cos(r) ** (2 * n)
 
-
-def locus_projection(z: np.ndarray) -> np.ndarray:
-    """Limit point on the hyperplane at infinity, as homogeneous coords.
-
-    Accepts a chart point z (length n, nonzero) or a homogeneous point
-    with leading coordinate zero (length n+1), on which it is idempotent.
-    """
-    z = np.asarray(z, dtype=complex)
-    if z.ndim != 1:
-        raise ValueError("expected a vector")
-    if abs(z[0]) == 0.0 and len(z) >= 2:
-        tail = z[1:]
-        norm = np.linalg.norm(tail)
-        if norm == 0:
-            raise ValueError("no direction defined")
-        return np.concatenate([[0.0], tail / norm])
-    norm = np.linalg.norm(z)
-    if norm == 0:
-        raise ValueError("z = 0 has no direction at infinity")
-    return np.concatenate([[0.0], z / norm])

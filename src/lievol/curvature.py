@@ -2,13 +2,15 @@
 
 Every basis satisfies -1/2 Tr(T_i T_j) = delta_ij in the defining
 representation.  Structure constants are computed numerically from the
-matrices, as two dense matrix products (pair products, then triple
-traces); the printed commutator tables of the construction then serve
-as test oracles rather than inputs.  The Killing form (two contraction
-routes, cross-checked), the Ricci tensor (checked against -K/4) and chi
-follow by tensordot, with K computed once per report.  Inputs whose
-dense arrays would exceed DENSE_BUDGET are refused.  The Levy-family
-bound sequences close the module.
+nonzeros of the basis matrices, as two index joins (pair products, then
+triple traces), and kept in coordinate form: under 0.3% of c_ijk are
+nonzero.  The printed commutator tables of the construction then serve
+as test oracles rather than inputs.  The Killing form (checked against
+the trace-form identity K = -2 kappa I), the Ricci tensor (checked
+against -K/4) and chi follow by the same sparse contraction, with K
+computed once per report.  Inputs whose chain would allocate more than
+DENSE_BUDGET are refused.  The Levy-family bound sequences close the
+module.
 """
 
 from __future__ import annotations
@@ -19,12 +21,10 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .roots import Series
-
 ZERO_CUTOFF = 1e-12
 
-# Largest dense allocation of one curvature chain (check_dense_budget):
-# su(16) (~0.9 GiB) runs, su(20) (~3.3 GiB) is refused.
+# Largest allocation of one curvature chain (check_dense_budget), and of
+# a dense structure or Riemann tensor built on demand.
 DENSE_BUDGET = 2 * 2 ** 30
 
 # Basis size of each algebra at matrix size m (usp: m = 2n).
@@ -35,6 +35,16 @@ ALGEBRA_DIM = {"su": lambda m: m * m - 1, "so": lambda m: m * (m - 1) // 2,
 # with the brute-force adjoint trace (see chi_comparison).
 CLAIMED_CHI = {"su": lambda m: m + 2, "so": lambda m: m - 2,
                "usp": lambda m: m + 2}  # m = matrix size (usp: m = 2n)
+
+# Killing form over the trace form, B(X, Y) = kappa Tr(XY) (Bourbaki,
+# Lie Groups ch. VIII); with -1/2 Tr(T_i T_j) = delta_ij, K = -2 kappa I.
+TRACE_FORM_INDEX = {"su": lambda m: 2 * m, "so": lambda m: m - 2,
+                    "usp": lambda m: m + 2}
+
+# Peak bytes per index-join match in structure_constants: the matched
+# index pairs, the triple keys and values, and np.unique's sort buffers
+# (tracemalloc: 72-86 B from su(16) to usp(48)).
+_JOIN_BYTES = 96
 
 
 @dataclass(frozen=True)
@@ -132,92 +142,169 @@ def build_basis(algebra: str, matrix_dim: int) -> LieAlgebraBasis:
     return builders[algebra](matrix_dim)
 
 
-def basis_for_series(series: Series) -> LieAlgebraBasis:
-    n = series.n
-    return {"A": lambda: su_basis(n), "B": lambda: so_basis(2 * n + 1),
-            "C": lambda: usp_basis(2 * n), "D": lambda: so_basis(2 * n)}[
-        series.tag]()
+def _check_budget(what: str, need: int) -> None:
+    if need > DENSE_BUDGET:
+        raise ValueError(
+            f"{what} need {need / 2 ** 30:.1f} GiB, above the "
+            f"{DENSE_BUDGET / 2 ** 30:.0f} GiB budget")
 
 
-def check_orthonormal(basis: LieAlgebraBasis, tol: float = 1e-12) -> float:
-    """Max deviation of -1/2 Tr(T_i T_j) from delta_ij."""
-    B = basis.elements
-    g = -0.5 * np.einsum("iab,jba->ij", B, B).real
-    dev = float(np.max(np.abs(g - np.eye(basis.dim))))
+def _match(left: np.ndarray, right: np.ndarray):
+    """Every index pair (l, r) with left[l] == right[r], l ascending."""
+    order = np.argsort(right, kind="stable")
+    ordered = right[order]
+    lo = np.searchsorted(ordered, left, "left")
+    n = np.searchsorted(ordered, left, "right") - lo
+    start = np.cumsum(n) - n
+    li = np.repeat(np.arange(left.size), n)
+    return li, order[np.repeat(lo - start, n) + np.arange(li.size)]
+
+
+def _summed(keys: np.ndarray, values: np.ndarray):
+    """Distinct keys, ascending, with the sum of the values of each."""
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    return uniq, np.bincount(inverse, weights=values, minlength=uniq.size)
+
+
+def _nonzeros(basis: LieAlgebraBasis):
+    """(element, row, column, value) of every nonzero basis entry."""
+    e, r, c = np.nonzero(basis.elements)
+    return e, r, c, basis.elements[e, r, c]
+
+
+def _scalar_deviation(d: int, keys: np.ndarray, values: np.ndarray,
+                      scalar: float) -> float:
+    """Max |M - scalar I| of the (d, d) M with `values` at flat `keys`."""
+    diag = keys // d == keys % d
+    dev = float(np.max(np.abs(values - scalar * diag), initial=0.0))
+    if np.count_nonzero(diag) < d:      # a zero diagonal entry
+        dev = max(dev, abs(scalar))
+    return dev
+
+
+def _gram_deviation(basis: LieAlgebraBasis, nz, tol: float) -> float:
+    d, m = basis.dim, basis.matrix_dim
+    e, r, c, v = nz
+    # Tr(T_i T_j) = sum_{a,b} T_i[a, b] T_j[b, a]
+    li, ri = _match(c * m + r, r * m + c)
+    keys, g = _summed(e[li] * d + e[ri], (v[li] * v[ri]).real)
+    dev = _scalar_deviation(d, keys, -0.5 * g, 1.0)
     if dev > tol:
         raise ValueError(f"basis not orthonormal (dev {dev:.2e})")
     return dev
 
 
+def check_orthonormal(basis: LieAlgebraBasis, tol: float = 1e-12) -> float:
+    """Max deviation of -1/2 Tr(T_i T_j) from delta_ij."""
+    return _gram_deviation(basis, _nonzeros(basis), tol)
+
+
 @dataclass(frozen=True)
 class StructureTensor:
+    """The nonzero c_ijk of one algebra, in coordinate (COO) form."""
+    algebra: str
+    matrix_dim: int
     dim: int
-    array: np.ndarray = field(repr=False)  # dense (d, d, d), c[i,j,k]
+    index: np.ndarray = field(repr=False)  # (nnz, 3) rows (i, j, k), sorted
+    value: np.ndarray = field(repr=False)  # (nnz,) c_ijk
 
     @property
     def entries(self) -> dict:
-        idx = np.argwhere(np.abs(self.array) > 0)
-        return {tuple(map(int, t)): float(self.array[tuple(t)]) for t in idx}
+        return {tuple(t): x for t, x in zip(self.index.tolist(),
+                                            self.value.tolist())}
+
+    @property
+    def array(self) -> np.ndarray:
+        """Dense (d, d, d) c[i, j, k], built on demand (8 d^3 bytes)."""
+        _check_budget(f"dense structure tensor for dim {self.dim}",
+                      8 * self.dim ** 3)
+        out = np.zeros((self.dim,) * 3)
+        out[tuple(self.index.T)] = self.value
+        return out
 
 
-def check_dense_budget(dim: int, matrix_dim: int) -> None:
-    """Refuse a curvature chain whose dense arrays exceed DENSE_BUDGET.
+def check_dense_budget(dim: int, matrix_dim: int, joins: int = 0) -> None:
+    """Refuse a curvature chain that would allocate above DENSE_BUDGET.
 
-    With d = dim and m = matrix_dim the chain holds two complex
-    (d^2, m^2) buffers of pair products T_i T_j (the gemm output and its
-    (i, j, a, c) reordering), then the complex (d, d, d) triple traces
-    beside the real structure tensor.
+    With d = dim and m = matrix_dim the chain holds the complex (d, m, m)
+    basis, the dense (d, d) K and Ric with one (d, d) work array, and
+    `joins` index-join matches in structure_constants.  Without `joins`
+    this is the lower bound that curvature_report checks before it
+    builds the basis.
     """
-    need = 32 * dim ** 2 * matrix_dim ** 2 + 24 * dim ** 3
-    if need > DENSE_BUDGET:
-        raise ValueError(
-            f"dense curvature arrays for dim {dim}, matrix size "
-            f"{matrix_dim} need {need / 2 ** 30:.1f} GiB, above the "
-            f"{DENSE_BUDGET / 2 ** 30:.0f} GiB budget")
+    _check_budget(
+        f"curvature chain for dim {dim}, matrix size {matrix_dim} would",
+        16 * dim * matrix_dim ** 2 + 24 * dim ** 2 + _JOIN_BYTES * joins)
 
 
 def structure_constants(basis: LieAlgebraBasis) -> StructureTensor:
     """c_ij^k = -1/2 Tr([T_i, T_j] T_k), with tiny entries dropped.
 
-    Two gemms: all pair products T_i T_j as one (d m, m) @ (m, d m), then
-    t_ijk = Tr(T_i T_j T_k) as (d^2, m^2) @ (m^2, d) against the
-    transposed basis; c_ijk = -1/2 Re(t_ijk - t_jik).
+    Two joins over the basis nonzeros: the entries of every product
+    T_i T_j pair the column of an entry of T_i with the row of an entry
+    of T_j; t_ijk = Tr(T_i T_j T_k) then reads T_k at the transposed
+    position.  c_ijk = -1/2 Re(t_ijk - t_jik), summed by key.
     """
     d, m = basis.dim, basis.matrix_dim
-    check_dense_budget(d, m)
-    check_orthonormal(basis)
-    B = basis.elements
-    # pairs[i, a, j, c] = (T_i T_j)[a, c]
-    pairs = B.reshape(d * m, m) @ B.transpose(1, 0, 2).reshape(m, d * m)
-    pairs = pairs.reshape(d, m, d, m).transpose(0, 2, 1, 3).reshape(d * d,
-                                                                    m * m)
-    # Tr(P T_k) = sum_{a,c} P[a, c] T_k[c, a]
-    t = (pairs @ B.transpose(2, 1, 0).reshape(m * m, d)).reshape(d, d, d)
-    del pairs
-    re = t.real
-    c = re - re.transpose(1, 0, 2)
-    del t, re
-    c *= -0.5
-    c[np.abs(c) < ZERO_CUTOFF] = 0.0
-    return StructureTensor(dim=d, array=c)
+    nz = _nonzeros(basis)
+    e, r, c, v = nz
+    pos = r * m + c
+    # L[a, b] = number of basis entries at (a, b): the first join has
+    # sum_b (column count)(row count) matches, the second one match per
+    # closed path a -> b -> c -> a, Tr(L^3)
+    L = np.bincount(pos, minlength=m * m).reshape(m, m)
+    check_dense_budget(d, m, int(L.sum(0) @ L.sum(1))
+                       + int(np.trace(L @ L @ L)))
+    _gram_deviation(basis, nz, 1e-12)
+    # (T_i T_j)[a, c] terms T_i[a, b] T_j[b, c]; i = j cancels in c_ijk
+    pl, pr = _match(c, r)
+    i, j = e[pl], e[pr]
+    off = i != j
+    pl, pr, i, j = pl[off], pr[off], i[off], j[off]
+    # Tr(T_i T_j T_k) terms (T_i T_j)[a, c] T_k[c, a]
+    tl, tk = _match(c[pr] * m + r[pl], pos)
+    t = (v[pl] * v[pr])[tl] * v[tk]
+    # c_ijk = -1/2 Re(t_ijk - t_jik): each term goes to the key with
+    # i < j, negated when it came from t_jik; c_jik = -c_ijk
+    first = np.minimum(i, j)[tl]
+    second = np.maximum(i, j)[tl]
+    keys, vals = _summed((first * d + second) * d + e[tk],
+                         np.where((i < j)[tl], -0.5, 0.5) * t.real)
+    keep = np.abs(vals) >= ZERO_CUTOFF
+    keys, vals = keys[keep], vals[keep]
+    first, second, k = keys // (d * d), keys // d % d, keys % d
+    keys = np.concatenate([keys, (second * d + first) * d + k])
+    order = np.argsort(keys)
+    index = np.stack([keys // (d * d), keys // d % d, keys % d], axis=1)[order]
+    vals = np.concatenate([vals, -vals])[order]
+    return StructureTensor(algebra=basis.algebra, matrix_dim=m, dim=d,
+                           index=index, value=vals)
 
 
-def adjoint_matrices(st: StructureTensor) -> np.ndarray:
-    """(ad_i)_{kj} = c_ij^k, stacked as (d, d, d)."""
-    return st.array.transpose(0, 2, 1)
+def _dense(d: int, keys: np.ndarray, values: np.ndarray) -> np.ndarray:
+    out = np.zeros((d, d))
+    out.flat[keys] = values
+    return out
 
 
 def killing_form(st: StructureTensor, tol: float = 1e-9) -> np.ndarray:
-    """K_ij by double contraction, cross-checked against adjoint traces."""
-    c = st.array
-    k_a = np.tensordot(c, c, axes=([1, 2], [2, 1]))
-    ad = adjoint_matrices(st)
-    k_b = np.tensordot(ad, ad, axes=([1, 2], [2, 1]))
-    dev = float(np.max(np.abs(k_a - k_b)))
+    """K_ab = sum_{k,l} c_akl c_blk, checked against -2 kappa I.
+
+    kappa is the trace-form index of the algebra (TRACE_FORM_INDEX); an
+    entry off by more than `tol` raises ArithmeticError.
+    """
+    d = st.dim
+    i, j, k = st.index.T
+    # entry (a, k, l) meets entry (b, l, k)
+    li, ri = _match(k * d + j, j * d + k)
+    keys, vals = _summed(i[li] * d + i[ri], st.value[li] * st.value[ri])
+    want = -2.0 * TRACE_FORM_INDEX[st.algebra](st.matrix_dim)
+    dev = _scalar_deviation(d, keys, vals, want)
     if dev > tol:
         raise ArithmeticError(
-            f"Killing-form routes disagree by {dev:.2e}")
-    return k_a
+            f"Killing form deviates from the trace-form value "
+            f"{want:g} I by {dev:.2e}")
+    return _dense(d, keys, vals)
 
 
 class ChiValues(NamedTuple):
@@ -231,13 +318,19 @@ def chi_coefficient(st: StructureTensor, tol: float = 1e-9, *,
 
     K is the Killing form of st; it is computed when not given.
     """
-    ad1 = adjoint_matrices(st)[0]
-    chi = float(-0.5 * np.trace(ad1 @ ad1).real)
+    d = st.dim
+    first = st.index[:, 0] == 0
+    _, j, k = st.index[first].T
+    v = st.value[first]
+    # Tr(ad_1^2) = sum_{j,k} c_1jk c_1kj, with (ad_i)_kj = c_ij^k
+    li, ri = _match(k * d + j, j * d + k)
+    chi = float(-0.5 * np.sum(v[li] * v[ri]))
     if K is None:
         K = killing_form(st)
     diag = np.diagonal(K)
-    off = K - np.diag(diag)
-    if np.max(np.abs(off)) > tol or np.ptp(diag) > tol:
+    off = np.abs(K)
+    np.fill_diagonal(off, 0.0)
+    if np.max(off) > tol or np.ptp(diag) > tol:
         raise ArithmeticError("Killing matrix is not scalar")
     return ChiValues(chi=chi, chi_prime=float(-np.mean(diag)))
 
@@ -248,12 +341,7 @@ def riemann_tensor(st: StructureTensor) -> np.ndarray:
     The (d, d, d, d) result takes 8 d^4 bytes; above DENSE_BUDGET (su(12)
     already needs 3.1 GiB) it is refused with ValueError.
     """
-    need = 8 * st.dim ** 4
-    if need > DENSE_BUDGET:
-        raise ValueError(
-            f"dense Riemann tensor for dim {st.dim} needs "
-            f"{need / 2 ** 30:.1f} GiB, above the "
-            f"{DENSE_BUDGET / 2 ** 30:.0f} GiB budget")
+    _check_budget(f"dense Riemann tensor for dim {st.dim}", 8 * st.dim ** 4)
     c = st.array
     return 0.25 * np.einsum("lms,jsk->kjlm", c, c)
 
@@ -264,12 +352,17 @@ def ricci_tensor(st: StructureTensor, tol: float = 1e-9, *,
 
     K is the Killing form of st; it is computed when not given.
     """
-    c = st.array
-    # ric[j, m] = 1/4 sum_{k,s} c[k, m, s] c[j, s, k]
-    ric = 0.25 * np.tensordot(c, c, axes=([0, 2], [2, 1])).T
+    d = st.dim
+    i, j, k = st.index.T
+    # ric_ab = 1/4 sum_{k,s} c_kbs c_ask: entry (k, b, s) meets (a, s, k)
+    li, ri = _match(k * d + i, j * d + k)
+    keys, vals = _summed(i[ri] * d + j[li], st.value[li] * st.value[ri])
+    ric = _dense(d, keys, 0.25 * vals)
     if K is None:
         K = killing_form(st)
-    dev = float(np.max(np.abs(ric + 0.25 * K)))
+    diff = 0.25 * K
+    diff += ric
+    dev = float(np.max(np.abs(diff, out=diff)))
     if dev > tol:
         raise ArithmeticError(
             f"Ricci contraction vs -K/4 mismatch {dev:.2e}")
@@ -278,15 +371,24 @@ def ricci_tensor(st: StructureTensor, tol: float = 1e-9, *,
 
 def jacobi_residual(st: StructureTensor, samples: int = 10_000,
                     seed: int = 0) -> float:
-    """Max |Jacobi identity| over random index quadruples."""
-    c = st.array
+    """Max |Jacobi identity| over random index triples, from the COO form.
+
+    For each triple (i, j, k) and every l, sums c_ij^m c_mk^l and its two
+    cyclic shifts.
+    """
     d = st.dim
     rng = np.random.default_rng(seed)
     i, j, k = rng.integers(0, d, size=(3, samples))
-    t1 = np.einsum("sm,msl->sl", c[i, j], c[:, k, :])
-    t2 = np.einsum("sm,msl->sl", c[j, k], c[:, i, :])
-    t3 = np.einsum("sm,msl->sl", c[k, i], c[:, j, :])
-    return float(np.max(np.abs(t1 + t2 + t3)))
+    a, b, c = st.index.T
+    pair = a * d + b                      # key of the row c[a, b, :]
+    keys, vals = [], []
+    for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+        s, e1 = _match(x * d + y, pair)           # c[x, y, m]
+        t, e2 = _match(c[e1] * d + z[s], pair)    # c[m, z, l]
+        keys.append(s[t] * d + c[e2])
+        vals.append(st.value[e1][t] * st.value[e2])
+    _, total = _summed(np.concatenate(keys), np.concatenate(vals))
+    return float(np.max(np.abs(total), initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -319,8 +421,9 @@ class CurvatureReport:
 def curvature_report(algebra: str, matrix_dim: int) -> CurvatureReport:
     """Killing, Ricci and chi of one algebra, from one structure tensor.
 
-    The budget is checked before the basis is built, so an oversize
-    request allocates nothing.
+    The budget's lower bound (basis, K and Ric) is checked before the
+    basis is built, so an oversize request allocates nothing;
+    structure_constants checks the join sizes before it joins.
     """
     if algebra in ALGEBRA_DIM:
         check_dense_budget(ALGEBRA_DIM[algebra](matrix_dim), matrix_dim)
@@ -339,6 +442,9 @@ def curvature_report(algebra: str, matrix_dim: int) -> CurvatureReport:
 
 # -- Levy-family bound sequences -------------------------------------
 
+# Smallest index i of SU(i), SO(i) and USp(2i) with a basis here.
+LEVY_MIN_INDEX = {"SU": 2, "SO": 3, "USP": 2}
+
 def ricci_bound_sequence(family: str, n_range: Sequence[int],
                          coroot_length: Optional[float] = None) -> list:
     """R_i per family: SU (i+2)/4, SO (i-2)/4, USp(2i) (i+1)/2.
@@ -347,6 +453,9 @@ def ricci_bound_sequence(family: str, n_range: Sequence[int],
     R_i = (i+2)/|coroot|^2.
     """
     fam = family.upper()
+    low = LEVY_MIN_INDEX.get(fam)
+    if low is not None and any(i < low for i in n_range):
+        raise ValueError(f"{fam} bounds start at index {low}")
     if fam == "SU":
         ell2 = 4.0 if coroot_length is None else coroot_length ** 2
         return [(i + 2) / ell2 for i in n_range]
@@ -380,22 +489,6 @@ def rescaled_levy_check(r_seq: Sequence[float], c_seq: Sequence[float],
     return bounded and diverging, scaled
 
 
-def multi_locus_bound(n: int, N: int, eps: float) -> float:
-    """Tail-mass scale N exp(-n eps^2 / N) for N transversal loci."""
-    if n < 1 or N < 1:
-        raise ValueError("n and N must be >= 1")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    return N * math.exp(-n * eps * eps / N)
-
-
-def codim_growth_ok(n_of_n: Sequence[float], n_values: Sequence[int]) -> bool:
-    """Check N_n log(n)/n decreases toward zero on the sampled window."""
-    vals = [N * math.log(n) / n for N, n in zip(n_of_n, n_values)]
-    return (len(vals) > 1 and all(b < a for a, b in zip(vals, vals[1:]))
-            and vals[-1] > 0 and vals[-1] < vals[0])
-
-
 def two_plane_orbit_length(basis: LieAlgebraBasis, element_index: int,
                            steps: int = 256) -> float:
     """Arclength of exp(theta*T) over [0, 2pi] in the normalised metric.
@@ -403,13 +496,17 @@ def two_plane_orbit_length(basis: LieAlgebraBasis, element_index: int,
     The orbit is discretized and each step length is taken from the
     matrix log of the step transition, measured with -1/2 Tr(X^2).
     """
-    from scipy.linalg import expm, logm
-
     T = basis.elements[element_index]
+    # T is skew-Hermitian: T = V diag(i w) V^H with (w, V) = eigh(-i T),
+    # so exp(t T) = V diag(e^{i t w}) V^H.
+    w, V = np.linalg.eigh(-1j * T)
     h = 2 * math.pi / steps
-    gs = [expm(t * T) for t in np.arange(0.0, 2 * math.pi + h / 2, h)]
+    gs = [(V * np.exp(1j * t * w)) @ V.conj().T
+          for t in np.arange(0.0, 2 * math.pi + h / 2, h)]
     total = 0.0
     for g0, g1 in zip(gs, gs[1:]):
-        X = logm(g0.conj().T @ g1)
-        total += math.sqrt(max(0.0, (-0.5 * np.trace(X @ X)).real))
+        # the step transition is diagonal in the same basis, with
+        # eigenvalues e^{i theta}; its log X has -1/2 Tr(X^2) = |theta|^2/2
+        theta = np.angle(np.diagonal(V.conj().T @ (g0.conj().T @ g1) @ V))
+        total += math.sqrt(0.5 * float(np.sum(theta ** 2)))
     return total

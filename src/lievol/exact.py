@@ -133,18 +133,3 @@ class ExactScalar:
         """Decimal rendering to the given number of significant digits."""
         return f"{self.to_float():.{digits}g}"
 
-
-def es_mul(a: ExactScalar, b: ExactScalar) -> ExactScalar:
-    return a * b
-
-
-def es_div(a: ExactScalar, b: ExactScalar) -> ExactScalar:
-    return a / b
-
-
-def es_to_float(a: ExactScalar) -> float:
-    return a.to_float()
-
-
-def es_log(a: ExactScalar) -> float:
-    return a.log()

@@ -154,18 +154,25 @@ def criterion_product_factorization(count: int = 100_000, r: float = 0.5,
 
 
 @_timed
-def criterion_geometry(points: int = 100, seed: int = 44) -> dict:
-    """Vielbein density, metric pullback and structure-equation residual."""
+def criterion_geometry(points: int = 100, seed: int = 44,
+                       ns: tuple = (1, 2)) -> dict:
+    """Vielbein density, metric pullback and structure-equation residual.
+
+    The density is checked at every n in `ns`, the pullback and the
+    structure equation at the largest.
+    """
+    if not ns or min(ns) < 1:
+        raise ValueError("CP^n checks need n >= 1")
     rng = np.random.default_rng(seed)
     dens_dev = 0.0
-    for n in (1, 2):
+    for n in ns:
         for _ in range(50):
             c = QuotientCoords(tuple(rng.uniform(0.05, 1.2, n)),
                                tuple(rng.uniform(0.1, 1.4, n)))
             dens_dev = max(dens_dev,
                            abs(vielbein_density(c) - measure_density(c)))
     pull_dev = 0.0
-    n = 2
+    n = max(ns)
     for _ in range(points):
         w = rng.normal(size=n)
         R = np.abs(w) / np.linalg.norm(w)
@@ -181,8 +188,8 @@ def criterion_geometry(points: int = 100, seed: int = 44) -> dict:
         pull_dev = max(pull_dev, abs(v_ang - v_aff))
     mc_dev = 0.0
     for _ in range(10):
-        c = QuotientCoords(tuple(rng.uniform(0.1, 1.0, 2)),
-                           tuple(rng.uniform(0.2, 1.3, 2)))
+        c = QuotientCoords(tuple(rng.uniform(0.1, 1.0, n)),
+                           tuple(rng.uniform(0.2, 1.3, n)))
         mc_dev = max(mc_dev, structure_equation_residual(c))
     ok = dens_dev < 1e-8 and pull_dev < 1e-8 and mc_dev < 1e-4
     return {"id": 7, "name": "quotient geometry cross-checks", "passed": ok,

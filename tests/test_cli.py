@@ -75,6 +75,28 @@ class TestSubcommands:
         assert code == 0
         assert json.loads(out)["check_metric"]["passed"] is True
 
+    def test_cpn_check_metric_honours_n(self, capsys, monkeypatch):
+        import lievol.reproduce as rp
+
+        seen = set()   # the n of every chart point the checks evaluate
+        for name in ("measure_density", "structure_equation_residual"):
+            monkeypatch.setattr(rp, name, lambda c, f=getattr(rp, name):
+                                seen.add(c.n) or f(c))
+        monkeypatch.setattr(rp, "fs_metric_angular",
+                            lambda a, *rest, f=rp.fs_metric_angular:
+                            seen.add(len(a.R)) or f(a, *rest))
+        reports = []
+        for n in (1, 3):
+            seen.clear()
+            code, out, _ = run(capsys, "cpn", "check-metric", "--n", str(n),
+                               "--points", "5")
+            assert code == 0
+            assert seen == {n}
+            reports.append(json.loads(out)["check_metric"])
+            assert reports[-1]["passed"] is True
+        del reports[0]["runtime_s"], reports[1]["runtime_s"]
+        assert reports[0] != reports[1]
+
     def test_cpn_band_mass_high_n(self, capsys):
         # a spike next to pi/2: the quadrature check needs doubled nodes
         code, out, _ = run(capsys, "cpn", "band-mass", "--n", "5000")
@@ -88,6 +110,13 @@ class TestSubcommands:
         d = json.loads(out)
         assert d["ricci_bounds"]["R"][0] == 0.25
         assert d["rescaled"]["levy"] is True
+
+    @pytest.mark.parametrize("family,low", [("su", 2), ("so", 3),
+                                            ("usp", 2)])
+    def test_levy_starts_at_the_family_minimum(self, capsys, family, low):
+        code, out, _ = run(capsys, "levy", "--family", family, "--stop", "6")
+        assert code == 0
+        assert json.loads(out)["ricci_bounds"]["n"][0] == low
 
     def test_sample(self, capsys):
         code, out, _ = run(capsys, "sample", "--series", "su", "--n", "4",
@@ -172,8 +201,8 @@ class TestExitCodes:
         assert "error:" in err
 
     def test_oversize_curvature_is_one(self, capsys, monkeypatch):
-        # su(40) would need ~210 GiB of dense arrays: refused before any
-        # basis matrix is built
+        # su(400) would need ~1 TiB for its basis, K and Ric alone:
+        # refused before any basis matrix is built
         import lievol.curvature
 
         def no_basis(*args):
@@ -181,7 +210,7 @@ class TestExitCodes:
 
         monkeypatch.setattr(lievol.curvature, "build_basis", no_basis)
         code, _, err = run(capsys, "curvature", "--series", "su",
-                           "--n", "40")
+                           "--n", "400")
         assert code == 1
         assert "budget" in err
 
@@ -212,6 +241,28 @@ class TestExitCodes:
                            "--count", "1000000000", "--seed", "1")
         assert code == 1
         assert "budget" in err
+
+    def test_unwritable_output_is_one_before_any_work(self, capsys,
+                                                      monkeypatch, tmp_path):
+        import lievol.reproduce
+
+        def no_sweep(**kwargs):
+            raise AssertionError("sweep run for an unwritable output")
+
+        monkeypatch.setattr(lievol.reproduce, "run_all", no_sweep)
+        code, out, err = run(capsys, "reproduce", "--seed", "1", "--quick",
+                             "--output", str(tmp_path / "missing" / "x.json"))
+        assert code == 1
+        assert "No such file" in err and "Traceback" not in err
+        assert out == ""
+
+    @pytest.mark.parametrize("start,stop", [("1", "5"), ("0", "3"),
+                                            ("5", "2")])
+    def test_levy_bad_range_is_one(self, capsys, start, stop):
+        code, out, err = run(capsys, "levy", "--family", "su", "--start",
+                             start, "--stop", stop)
+        assert code == 1
+        assert "error:" in err and out == ""
 
     def test_unknown_series_is_one(self, capsys):
         code, _, err = run(capsys, "roots", "--series", "e8", "--n", "8")

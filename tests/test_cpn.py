@@ -7,7 +7,7 @@ from lievol.cpn import (AffineCoords, QuotientCoords, angular_velocity_to_dz,
                         band_complement_mass, band_mass, chart_volume,
                         fs_metric_affine, fs_metric_affine_on_velocity,
                         fs_metric_angular, fs_metric_from_potential,
-                        gellmann_basis, locus_projection, macdonald_quotient,
+                        gellmann_basis, macdonald_quotient,
                         maurer_cartan, maurer_cartan_fd, measure_density,
                         quotient_point, structure_equation_residual,
                         theta_periods, vielbein, vielbein_density)
@@ -197,19 +197,3 @@ class TestBandMass:
         with pytest.raises(ValueError):
             band_complement_mass(2, 2.0)
 
-
-class TestLocusProjection:
-    def test_direction(self):
-        z = np.array([3.0, 4.0j])
-        p = locus_projection(z)
-        assert p[0] == 0.0
-        assert np.allclose(p[1:], [0.6, 0.8j])
-
-    def test_idempotent(self):
-        z = np.array([1.0 - 2.0j, 0.5j])
-        p = locus_projection(z)
-        assert np.allclose(locus_projection(p), p)
-
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            locus_projection(np.zeros(2, dtype=complex))

@@ -1,16 +1,43 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from lievol.curvature import (ALGEBRA_DIM, CLAIMED_CHI, build_basis,
-                              check_dense_budget, check_orthonormal,
-                              chi_coefficient, codim_growth_ok,
+from lievol.curvature import (ALGEBRA_DIM, CLAIMED_CHI, LieAlgebraBasis,
+                              StructureTensor, build_basis, check_dense_budget,
+                              check_orthonormal, chi_coefficient,
                               curvature_report, jacobi_residual, killing_form,
-                              multi_locus_bound, rescaled_levy_check,
-                              ricci_bound_sequence, ricci_tensor,
-                              riemann_tensor, so_basis, structure_constants,
-                              su_basis, two_plane_orbit_length, usp_basis)
+                              rescaled_levy_check, ricci_bound_sequence,
+                              ricci_tensor, riemann_tensor, so_basis,
+                              structure_constants, su_basis,
+                              two_plane_orbit_length, usp_basis)
+
+# every size the dense route below runs in well under a second
+TIER1_SIZES = ([("su", m) for m in range(2, 13)]
+               + [("so", m) for m in range(3, 17)]
+               + [("usp", m) for m in range(4, 17, 2)])
+
+
+def dense_structure_constants(basis):
+    """The dense second route: c as (d, d, d) from two complex gemms.
+
+    All pair products T_i T_j as one (d m, m) @ (m, d m), then
+    t_ijk = Tr(T_i T_j T_k) as (d^2, m^2) @ (m^2, d) against the
+    transposed basis; c_ijk = -1/2 Re(t_ijk - t_jik).
+    """
+    d, m = basis.dim, basis.matrix_dim
+    B = basis.elements
+    # pairs[i, a, j, c] = (T_i T_j)[a, c]
+    pairs = B.reshape(d * m, m) @ B.transpose(1, 0, 2).reshape(m, d * m)
+    pairs = pairs.reshape(d, m, d, m).transpose(0, 2, 1, 3).reshape(d * d,
+                                                                    m * m)
+    # Tr(P T_k) = sum_{a,c} P[a, c] T_k[c, a]
+    t = (pairs @ B.transpose(2, 1, 0).reshape(m * m, d)).reshape(d, d, d)
+    re = t.real
+    c = -0.5 * (re - re.transpose(1, 0, 2))
+    c[np.abs(c) < 1e-12] = 0.0
+    return c
 
 
 class TestBases:
@@ -25,6 +52,14 @@ class TestBases:
                              + [("usp", m) for m in range(4, 17, 2)])
     def test_orthonormal(self, alg, m):
         assert check_orthonormal(build_basis(alg, m)) < 1e-12
+
+    def test_non_orthonormal_refused(self):
+        b = su_basis(3)
+        T = b.elements
+        for bad in (1.01 * T, np.concatenate([0 * T[:1], T[1:]]),
+                    np.concatenate([T[:1], T[:-1]])):
+            with pytest.raises(ValueError, match="orthonormal"):
+                check_orthonormal(LieAlgebraBasis("su", 3, b.dim, bad))
 
     def test_antihermitian_traceless(self):
         for alg, m in (("su", 5), ("usp", 6)):
@@ -88,6 +123,47 @@ class TestStructureConstants:
     def test_jacobi(self, alg, m):
         st = structure_constants(build_basis(alg, m))
         assert jacobi_residual(st) < 1e-10
+
+
+class TestDenseOracle:
+    @pytest.mark.parametrize("alg,m", TIER1_SIZES)
+    def test_sparse_chain_matches_dense(self, alg, m):
+        b = build_basis(alg, m)
+        st = structure_constants(b)
+        c = st.array
+        want = dense_structure_constants(b)
+        assert np.array_equal(c != 0, want != 0)
+        assert np.max(np.abs(c - want)) < 1e-12
+        K = killing_form(st)
+        assert np.max(np.abs(
+            K - np.tensordot(want, want, axes=([1, 2], [2, 1])))) < 1e-12
+        ric = 0.25 * np.tensordot(want, want, axes=([0, 2], [2, 1])).T
+        assert np.max(np.abs(ricci_tensor(st, K=K) - ric)) < 1e-12
+
+    def test_coo_rows_are_sorted_and_distinct(self):
+        st = structure_constants(usp_basis(8))
+        keys = (st.index[:, 0] * st.dim + st.index[:, 1]) * st.dim \
+            + st.index[:, 2]
+        assert np.all(np.diff(keys) > 0)
+        assert np.all(st.value != 0)
+
+
+class TestPastTheDenseSizes:
+    # the dense route refused these (su(32) needed 34 GiB)
+    @pytest.mark.parametrize("alg,m,chi_prime", [
+        ("su", 32, 4 * 32), ("so", 48, 2 * (48 - 2)),
+        ("usp", 48, 2 * (48 + 2))])
+    def test_chain_runs(self, alg, m, chi_prime):
+        st = structure_constants(build_basis(alg, m))
+        K = killing_form(st)
+        ric = ricci_tensor(st, K=K)
+        assert chi_coefficient(st, K=K).chi_prime == pytest.approx(
+            chi_prime, abs=1e-9)
+        assert np.max(np.abs(ric + 0.25 * K)) < 1e-10
+        assert jacobi_residual(st) < 1e-10
+        # the dense (d, d, d) tensor would take 8-11 GiB
+        with pytest.raises(ValueError, match="budget"):
+            st.array
 
 
 class TestKillingAndChi:
@@ -170,6 +246,16 @@ class TestKillingPassedDown:
         assert np.array_equal(ricci_tensor(st, K=K), ricci_tensor(st))
         assert chi_coefficient(st, K=K) == chi_coefficient(st)
 
+    @pytest.mark.parametrize("alg,m", [("su", 5), ("so", 7), ("usp", 8)])
+    def test_one_flipped_entry_is_caught(self, alg, m):
+        st = structure_constants(build_basis(alg, m))
+        value = st.value.copy()
+        value[len(value) // 2] *= -1
+        bad = StructureTensor(st.algebra, st.matrix_dim, st.dim, st.index,
+                              value)
+        with pytest.raises(ArithmeticError, match="trace-form"):
+            killing_form(bad)
+
     def test_wrong_killing_is_caught(self):
         st = structure_constants(so_basis(5))
         K = killing_form(st)
@@ -185,6 +271,11 @@ class TestDenseBudget:
         check_dense_budget(ALGEBRA_DIM["su"](16), 16)
 
     @pytest.mark.parametrize("alg,m", [("su", 20), ("so", 30), ("usp", 30)])
+    def test_admitted_past_the_dense_chain(self, alg, m):
+        check_dense_budget(ALGEBRA_DIM[alg](m), m)
+
+    @pytest.mark.parametrize("alg,m", [("su", 100), ("so", 128),
+                                       ("usp", 128)])
     def test_oversize_refused(self, alg, m):
         with pytest.raises(ValueError, match="budget"):
             check_dense_budget(ALGEBRA_DIM[alg](m), m)
@@ -196,6 +287,31 @@ class TestDenseBudget:
             structure_constants(su_basis(3))
         with pytest.raises(ValueError, match="budget"):
             curvature_report("su", 3)
+
+    def test_join_sizes_are_checked_before_joining(self, monkeypatch):
+        # su(12): basis, K and Ric fit in 1 MiB, the joins do not
+        import lievol.curvature
+        basis = su_basis(12)
+        monkeypatch.setattr(lievol.curvature, "DENSE_BUDGET", 2 ** 20)
+        check_dense_budget(basis.dim, 12)
+        with pytest.raises(ValueError, match="budget"):
+            structure_constants(basis)
+
+    @pytest.mark.parametrize("alg,m", [("su", 16), ("so", 32), ("usp", 20)])
+    def test_count_bounds_the_measured_peak(self, monkeypatch, alg, m):
+        import lievol.curvature
+        tracemalloc.start()
+        try:
+            curvature_report(alg, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the count is an upper bound, and not a loose one
+        monkeypatch.setattr(lievol.curvature, "DENSE_BUDGET", peak)
+        with pytest.raises(ValueError, match="budget"):
+            curvature_report(alg, m)
+        monkeypatch.setattr(lievol.curvature, "DENSE_BUDGET", 2 * peak)
+        curvature_report(alg, m)
 
 
 class TestLevySequences:
@@ -231,18 +347,12 @@ class TestLevySequences:
         ok, _ = rescaled_levy_check([0.1, 0.1], [1.0, 2.0], floor=0.5)
         assert not ok
 
-    def test_multi_locus(self):
-        assert multi_locus_bound(100, 1, 0.5) == pytest.approx(
-            math.exp(-25.0))
-        assert multi_locus_bound(100, 5, 0.5) == pytest.approx(
-            5 * math.exp(-5.0))
-        with pytest.raises(ValueError):
-            multi_locus_bound(10, 1, 0.0)
-
-    def test_codim_growth(self):
-        ns = [10, 100, 1000, 10000]
-        assert codim_growth_ok([2.0, 2.0, 2.0, 2.0], ns)
-        assert not codim_growth_ok([n / math.log(n) for n in ns], ns)
+    @pytest.mark.parametrize("family,low", [("su", 2), ("so", 3),
+                                            ("usp", 2)])
+    def test_minimum_index(self, family, low):
+        assert len(ricci_bound_sequence(family, [low])) == 1
+        with pytest.raises(ValueError, match="start at index"):
+            ricci_bound_sequence(family, [low - 1, low])
 
 
 def test_orbit_length_is_two_pi():
