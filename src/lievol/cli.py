@@ -31,14 +31,8 @@ from .volumes import (USP_DIMENSION_NOTE, closed_form_volume, group_volume,
 
 FORMATS = ("json", "csv", "text")
 
-
-def _scipy_version():
-    """scipy's installed version, read without importing scipy."""
-    from importlib import metadata
-    try:
-        return metadata.version("scipy")
-    except metadata.PackageNotFoundError:
-        return None
+# Most indices one levy run lists: 10^5 take ~1 s and ~140 MiB as text.
+LEVY_MAX_TERMS = 100_000
 
 
 def _provenance(args) -> dict:
@@ -47,7 +41,7 @@ def _provenance(args) -> dict:
     # Monte Carlo output is bit-reproducible only per LAPACK kernel
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"artifact_version": __version__, "config": cfg,
-            "numpy": np.__version__, "scipy": _scipy_version(),
+            "numpy": np.__version__,
             "blas": f"{blas.get('name')} {blas.get('version')}",
             "montecarlo_chunk": CHUNK}
 
@@ -164,6 +158,9 @@ def cmd_levy(args) -> dict:
              else args.start)
     if start > args.stop:
         raise ValueError(f"--start {start} is above --stop {args.stop}")
+    if args.stop - start >= LEVY_MAX_TERMS:
+        raise ValueError(f"levy lists at most {LEVY_MAX_TERMS} indices, "
+                         f"not {args.stop - start + 1}")
     ns = list(range(start, args.stop + 1))
     r_seq = ricci_bound_sequence(args.family, ns,
                                  coroot_length=args.coroot_length)
@@ -235,8 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True,
                     help="defining matrix size")
     add_common(sp, series=False)
-    sp.add_argument("--report", choices=FORMATS, dest="format",
-                    help="deprecated alias of --format")
     sp.set_defaults(func=cmd_curvature)
 
     sp = sub.add_parser("cpn", help="quotient-geometry checks")

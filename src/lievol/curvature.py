@@ -1,11 +1,12 @@
 """Orthonormal bases of su(n), so(m), usp(2n) and the curvature chain.
 
 Every basis satisfies -1/2 Tr(T_i T_j) = delta_ij in the defining
-representation.  Structure constants are computed numerically from the
-nonzeros of the basis matrices, as two index joins (pair products, then
-triple traces), and kept in coordinate form: under 0.3% of c_ijk are
-nonzero.  The printed commutator tables of the construction then serve
-as test oracles rather than inputs.  The Killing form (checked against
+representation and is stored as the nonzero entries of its matrices.
+Structure constants are computed numerically from those nonzeros, as
+two index joins (pair products, then triple traces), and kept in
+coordinate form: under 0.3% of c_ijk are nonzero.  The printed
+commutator tables of the construction then serve as test oracles
+rather than inputs.  The Killing form (checked against
 the trace-form identity K = -2 kappa I), the Ricci tensor (checked
 against -K/4) and chi follow by the same sparse contraction, with K
 computed once per report.  Inputs whose chain would allocate more than
@@ -49,52 +50,54 @@ _JOIN_BYTES = 96
 
 @dataclass(frozen=True)
 class LieAlgebraBasis:
+    """The basis matrices of one algebra, in coordinate (COO) form."""
     algebra: str           # 'su' | 'so' | 'usp'
     matrix_dim: int        # defining-rep matrix size
     dim: int               # number of basis elements
-    elements: np.ndarray = field(repr=False)   # (dim, m, m) complex
+    index: np.ndarray = field(repr=False)  # (nnz, 3) (e, row, col), sorted
+    value: np.ndarray = field(repr=False)  # (nnz,) complex T_e[row, col]
     labels: tuple = ()
 
+    @property
+    def elements(self) -> np.ndarray:
+        """Dense (d, m, m) complex stack, built on demand (16 d m^2 bytes)."""
+        return _dense_view(f"dense basis for dim {self.dim}",
+                           (self.dim,) + (self.matrix_dim,) * 2,
+                           self.index, self.value)
 
-def _E(i, j, m):
-    out = np.zeros((m, m), dtype=complex)
-    out[i, j] = 1.0
-    return out
+
+def _basis(algebra: str, m: int, elements: list) -> LieAlgebraBasis:
+    """The basis from one (label, scale, [(row, col, coef), ...]) per
+    element: the element is scale * sum of coef * E_{row, col}."""
+    labels, scales, entries = zip(*elements)
+    e = np.repeat(np.arange(len(entries)), [len(x) for x in entries])
+    r, c, v = zip(*((a, b, s * complex(coef)) for x, s in zip(entries, scales)
+                    for a, b, coef in sorted(x)))
+    return LieAlgebraBasis(algebra, m, len(labels), np.stack([e, r, c], 1),
+                           np.array(v), labels)
 
 
 def su_basis(m: int) -> LieAlgebraBasis:
     """H_k, S_kj, A_kj for su(m), m >= 2."""
     if m < 2:
         raise ValueError("su(m) needs m >= 2")
-    mats, labels = [], []
+    out = []
     for k in range(1, m):
-        h = np.zeros((m, m), dtype=complex)
         c = 1j * math.sqrt(2.0) / math.sqrt(k * k + k)
-        for a in range(k):
-            h[a, a] = c
-        h[k, k] = -k * c
-        mats.append(h)
-        labels.append(f"H_{k}")
+        out.append((f"H_{k}", c, [(a, a, 1) for a in range(k)] + [(k, k, -k)]))
     for k in range(m):
         for j in range(k + 1, m):
-            mats.append(1j * (_E(k, j, m) + _E(j, k, m)))
-            labels.append(f"S_{k + 1},{j + 1}")
-            mats.append(_E(k, j, m) - _E(j, k, m))
-            labels.append(f"A_{k + 1},{j + 1}")
-    return LieAlgebraBasis("su", m, len(mats),
-                           np.array(mats), tuple(labels))
+            out.append((f"S_{k + 1},{j + 1}", 1j, [(k, j, 1), (j, k, 1)]))
+            out.append((f"A_{k + 1},{j + 1}", 1, [(k, j, 1), (j, k, -1)]))
+    return _basis("su", m, out)
 
 
 def so_basis(m: int) -> LieAlgebraBasis:
     """Antisymmetric A_kj for so(m), m >= 3."""
     if m < 3:
         raise ValueError("so(m) needs m >= 3")
-    mats, labels = [], []
-    for k in range(m):
-        for j in range(k + 1, m):
-            mats.append((_E(k, j, m) - _E(j, k, m)).astype(complex))
-            labels.append(f"A_{k + 1},{j + 1}")
-    return LieAlgebraBasis("so", m, len(mats), np.array(mats), tuple(labels))
+    return _basis("so", m, [(f"A_{k + 1},{j + 1}", 1, [(k, j, 1), (j, k, -1)])
+                            for k in range(m) for j in range(k + 1, m)])
 
 
 def usp_basis(two_n: int) -> LieAlgebraBasis:
@@ -102,37 +105,28 @@ def usp_basis(two_n: int) -> LieAlgebraBasis:
     if two_n < 4 or two_n % 2:
         raise ValueError("usp needs even matrix size >= 4")
     n = two_n // 2
-    m = two_n
     r2 = math.sqrt(2.0)
-    mats, labels = [], []
-    for a in range(n):
-        mats.append(1j * (_E(a, a, m) - _E(a + n, a + n, m)))
-        labels.append(f"H_{a + 1}")
+    out = [(f"H_{a + 1}", 1j, [(a, a, 1), (a + n, a + n, -1)])
+           for a in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            mats.append((1j / r2) * (_E(i, j, m) + _E(j, i, m)
-                                     - _E(i + n, j + n, m) - _E(j + n, i + n, m)))
-            labels.append(f"Sd_{i + 1},{j + 1}")
-            mats.append((1 / r2) * (_E(i, j, m) - _E(j, i, m)
-                                    + _E(i + n, j + n, m) - _E(j + n, i + n, m)))
-            labels.append(f"Ad_{i + 1},{j + 1}")
-    for a in range(n):
-        mats.append(1j * (_E(a, a + n, m) + _E(a + n, a, m)))
-        labels.append(f"T_{a + 1}")
+            out.append((f"Sd_{i + 1},{j + 1}", 1j / r2, [
+                (i, j, 1), (j, i, 1), (i + n, j + n, -1), (j + n, i + n, -1)]))
+            out.append((f"Ad_{i + 1},{j + 1}", 1 / r2, [
+                (i, j, 1), (j, i, -1), (i + n, j + n, 1), (j + n, i + n, -1)]))
+    out += [(f"T_{a + 1}", 1j, [(a, a + n, 1), (a + n, a, 1)])
+            for a in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            mats.append((1j / r2) * (_E(i, j + n, m) + _E(j, i + n, m)
-                                     + _E(i + n, j, m) + _E(j + n, i, m)))
-            labels.append(f"Sa_{i + 1},{j + 1}")
-    for a in range(n):
-        mats.append(_E(a, a + n, m) - _E(a + n, a, m))
-        labels.append(f"U_{a + 1}")
+            out.append((f"Sa_{i + 1},{j + 1}", 1j / r2, [
+                (i, j + n, 1), (j, i + n, 1), (i + n, j, 1), (j + n, i, 1)]))
+    out += [(f"U_{a + 1}", 1, [(a, a + n, 1), (a + n, a, -1)])
+            for a in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            mats.append((1 / r2) * (_E(i, j + n, m) + _E(j, i + n, m)
-                                    - _E(i + n, j, m) - _E(j + n, i, m)))
-            labels.append(f"Aa_{i + 1},{j + 1}")
-    return LieAlgebraBasis("usp", m, len(mats), np.array(mats), tuple(labels))
+            out.append((f"Aa_{i + 1},{j + 1}", 1 / r2, [
+                (i, j + n, 1), (j, i + n, 1), (i + n, j, -1), (j + n, i, -1)]))
+    return _basis("usp", two_n, out)
 
 
 def build_basis(algebra: str, matrix_dim: int) -> LieAlgebraBasis:
@@ -147,6 +141,15 @@ def _check_budget(what: str, need: int) -> None:
         raise ValueError(
             f"{what} need {need / 2 ** 30:.1f} GiB, above the "
             f"{DENSE_BUDGET / 2 ** 30:.0f} GiB budget")
+
+
+def _dense_view(what: str, shape: tuple, index: np.ndarray,
+                value: np.ndarray) -> np.ndarray:
+    """The dense array with `value` at the COO rows `index`, in budget."""
+    _check_budget(what, value.itemsize * math.prod(shape))
+    out = np.zeros(shape, dtype=value.dtype)
+    out[tuple(index.T)] = value
+    return out
 
 
 def _match(left: np.ndarray, right: np.ndarray):
@@ -166,12 +169,6 @@ def _summed(keys: np.ndarray, values: np.ndarray):
     return uniq, np.bincount(inverse, weights=values, minlength=uniq.size)
 
 
-def _nonzeros(basis: LieAlgebraBasis):
-    """(element, row, column, value) of every nonzero basis entry."""
-    e, r, c = np.nonzero(basis.elements)
-    return e, r, c, basis.elements[e, r, c]
-
-
 def _scalar_deviation(d: int, keys: np.ndarray, values: np.ndarray,
                       scalar: float) -> float:
     """Max |M - scalar I| of the (d, d) M with `values` at flat `keys`."""
@@ -182,9 +179,11 @@ def _scalar_deviation(d: int, keys: np.ndarray, values: np.ndarray,
     return dev
 
 
-def _gram_deviation(basis: LieAlgebraBasis, nz, tol: float) -> float:
+def check_orthonormal(basis: LieAlgebraBasis, tol: float = 1e-12) -> float:
+    """Max |-1/2 Tr(T_i T_j) - delta_ij|; above `tol` raises ValueError."""
     d, m = basis.dim, basis.matrix_dim
-    e, r, c, v = nz
+    e, r, c = basis.index.T
+    v = basis.value
     # Tr(T_i T_j) = sum_{a,b} T_i[a, b] T_j[b, a]
     li, ri = _match(c * m + r, r * m + c)
     keys, g = _summed(e[li] * d + e[ri], (v[li] * v[ri]).real)
@@ -192,11 +191,6 @@ def _gram_deviation(basis: LieAlgebraBasis, nz, tol: float) -> float:
     if dev > tol:
         raise ValueError(f"basis not orthonormal (dev {dev:.2e})")
     return dev
-
-
-def check_orthonormal(basis: LieAlgebraBasis, tol: float = 1e-12) -> float:
-    """Max deviation of -1/2 Tr(T_i T_j) from delta_ij."""
-    return _gram_deviation(basis, _nonzeros(basis), tol)
 
 
 @dataclass(frozen=True)
@@ -216,25 +210,20 @@ class StructureTensor:
     @property
     def array(self) -> np.ndarray:
         """Dense (d, d, d) c[i, j, k], built on demand (8 d^3 bytes)."""
-        _check_budget(f"dense structure tensor for dim {self.dim}",
-                      8 * self.dim ** 3)
-        out = np.zeros((self.dim,) * 3)
-        out[tuple(self.index.T)] = self.value
-        return out
+        return _dense_view(f"dense structure tensor for dim {self.dim}",
+                           (self.dim,) * 3, self.index, self.value)
 
 
-def check_dense_budget(dim: int, matrix_dim: int, joins: int = 0) -> None:
+def check_dense_budget(dim: int, joins: int = 0) -> None:
     """Refuse a curvature chain that would allocate above DENSE_BUDGET.
 
-    With d = dim and m = matrix_dim the chain holds the complex (d, m, m)
-    basis, the dense (d, d) K and Ric with one (d, d) work array, and
-    `joins` index-join matches in structure_constants.  Without `joins`
-    this is the lower bound that curvature_report checks before it
-    builds the basis.
+    With d = dim the chain holds the dense (d, d) K and Ric with one
+    (d, d) work array, and `joins` index-join matches in
+    structure_constants.  Without `joins` this is the lower bound that
+    curvature_report checks before it builds the basis.
     """
-    _check_budget(
-        f"curvature chain for dim {dim}, matrix size {matrix_dim} would",
-        16 * dim * matrix_dim ** 2 + 24 * dim ** 2 + _JOIN_BYTES * joins)
+    _check_budget(f"curvature chain for dim {dim} would",
+                  24 * dim ** 2 + _JOIN_BYTES * joins)
 
 
 def structure_constants(basis: LieAlgebraBasis) -> StructureTensor:
@@ -246,16 +235,16 @@ def structure_constants(basis: LieAlgebraBasis) -> StructureTensor:
     position.  c_ijk = -1/2 Re(t_ijk - t_jik), summed by key.
     """
     d, m = basis.dim, basis.matrix_dim
-    nz = _nonzeros(basis)
-    e, r, c, v = nz
+    e, r, c = basis.index.T
+    v = basis.value
     pos = r * m + c
     # L[a, b] = number of basis entries at (a, b): the first join has
     # sum_b (column count)(row count) matches, the second one match per
     # closed path a -> b -> c -> a, Tr(L^3)
     L = np.bincount(pos, minlength=m * m).reshape(m, m)
-    check_dense_budget(d, m, int(L.sum(0) @ L.sum(1))
+    check_dense_budget(d, int(L.sum(0) @ L.sum(1))
                        + int(np.trace(L @ L @ L)))
-    _gram_deviation(basis, nz, 1e-12)
+    check_orthonormal(basis)
     # (T_i T_j)[a, c] terms T_i[a, b] T_j[b, c]; i = j cancels in c_ijk
     pl, pr = _match(c, r)
     i, j = e[pl], e[pr]
@@ -421,23 +410,28 @@ class CurvatureReport:
 def curvature_report(algebra: str, matrix_dim: int) -> CurvatureReport:
     """Killing, Ricci and chi of one algebra, from one structure tensor.
 
-    The budget's lower bound (basis, K and Ric) is checked before the
-    basis is built, so an oversize request allocates nothing;
-    structure_constants checks the join sizes before it joins.
+    The budget's lower bound (K, Ric and their work array) is checked
+    before the basis is built, so an oversize request allocates nothing;
+    structure_constants checks the join sizes before it joins.  The
+    Ricci lower bound is Gershgorin's, min_i (Ric_ii - sum_{j != i}
+    |Ric_ij|), at most the smallest eigenvalue of Ric.
     """
     if algebra in ALGEBRA_DIM:
-        check_dense_budget(ALGEBRA_DIM[algebra](matrix_dim), matrix_dim)
+        check_dense_budget(ALGEBRA_DIM[algebra](matrix_dim))
     basis = build_basis(algebra, matrix_dim)
     st = structure_constants(basis)
     K = killing_form(st)
     ric = ricci_tensor(st, K=K)
     chi = chi_coefficient(st, K=K)
+    off = np.abs(ric)
+    np.fill_diagonal(off, 0.0)
     return CurvatureReport(
         algebra=algebra, matrix_dim=matrix_dim, dim=basis.dim,
         killing_matrix=K, ricci_matrix=ric,
         chi=chi.chi, chi_prime=chi.chi_prime,
         claimed_chi=float(CLAIMED_CHI[algebra](matrix_dim)),
-        ricci_lower_bound=float(np.min(np.linalg.eigvalsh(ric))))
+        ricci_lower_bound=float(np.min(np.diagonal(ric)
+                                       - off.sum(axis=1))))
 
 
 # -- Levy-family bound sequences -------------------------------------
@@ -496,7 +490,9 @@ def two_plane_orbit_length(basis: LieAlgebraBasis, element_index: int,
     The orbit is discretized and each step length is taken from the
     matrix log of the step transition, measured with -1/2 Tr(X^2).
     """
-    T = basis.elements[element_index]
+    own = basis.index[:, 0] == element_index
+    T = _dense_view("basis element", (basis.matrix_dim,) * 2,
+                    basis.index[own, 1:], basis.value[own])
     # T is skew-Hermitian: T = V diag(i w) V^H with (w, V) = eigh(-i T),
     # so exp(t T) = V diag(e^{i t w}) V^H.
     w, V = np.linalg.eigh(-1j * T)

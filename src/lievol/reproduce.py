@@ -27,6 +27,10 @@ from .volumes import (closed_form_volume, group_volume, ratio_exponent,
 _RANKS = {"A": range(2, 11), "B": range(2, 11),
           "C": range(2, 11), "D": range(4, 11)}
 
+# Largest n of the CP^n geometry checks: each chart evaluation rebuilds
+# the (n+1)^2 - 1 Gell-Mann matrices, and n = 16 takes ~2.4 s.
+GEOMETRY_MAX_N = 16
+
 
 def _timed(fn):
     @functools.wraps(fn)
@@ -163,6 +167,9 @@ def criterion_geometry(points: int = 100, seed: int = 44,
     """
     if not ns or min(ns) < 1:
         raise ValueError("CP^n checks need n >= 1")
+    if max(ns) > GEOMETRY_MAX_N:
+        raise ValueError(f"CP^n checks run to n = {GEOMETRY_MAX_N}, "
+                         f"not {max(ns)}")
     rng = np.random.default_rng(seed)
     dens_dev = 0.0
     for n in ns:

@@ -1,15 +1,25 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as hs
 
 import lievol
-from lievol.cli import build_parser, main
+import lievol.cpn
+import lievol.curvature
+import lievol.montecarlo
+import lievol.reproduce
+import lievol.roots
+from lievol.cli import FORMATS, build_parser, main
 
 
 def run(capsys, *argv):
@@ -148,13 +158,6 @@ class TestFormatsAndOutput:
         _, out, _ = run(capsys, *argv, "--format", "csv", "--json")
         assert json.loads(out)["provenance"]["config"]["format"] == "json"
 
-    def test_curvature_report_is_an_alias_of_format(self, capsys):
-        argv = ("curvature", "--series", "so", "--n", "4")
-        _, via_report, _ = run(capsys, *argv, "--report", "csv")
-        _, via_format, _ = run(capsys, *argv, "--format", "csv")
-        assert via_report.splitlines()[0] == "key,value"
-        assert via_report == via_format
-
     def test_csv(self, capsys):
         _, out, _ = run(capsys, "volume", "--series", "su", "--n", "3",
                         "--exact", "--format", "csv")
@@ -256,6 +259,34 @@ class TestExitCodes:
         assert "No such file" in err and "Traceback" not in err
         assert out == ""
 
+    def test_oversize_levy_range_is_one(self, capsys, monkeypatch):
+        # one index past the limit, refused before the index list is built
+        import lievol.cli
+
+        def no_bounds(*args, **kwargs):
+            raise AssertionError("bounds computed for an oversize range")
+
+        monkeypatch.setattr(lievol.cli, "ricci_bound_sequence", no_bounds)
+        code, out, err = run(capsys, "levy", "--family", "su", "--start",
+                             "2", "--stop", str(2 + lievol.cli.LEVY_MAX_TERMS))
+        assert code == 1
+        assert "at most" in err and out == ""
+
+    def test_oversize_check_metric_is_one(self, capsys, monkeypatch):
+        # every chart evaluation would rebuild 16 (n+1)^4 bytes of
+        # Gell-Mann matrices: refused before the first one
+        import lievol.cpn
+        from lievol.reproduce import GEOMETRY_MAX_N
+
+        def no_basis(*args):
+            raise AssertionError("Gell-Mann basis built for an oversize n")
+
+        monkeypatch.setattr(lievol.cpn, "gellmann_basis", no_basis)
+        code, out, err = run(capsys, "cpn", "check-metric", "--n",
+                             str(GEOMETRY_MAX_N + 1))
+        assert code == 1
+        assert "run to n" in err and out == ""
+
     @pytest.mark.parametrize("start,stop", [("1", "5"), ("0", "3"),
                                             ("5", "2")])
     def test_levy_bad_range_is_one(self, capsys, start, stop):
@@ -273,6 +304,12 @@ class TestExitCodes:
             build_parser().parse_args(["volume"])  # missing required args
         assert ex.value.code == 2
 
+    def test_removed_report_alias_is_two(self):
+        with pytest.raises(SystemExit) as ex:
+            main(["curvature", "--series", "su", "--n", "3",
+                  "--report", "csv"])
+        assert ex.value.code == 2
+
     def test_unknown_command_is_two(self):
         with pytest.raises(SystemExit) as ex:
             build_parser().parse_args(["frobnicate"])
@@ -282,6 +319,107 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as ex:
             build_parser().parse_args(["--version"])
         assert ex.value.code == 0
+
+
+def _ints(lo, hi, *far):
+    """Small integers in [lo, hi], or one of the `far` ones, as argv text."""
+    return hs.one_of(hs.integers(lo, hi), *map(hs.just, far)).map(str)
+
+
+_FLOATS = hs.one_of(hs.floats(-2.0, 4.0),
+                    hs.sampled_from([0.0, math.nan, math.inf])).map(repr)
+_SERIES = hs.sampled_from(["a", "su", "b", "c", "d", "spin-odd", "e8"])
+_FLAG = None   # an option without a value
+# Per subcommand: (required, optional) options and their values.  The
+# large sizes are all ones the CLI must refuse before building anything.
+_ARGV = {
+    "roots": ({"--series": _SERIES, "--n": _ints(-2, 12, 10 ** 4)}, {}),
+    "volume": ({"--series": _SERIES, "--n": _ints(-2, 12, 10 ** 4)},
+               {"--gamma": _ints(-1, 6), "--exact": _FLAG, "--log": _FLAG}),
+    "ratio": ({"--series": _SERIES, "--n": _ints(-2, 12, 10 ** 4)}, {}),
+    "curvature": ({"--series": hs.sampled_from(["su", "so", "usp", "a"]),
+                   "--n": _ints(-2, 12, 10 ** 4, 10 ** 7)}, {}),
+    "cpn": ({"action": hs.sampled_from(["band-mass", "check-metric"]),
+             "--n": _ints(-2, 3, 17, 10 ** 6)},
+            {"--eps": _FLOATS, "--points": _ints(-2, 8), "--tol": _FLOATS}),
+    "sample": ({"--series": _SERIES, "--n": _ints(-2, 8, 10 ** 9),
+                "--seed": _ints(-2, 2 ** 64)},
+               {"--count": _ints(-2, 4096), "--r": _FLOATS,
+                "--workers": _ints(-1, 2), "--hist": hs.just("ksi"),
+                "--bins": _ints(-2, 64)}),
+    "levy": ({"--family": hs.sampled_from(["su", "so", "usp", "sp"])},
+             {"--start": _ints(-3, 30, -10 ** 12, 10 ** 12),
+              "--stop": _ints(-3, 30, 10 ** 12), "--coroot-length": _FLOATS,
+              "--rescale": hs.sampled_from(["log", "sqrt", "linear",
+                                            "const"]),
+              "--floor": _FLOATS}),
+    "reproduce": ({"--seed": _ints(-2, 2 ** 64)}, {"--quick": _FLAG}),
+}
+_COMMON = {"--format": hs.sampled_from(FORMATS), "--json": _FLAG,
+           "--output": hs.sampled_from(["r.json", "missing/r.json"])}
+_JUNK = hs.sampled_from(["", "x", "1.5", "-1", "nan", "1e999"])
+
+
+@hs.composite
+def _cli_argv(draw, command):
+    """argv for one subcommand: its required options, some optional
+    ones, an occasional junk value and an occasional dropped token."""
+    required, optional = _ARGV[command]
+    menu = {**required, **optional, **_COMMON}
+    names = list(required) + draw(hs.lists(hs.sampled_from(sorted(
+        {**optional, **_COMMON})), max_size=4))
+    argv = [command]
+    for name in names:
+        if name.startswith("-"):
+            argv.append(name)
+        if menu[name] is not None:
+            junk = draw(hs.integers(0, 9)) == 9
+            argv.append(draw(_JUNK if junk else menu[name]))
+    if draw(hs.integers(0, 9)) == 9:
+        del argv[draw(hs.integers(1, len(argv) - 1))]
+    return argv
+
+
+def _small_only(mp, module, name, size, limit):
+    """Let module.name run only while size(*args) <= limit."""
+    f = getattr(module, name)
+
+    def guarded(*args, **kwargs):
+        assert size(*args) <= limit, f"{name}{args[:3]} is oversize"
+        return f(*args, **kwargs)
+
+    mp.setattr(module, name, guarded)
+
+
+class TestExitContract:
+    @pytest.mark.parametrize("command", sorted(_ARGV))
+    @settings(max_examples=30, deadline=None)
+    @given(data=hs.data())
+    def test_exit_code_and_no_traceback(self, command, data):
+        argv = data.draw(_cli_argv(command))
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, \
+                pytest.MonkeyPatch.context() as mp:
+            mp.chdir(tmp)   # every --output lands in tmp
+            _small_only(mp, lievol.curvature, "build_basis",
+                        lambda alg, m: m, 16)
+            _small_only(mp, lievol.roots, "_root", lambda dim, *t: dim, 64)
+            _small_only(mp, lievol.cpn, "gellmann_basis", lambda m: m, 4)
+            for name in ("haar_su_chunk", "haar_so_chunk", "haar_usp_chunk"):
+                _small_only(mp, lievol.montecarlo, name,
+                            lambda rng, size, m, *rest: size * m, 4096 * 32)
+            # the sweep itself is covered by test_reproduce_quick
+            mp.setattr(lievol.reproduce, "run_all",
+                       lambda seed, quick: {"criteria": []})
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as ex:
+                    code = ex.code
+        event(f"exit {code}")
+        assert code in (0, 1, 2), (argv, code)
+        assert "Traceback" not in err.getvalue(), argv
 
 
 class TestImportPath:
@@ -294,8 +432,9 @@ class TestImportPath:
                 assert cli.main(["reproduce", "--seed", "42", "--quick",
                                  "--output", sys.argv[1]]) == 0
                 assert cli.main(["cpn", "band-mass", "--n", "3"]) == 0
-            print(json.dumps(sorted(m for m in sys.modules
-                                    if m.startswith("scipy."))))
+            print(json.dumps([sorted(m for m in sys.modules
+                                     if m.startswith("scipy.")),
+                              "importlib.metadata" in sys.modules]))
         """)
         src = str(Path(lievol.__file__).resolve().parent.parent)
         env = dict(os.environ)
@@ -305,7 +444,9 @@ class TestImportPath:
             [sys.executable, "-c", script, str(tmp_path / "r.json")],
             env=env, capture_output=True, text=True, timeout=300)
         assert res.returncode == 0, res.stderr
-        loaded = json.loads(res.stdout.splitlines()[-1])
+        loaded, metadata = json.loads(res.stdout.splitlines()[-1])
+        # the provenance block reads no package metadata
+        assert not metadata
         # only the bare package's own modules, private ones and the
         # version: no special, integrate, stats, optimize, sparse, linalg
         public = {m.split(".")[1] for m in loaded} - {"version"}

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from lievol.curvature import (ALGEBRA_DIM, CLAIMED_CHI, LieAlgebraBasis,
-                              StructureTensor, build_basis, check_dense_budget,
+                              TRACE_FORM_INDEX, StructureTensor,
+                              build_basis, check_dense_budget,
                               check_orthonormal, chi_coefficient,
                               curvature_report, jacobi_residual, killing_form,
                               rescaled_levy_check, ricci_bound_sequence,
@@ -55,11 +56,26 @@ class TestBases:
 
     def test_non_orthonormal_refused(self):
         b = su_basis(3)
-        T = b.elements
-        for bad in (1.01 * T, np.concatenate([0 * T[:1], T[1:]]),
-                    np.concatenate([T[:1], T[:-1]])):
+        e = b.index[:, 0]
+        # scaled by 1.01; the first element zeroed; the first element
+        # twice, in place of the last
+        for index, value in ((b.index, 1.01 * b.value),
+                             (b.index[e > 0], b.value[e > 0]),
+                             (np.concatenate([b.index[e == 0],
+                                              b.index[e < b.dim - 1]
+                                              + [1, 0, 0]]),
+                              np.concatenate([b.value[e == 0],
+                                              b.value[e < b.dim - 1]]))):
             with pytest.raises(ValueError, match="orthonormal"):
-                check_orthonormal(LieAlgebraBasis("su", 3, b.dim, bad))
+                check_orthonormal(LieAlgebraBasis("su", 3, b.dim, index,
+                                                  value))
+
+    @pytest.mark.parametrize("alg,m", TIER1_SIZES)
+    def test_coo_is_the_nonzeros_of_the_dense_view(self, alg, m):
+        b = build_basis(alg, m)
+        T = b.elements
+        assert np.array_equal(np.stack(np.nonzero(T)), b.index.T)
+        assert np.array_equal(T[tuple(b.index.T)], b.value)
 
     def test_antihermitian_traceless(self):
         for alg, m in (("su", 5), ("usp", 6)):
@@ -230,6 +246,34 @@ class TestRiemannRicci:
         ric = ricci_tensor(structure_constants(usp_basis(4)))
         assert np.max(np.abs(ric - 3 * np.eye(10))) < 1e-10
 
+    @pytest.mark.parametrize("alg,m", TIER1_SIZES)
+    def test_lower_bound_is_the_least_eigenvalue(self, alg, m):
+        # Gershgorin's bound against the dense eigenvalue route
+        rep = curvature_report(alg, m)
+        least = np.min(np.linalg.eigvalsh(rep.ricci_matrix))
+        assert abs(rep.ricci_lower_bound - least) < 1e-12
+
+    def test_lower_bound_of_a_non_scalar_ricci(self, monkeypatch):
+        # Ric is scalar for every algebra here, so the off-diagonal part
+        # of the bound is checked on a stand-in: row bounds 1.5, 2.25, 0.75
+        import lievol.curvature
+        ric = np.array([[2.0, 0.5, 0.0], [0.5, 3.0, -0.25],
+                        [0.0, -0.25, 1.0]])
+        monkeypatch.setattr(lievol.curvature, "ricci_tensor",
+                            lambda st, K: ric)
+        bound = curvature_report("su", 2).ricci_lower_bound
+        assert bound == 0.75
+        assert bound < np.min(np.linalg.eigvalsh(ric))
+
+    @pytest.mark.parametrize("alg,m", [("su", 5), ("so", 7), ("usp", 8)])
+    def test_report_reads_no_dense_basis(self, monkeypatch, alg, m):
+        def no_dense(self):
+            raise AssertionError("dense basis built")
+
+        monkeypatch.setattr(LieAlgebraBasis, "elements", property(no_dense))
+        assert curvature_report(alg, m).chi_prime == pytest.approx(
+            2 * TRACE_FORM_INDEX[alg](m), abs=1e-9)
+
     def test_report(self):
         rep = curvature_report("so", 6)
         assert rep.dim == 15
@@ -268,17 +312,17 @@ class TestKillingPassedDown:
 
 class TestDenseBudget:
     def test_su16_fits(self):
-        check_dense_budget(ALGEBRA_DIM["su"](16), 16)
+        check_dense_budget(ALGEBRA_DIM["su"](16))
 
     @pytest.mark.parametrize("alg,m", [("su", 20), ("so", 30), ("usp", 30)])
     def test_admitted_past_the_dense_chain(self, alg, m):
-        check_dense_budget(ALGEBRA_DIM[alg](m), m)
+        check_dense_budget(ALGEBRA_DIM[alg](m))
 
-    @pytest.mark.parametrize("alg,m", [("su", 100), ("so", 128),
-                                       ("usp", 128)])
+    @pytest.mark.parametrize("alg,m", [("su", 100), ("so", 139),
+                                       ("usp", 138)])
     def test_oversize_refused(self, alg, m):
         with pytest.raises(ValueError, match="budget"):
-            check_dense_budget(ALGEBRA_DIM[alg](m), m)
+            check_dense_budget(ALGEBRA_DIM[alg](m))
 
     def test_entry_points_check(self, monkeypatch):
         import lievol.curvature
@@ -289,11 +333,11 @@ class TestDenseBudget:
             curvature_report("su", 3)
 
     def test_join_sizes_are_checked_before_joining(self, monkeypatch):
-        # su(12): basis, K and Ric fit in 1 MiB, the joins do not
+        # su(12): K and Ric fit in 1 MiB, the joins do not
         import lievol.curvature
         basis = su_basis(12)
         monkeypatch.setattr(lievol.curvature, "DENSE_BUDGET", 2 ** 20)
-        check_dense_budget(basis.dim, 12)
+        check_dense_budget(basis.dim)
         with pytest.raises(ValueError, match="budget"):
             structure_constants(basis)
 
