@@ -14,7 +14,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -79,15 +78,15 @@ def _series(args) -> Series:
 
 
 # -- subcommands ------------------------------------------------------
+# Each returns its report; main adds the provenance block.
 
 def cmd_roots(args) -> dict:
-    return {"provenance": _provenance(args),
-            "roots": root_system_json(build_root_system(_series(args)))}
+    return {"roots": root_system_json(build_root_system(_series(args)))}
 
 
 def cmd_volume(args) -> dict:
     s = _series(args)
-    out = {"provenance": _provenance(args)}
+    out = {}
     if args.log or (not args.exact and s.n > 30):
         out["volume"] = {"group": s.group_name, "log_volume": log_volume(s)}
     else:
@@ -103,14 +102,13 @@ def cmd_ratio(args) -> dict:
     s = _series(args)
     val = ratio_exponent(s)
     asym = math.sqrt(2 * math.pi * math.e / ratio_scale(s))
-    return {"provenance": _provenance(args),
-            "ratio": {"group": s.group_name, "ratio_exponent": val,
+    return {"ratio": {"group": s.group_name, "ratio_exponent": val,
                       "sphere_asymptote": asym, "quotient": val / asym}}
 
 
 def cmd_curvature(args) -> dict:
     rep = curvature_report(args.series, args.n)
-    out = {"provenance": _provenance(args), "curvature": rep.to_json()}
+    out = {"curvature": rep.to_json()}
     out["chi_table"] = {
         "claimed": rep.claimed_chi,
         "adjoint_trace_oracle": rep.chi,
@@ -124,7 +122,7 @@ def cmd_curvature(args) -> dict:
 def cmd_cpn(args) -> dict:
     from .cpn import band_mass, band_complement_mass
     from .reproduce import criterion_geometry, _pyify
-    out = {"provenance": _provenance(args)}
+    out = {}
     if args.action == "band-mass":
         out["band_mass"] = {
             "n": args.n, "eps": args.eps,
@@ -144,12 +142,12 @@ def cmd_cpn(args) -> dict:
 def cmd_sample(args) -> dict:
     cfg = SamplerConfig(_series(args), count=args.count, seed=args.seed,
                         workers=args.workers)
-    rep = concentration_experiment(cfg, args.r)
-    out = {"provenance": _provenance(args), "report": rep.to_json()}
-    if args.hist:
+    out = {}
+    if args.hist:   # first, so that its arguments are checked before a draw
         if cfg.series.tag != "A":
             raise ValueError("--hist ksi is defined for the SU series")
         out["histogram"] = xi_histogram(cfg, bins=args.bins)
+    out["report"] = concentration_experiment(cfg, args.r).to_json()
     return out
 
 
@@ -164,8 +162,7 @@ def cmd_levy(args) -> dict:
     ns = list(range(start, args.stop + 1))
     r_seq = ricci_bound_sequence(args.family, ns,
                                  coroot_length=args.coroot_length)
-    out = {"provenance": _provenance(args),
-           "ricci_bounds": {"family": args.family.upper(), "n": ns,
+    out = {"ricci_bounds": {"family": args.family.upper(), "n": ns,
                             "R": r_seq}}
     if args.rescale:
         c_seq = [_scale_sequence(args.rescale, n) for n in ns]
@@ -185,7 +182,6 @@ def _scale_sequence(name: str, n: int) -> float:
 def cmd_reproduce(args) -> dict:
     from .reproduce import run_all
     report = run_all(seed=args.seed, quick=args.quick)
-    report["provenance"] = _provenance(args)
     for c in report["criteria"]:
         status = "PASS" if c["passed"] else "FAIL"
         print(f"[{status}] criterion {c['id']}: {c['name']} "
@@ -207,8 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="a/su, b/spin-odd, c/usp, d/spin-even")
             sp.add_argument("--n", type=int, required=True)
         sp.add_argument("--format", choices=FORMATS, default="json")
-        sp.add_argument("--json", action="store_const", dest="format",
-                        const="json", help="shorthand for --format json")
         sp.add_argument("--output", help="write the report to a file")
 
     sp = sub.add_parser("roots", help="root system data")
@@ -248,8 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--count", type=int, default=10_000)
     sp.add_argument("--r", type=float, default=0.3)
     sp.add_argument("--seed", type=int, required=True)
-    sp.add_argument("--workers", type=int,
-                    default=int(os.environ.get("LIEVOL_WORKERS", "1")))
+    sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--hist", choices=("ksi",))
     sp.add_argument("--bins", type=int, default=200)
     sp.set_defaults(func=cmd_sample)
@@ -282,7 +275,9 @@ def main(argv=None) -> int:
         # opened first, so that a bad path fails before the work
         with (open(args.output, "w") if args.output
               else contextlib.nullcontext()) as out:
-            text = _render(args.func(args), args.format)
+            report = args.func(args)
+            report["provenance"] = _provenance(args)
+            text = _render(report, args.format)
             if out is None:
                 print(text)
             else:

@@ -1,9 +1,11 @@
 """Quotient geometry of SU(n+1) over U(n): charts, measure, metric.
 
-The generalized Gell-Mann matrices are ordered block by block: for each
-a = 2..m the off-diagonal pairs (k, a), k < a, then the diagonal matrix
-at index a^2 - 1.  With this ordering the coset directions of the U(n)
-quotient are the 2n matrices with indices n^2 .. n^2 + 2n - 1 (1-based).
+The chart point is h = prod_a exp(i theta_a T_a) exp(i phi_a P_a),
+a = 1..n, on C^{n+1} with indices 0..n.  T_a = diag(1, ..., 1, 1 - b,
+0, ..., 0) with b = max(a, 2) (so T_1 = T_2, which the calibrated theta
+periods assume), and P_a = -i E_{0a} + i E_{a0} rotates the (0, a)
+plane.  The coset directions of the U(n) quotient are the off-diagonal
+entries of row and column n.
 """
 
 from __future__ import annotations
@@ -82,7 +84,14 @@ class AffineCoords:
 
 
 def gellmann_basis(m: int) -> np.ndarray:
-    """Generalized Gell-Mann matrices, Tr(l_I l_J) = 2 delta_IJ."""
+    """Generalized Gell-Mann matrices, Tr(l_I l_J) = 2 delta_IJ.
+
+    Ordered block by block: for each a = 2..m the off-diagonal pairs
+    (k, a), k < a, then the diagonal matrix at index a^2 - 1 (1-based).
+    The tests' oracle for the chart: its generators are lam[2], lam[1],
+    lam[a^2 - 2] / eps_a and lam[a^2] (0-based), its coset directions
+    the matrices n^2 .. n^2 + 2n - 1 (1-based).
+    """
     if m < 2:
         raise ValueError("need m >= 2")
     mats = []
@@ -112,14 +121,15 @@ def expi(h: np.ndarray) -> np.ndarray:
 
 def _chart_factors(c: QuotientCoords):
     """The hermitian generators (M_j, t_j) with h = prod exp(i t_j M_j)."""
-    n = c.n
-    lam = gellmann_basis(n + 1)
-    factors = [(lam[2], c.thetas[0]), (lam[1], c.phis[0])]
-    for a in range(2, n + 1):
-        # undo the Gell-Mann normalization of the diagonal generator
-        eps = math.sqrt(2.0 / (a * (a - 1)))
-        factors.append((lam[a * a - 2] / eps, c.thetas[a - 1]))
-        factors.append((lam[a * a], c.phis[a - 1]))
+    m = c.n + 1
+    factors = []
+    for a, (theta, phi) in enumerate(zip(c.thetas, c.phis), start=1):
+        b = max(a, 2)
+        T = np.diag([1.0] * (b - 1) + [1.0 - b] + [0.0] * (m - b))
+        P = np.zeros((m, m), dtype=complex)
+        P[0, a] = -1j
+        P[a, 0] = 1j
+        factors += [(T.astype(complex), theta), (P, phi)]
     return factors
 
 
@@ -205,16 +215,19 @@ def structure_equation_residual(c: QuotientCoords,
 
 
 def vielbein(c: QuotientCoords) -> np.ndarray:
-    """Coset covectors e^l_mu = Tr[j_mu lam_{n^2+l-1}] / (2i).
+    """Coset covectors e^l_mu = Tr[j_mu C_l] / (2i).
 
     Shape (2n, 2n): rows are coordinates (thetas then phis), columns the
-    coset directions l = 1..2n.
+    coset directions C_{2k+1} = E_{kn} + E_{nk} and C_{2k+2} = -i E_{kn}
+    + i E_{nk}, k = 0..n-1, so the traces read column and row n of j.
     """
     n = c.n
-    lam = gellmann_basis(n + 1)
     j = maurer_cartan(c)
-    coset = lam[n * n - 1: n * n - 1 + 2 * n]
-    return np.einsum("uab,lba->ul", j, coset).imag * 0.5
+    col, row = j[:, :n, n], j[:, n, :n]
+    out = np.empty((2 * n, 2 * n))
+    out[:, 0::2] = (col + row).imag * 0.5
+    out[:, 1::2] = (col - row).real * 0.5
+    return out
 
 
 def vielbein_density(c: QuotientCoords) -> float:

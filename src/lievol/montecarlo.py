@@ -44,6 +44,16 @@ CHUNK = 2048
 # one column (336 MB) run, 10^9 are refused.
 SAMPLE_BUDGET = 2 * 2 ** 30
 
+# Most threads one sample may use.  The draw stops gaining at the core
+# count (SU(21), 2 * 10^5 samples on 2 cores: 1.31 s at 1 worker, 1.05 s
+# at 2, 1.07 s at 32), and each worker holds one chunk beside the result.
+MAX_WORKERS = 64
+
+# Most bins of xi_histogram: each costs ~240 B and ~3 us (edges, counts,
+# lists, JSON), so `sample --hist ksi` with 10^5 bins takes 0.6 s and
+# 60 MiB, with 10^6 3.1 s and 280 MiB.
+HIST_MAX_BINS = 10 ** 5
+
 
 @dataclass(frozen=True)
 class SamplerConfig:
@@ -55,8 +65,9 @@ class SamplerConfig:
     def __post_init__(self):
         if self.count < 1:
             raise ValueError("count must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        if not 1 <= self.workers <= MAX_WORKERS:
+            raise ValueError(f"workers must lie in [1, {MAX_WORKERS}], "
+                             f"got {self.workers}")
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -243,11 +254,10 @@ def sample_su(cfg: SamplerConfig, columns: Optional[int] = None
                    lambda rng, size: haar_su_chunk(rng, size, m, columns))
 
 
-def sample_so(cfg: SamplerConfig, m: Optional[int] = None,
-              columns: Optional[int] = None) -> np.ndarray:
-    if m is None:
-        n = cfg.series.n
-        m = 2 * n + 1 if cfg.series.tag == "B" else 2 * n
+def sample_so(cfg: SamplerConfig, columns: Optional[int] = None
+              ) -> np.ndarray:
+    n = cfg.series.n
+    m = 2 * n + 1 if cfg.series.tag == "B" else 2 * n
     _check_columns(columns, m - 1)
     return _sample(cfg, m, columns or m, float,
                    lambda rng, size: haar_so_chunk(rng, size, m, columns))
@@ -432,6 +442,9 @@ def concentration_experiment(cfg: SamplerConfig, r: float
 
 def xi_histogram(cfg: SamplerConfig, bins: int = 200) -> dict:
     """Histogram of the chart angle xi over Haar samples of SU(n)."""
+    if not 1 <= bins <= HIST_MAX_BINS:
+        raise ValueError(f"bins must lie in [1, {HIST_MAX_BINS}], "
+                         f"not {bins}")
     g = sample_su(cfg, columns=1)
     _, xi = cp_coordinate(g)
     counts, edges = np.histogram(xi, bins=bins, range=(0.0, math.pi / 2))

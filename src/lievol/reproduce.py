@@ -27,9 +27,13 @@ from .volumes import (closed_form_volume, group_volume, ratio_exponent,
 _RANKS = {"A": range(2, 11), "B": range(2, 11),
           "C": range(2, 11), "D": range(4, 11)}
 
-# Largest n of the CP^n geometry checks: each chart evaluation rebuilds
-# the (n+1)^2 - 1 Gell-Mann matrices, and n = 16 takes ~2.4 s.
+# Largest n of the CP^n geometry checks.  Each structure-equation point
+# takes 4n + 1 Maurer-Cartan forms of 2n (n+1)-square eigendecompositions:
+# n = 16 takes ~1.7 s, n = 24 ~6 s.
 GEOMETRY_MAX_N = 16
+
+# Most pullback points: each costs ~85 us, so 10^5 take ~8 s (10^6 ~85 s).
+GEOMETRY_MAX_POINTS = 10 ** 5
 
 
 def _timed(fn):
@@ -170,6 +174,9 @@ def criterion_geometry(points: int = 100, seed: int = 44,
     if max(ns) > GEOMETRY_MAX_N:
         raise ValueError(f"CP^n checks run to n = {GEOMETRY_MAX_N}, "
                          f"not {max(ns)}")
+    if not 1 <= points <= GEOMETRY_MAX_POINTS:
+        raise ValueError(f"the pullback check takes 1 to "
+                         f"{GEOMETRY_MAX_POINTS} points, not {points}")
     rng = np.random.default_rng(seed)
     dens_dev = 0.0
     for n in ns:

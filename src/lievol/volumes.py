@@ -18,6 +18,11 @@ from .roots import Series, build_root_system, coroot_norm_product, torus_volume
 
 LOG_2PI = math.log(2 * math.pi)
 
+# Largest n of the log-gamma route, which sums O(n) lgamma terms:
+# `volume --log` at n = 10^6 takes 0.5 s, at 10^7 2.6 s; `ratio` reads
+# two ranks and takes 0.9 s, resp. 5.5 s.
+LOG_VOLUME_MAX_RANK = 10 ** 6
+
 # Largest |Gamma| for a subgroup of the center of the simply connected form.
 _CENTER_ORDER = {"A": lambda n: n, "B": lambda n: 2,
                  "C": lambda n: 2, "D": lambda n: 4}
@@ -100,8 +105,14 @@ def closed_form_volume(series: Series) -> ExactScalar:
 
 
 def log_volume(series: Series) -> float:
-    """ln V via log-gamma; exact-path independent and overflow-free."""
+    """ln V via log-gamma; exact-path independent and overflow-free.
+
+    Raises ValueError above n = LOG_VOLUME_MAX_RANK.
+    """
     n = series.n
+    if n > LOG_VOLUME_MAX_RANK:
+        raise ValueError(f"the log-gamma route runs to n = "
+                         f"{LOG_VOLUME_MAX_RANK}, not {n}")
     if series.tag == "A":
         return (0.5 * math.log(n) + (n * (n + 1) / 2 - 1) * LOG_2PI
                 - sum(math.lgamma(i + 1) for i in range(1, n)))

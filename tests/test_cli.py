@@ -155,8 +155,9 @@ class TestFormatsAndOutput:
     def test_common_options_everywhere(self, capsys, argv):
         _, out, _ = run(capsys, *argv, "--format", "text")
         assert " = " in out.splitlines()[0]
-        _, out, _ = run(capsys, *argv, "--format", "csv", "--json")
-        assert json.loads(out)["provenance"]["config"]["format"] == "json"
+        _, out, _ = run(capsys, *argv, "--format", "csv")
+        assert out.splitlines()[0] == "key,value"
+        assert "provenance.config.format,csv" in out.splitlines()
 
     def test_csv(self, capsys):
         _, out, _ = run(capsys, "volume", "--series", "su", "--n", "3",
@@ -273,19 +274,93 @@ class TestExitCodes:
         assert "at most" in err and out == ""
 
     def test_oversize_check_metric_is_one(self, capsys, monkeypatch):
-        # every chart evaluation would rebuild 16 (n+1)^4 bytes of
-        # Gell-Mann matrices: refused before the first one
+        # refused before the first chart point is evaluated
         import lievol.cpn
         from lievol.reproduce import GEOMETRY_MAX_N
 
-        def no_basis(*args):
-            raise AssertionError("Gell-Mann basis built for an oversize n")
+        def no_chart(*args):
+            raise AssertionError("chart evaluated for an oversize n")
 
-        monkeypatch.setattr(lievol.cpn, "gellmann_basis", no_basis)
+        monkeypatch.setattr(lievol.cpn, "_chart_factors", no_chart)
         code, out, err = run(capsys, "cpn", "check-metric", "--n",
                              str(GEOMETRY_MAX_N + 1))
         assert code == 1
         assert "run to n" in err and out == ""
+
+    @pytest.mark.parametrize(
+        "points", [0, -1, lievol.reproduce.GEOMETRY_MAX_POINTS + 1])
+    def test_bad_check_metric_points_are_one(self, capsys, monkeypatch,
+                                             points):
+        # refused before the first chart or pullback point
+        import lievol.cpn
+        import lievol.reproduce as rp
+
+        def no_point(*args):
+            raise AssertionError("point evaluated for a refused count")
+
+        monkeypatch.setattr(lievol.cpn, "_chart_factors", no_point)
+        monkeypatch.setattr(rp, "fs_metric_angular", no_point)
+        code, out, err = run(capsys, "cpn", "check-metric", "--n", "2",
+                             "--points", str(points))
+        assert code == 1
+        assert "points" in err and out == ""
+
+    @pytest.mark.parametrize("bins", [0, lievol.montecarlo.HIST_MAX_BINS + 1])
+    def test_bad_histogram_bins_are_one(self, capsys, monkeypatch, bins):
+        # refused before either draw
+        import lievol.cli
+        import lievol.montecarlo
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("samples drawn for a refused bin count")
+
+        monkeypatch.setattr(lievol.cli, "concentration_experiment", no_draw)
+        monkeypatch.setattr(lievol.montecarlo, "sample_su", no_draw)
+        code, out, err = run(capsys, "sample", "--series", "su", "--n", "4",
+                             "--count", "100", "--seed", "1", "--hist", "ksi",
+                             "--bins", str(bins))
+        assert code == 1
+        assert "bins" in err and out == ""
+
+    @pytest.mark.parametrize("argv", [("volume", "--series", "su", "--log"),
+                                      ("volume", "--series", "b"),
+                                      ("ratio", "--series", "su"),
+                                      ("ratio", "--series", "d")])
+    def test_oversize_log_volume_is_one(self, capsys, monkeypatch, argv):
+        # O(n) lgamma terms: refused before the first one
+        import lievol.volumes
+
+        def no_lgamma(*args):
+            raise AssertionError("lgamma summed for an oversize rank")
+
+        monkeypatch.setattr(lievol.volumes.math, "lgamma", no_lgamma)
+        n = lievol.volumes.LOG_VOLUME_MAX_RANK + 1
+        code, out, err = run(capsys, *argv, "--n", str(n))
+        assert code == 1
+        assert "log-gamma route" in err and out == ""
+
+    def test_too_many_workers_is_one(self, capsys, monkeypatch):
+        # refused before any thread is started or chunk drawn
+        import lievol.montecarlo
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("threads started for a refused count")
+
+        monkeypatch.setattr(lievol.montecarlo, "ThreadPoolExecutor",
+                            no_thread)
+        monkeypatch.setattr(lievol.montecarlo, "haar_su_chunk", no_thread)
+        code, out, err = run(capsys, "sample", "--series", "su", "--n", "4",
+                             "--seed", "1", "--workers",
+                             str(lievol.montecarlo.MAX_WORKERS + 1))
+        assert code == 1
+        assert "workers" in err and out == ""
+
+    def test_workers_environment_variable_is_ignored(self, capsys,
+                                                     monkeypatch):
+        monkeypatch.setenv("LIEVOL_WORKERS", "x")
+        code, out, _ = run(capsys, "roots", "--series", "a", "--n", "3")
+        assert code == 0
+        assert json.loads(out)["roots"]["group"] == "SU(3)"
 
     @pytest.mark.parametrize("start,stop", [("1", "5"), ("0", "3"),
                                             ("5", "2")])
@@ -308,6 +383,11 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as ex:
             main(["curvature", "--series", "su", "--n", "3",
                   "--report", "csv"])
+        assert ex.value.code == 2
+
+    def test_removed_json_alias_is_two(self):
+        with pytest.raises(SystemExit) as ex:
+            main(["cpn", "band-mass", "--n", "3", "--json"])
         assert ex.value.code == 2
 
     def test_unknown_command_is_two(self):
@@ -334,19 +414,21 @@ _FLAG = None   # an option without a value
 # large sizes are all ones the CLI must refuse before building anything.
 _ARGV = {
     "roots": ({"--series": _SERIES, "--n": _ints(-2, 12, 10 ** 4)}, {}),
-    "volume": ({"--series": _SERIES, "--n": _ints(-2, 12, 10 ** 4)},
+    "volume": ({"--series": _SERIES, "--n": _ints(-2, 12, 10 ** 4, 10 ** 12)},
                {"--gamma": _ints(-1, 6), "--exact": _FLAG, "--log": _FLAG}),
-    "ratio": ({"--series": _SERIES, "--n": _ints(-2, 12, 10 ** 4)}, {}),
+    "ratio": ({"--series": _SERIES, "--n": _ints(-2, 12, 10 ** 4, 10 ** 12)},
+              {}),
     "curvature": ({"--series": hs.sampled_from(["su", "so", "usp", "a"]),
                    "--n": _ints(-2, 12, 10 ** 4, 10 ** 7)}, {}),
     "cpn": ({"action": hs.sampled_from(["band-mass", "check-metric"]),
              "--n": _ints(-2, 3, 17, 10 ** 6)},
-            {"--eps": _FLOATS, "--points": _ints(-2, 8), "--tol": _FLOATS}),
+            {"--eps": _FLOATS, "--points": _ints(-2, 8, 10 ** 9),
+             "--tol": _FLOATS}),
     "sample": ({"--series": _SERIES, "--n": _ints(-2, 8, 10 ** 9),
                 "--seed": _ints(-2, 2 ** 64)},
                {"--count": _ints(-2, 4096), "--r": _FLOATS,
-                "--workers": _ints(-1, 2), "--hist": hs.just("ksi"),
-                "--bins": _ints(-2, 64)}),
+                "--workers": _ints(-1, 2, 10 ** 6), "--hist": hs.just("ksi"),
+                "--bins": _ints(-2, 64, 10 ** 9)}),
     "levy": ({"--family": hs.sampled_from(["su", "so", "usp", "sp"])},
              {"--start": _ints(-3, 30, -10 ** 12, 10 ** 12),
               "--stop": _ints(-3, 30, 10 ** 12), "--coroot-length": _FLOATS,
@@ -404,7 +486,7 @@ class TestExitContract:
             _small_only(mp, lievol.curvature, "build_basis",
                         lambda alg, m: m, 16)
             _small_only(mp, lievol.roots, "_root", lambda dim, *t: dim, 64)
-            _small_only(mp, lievol.cpn, "gellmann_basis", lambda m: m, 4)
+            _small_only(mp, lievol.cpn, "_chart_factors", lambda c: c.n, 3)
             for name in ("haar_su_chunk", "haar_so_chunk", "haar_usp_chunk"):
                 _small_only(mp, lievol.montecarlo, name,
                             lambda rng, size, m, *rest: size * m, 4096 * 32)

@@ -3,21 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from lievol.cpn import (AffineCoords, QuotientCoords, angular_velocity_to_dz,
-                        band_complement_mass, band_mass, chart_volume,
-                        fs_metric_affine, fs_metric_affine_on_velocity,
-                        fs_metric_angular, fs_metric_from_potential,
-                        gellmann_basis, macdonald_quotient,
-                        maurer_cartan, maurer_cartan_fd, measure_density,
-                        quotient_point, structure_equation_residual,
-                        theta_periods, vielbein, vielbein_density)
+from lievol.cpn import (AffineCoords, QuotientCoords, _chart_factors,
+                        angular_velocity_to_dz, band_complement_mass,
+                        band_mass, chart_volume, fs_metric_affine,
+                        fs_metric_affine_on_velocity, fs_metric_angular,
+                        fs_metric_from_potential, gellmann_basis,
+                        macdonald_quotient, maurer_cartan, maurer_cartan_fd,
+                        measure_density, quotient_point,
+                        structure_equation_residual, theta_periods, vielbein,
+                        vielbein_density)
 
 RNG = np.random.default_rng(2024)
 
 
-def random_coords(n, lo=0.05, hi=1.3):
-    return QuotientCoords(tuple(RNG.uniform(lo, hi, n)),
-                          tuple(RNG.uniform(lo, hi, n)))
+def random_coords(n, lo=0.05, hi=1.3, rng=RNG):
+    return QuotientCoords(tuple(rng.uniform(lo, hi, n)),
+                          tuple(rng.uniform(lo, hi, n)))
 
 
 class TestGellmann:
@@ -40,6 +41,52 @@ class TestGellmann:
         for l in gellmann_basis(m):
             assert np.allclose(l, l.conj().T)
             assert abs(np.trace(l)) < 1e-13
+
+
+class TestChartGenerators:
+    """The chart route builds its own generators; Gell-Mann is the oracle.
+
+    These draw from their own generator, so that the other tests keep
+    their points.
+    """
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_generators_are_the_gellmann_ones(self, n):
+        lam = gellmann_basis(n + 1)
+        want = [lam[2], lam[1]]
+        for a in range(2, n + 1):
+            eps = math.sqrt(2.0 / (a * (a - 1)))
+            want += [lam[a * a - 2] / eps, lam[a * a]]
+        rng = np.random.default_rng(n)
+        got = [M for M, _ in _chart_factors(random_coords(n, rng=rng))]
+        assert len(got) == len(want) == 2 * n
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            if n <= 3:
+                assert g.tobytes() == w.tobytes()
+            else:
+                # dividing out the Gell-Mann normalization rounds
+                assert np.max(np.abs(g - w)) <= 1e-15
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_vielbein_is_the_gellmann_trace(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            c = random_coords(n, rng=rng)
+            j = maurer_cartan(c)
+            coset = gellmann_basis(n + 1)[n * n - 1: n * n - 1 + 2 * n]
+            want = np.einsum("uab,lba->ul", j, coset).imag * 0.5
+            assert vielbein(c).tobytes() == want.tobytes()
+
+    def test_geometry_checks_build_no_gellmann_basis(self, monkeypatch):
+        import lievol.cpn
+        from lievol.reproduce import criterion_geometry
+
+        def no_basis(*args):
+            raise AssertionError("Gell-Mann basis built on the run path")
+
+        monkeypatch.setattr(lievol.cpn, "gellmann_basis", no_basis)
+        assert criterion_geometry(ns=(1, 2))["passed"] is True
 
 
 class TestQuotientPoint:

@@ -197,6 +197,13 @@ class TestSampleBudget:
             sampler(cfg(tag, n, count=count), columns=columns)
 
 
+@pytest.mark.parametrize("workers", [0, montecarlo.MAX_WORKERS + 1])
+def test_worker_count_is_bounded(workers):
+    with pytest.raises(ValueError, match="workers"):
+        cfg("A", 3, workers=workers)
+    cfg("A", 3, workers=montecarlo.MAX_WORKERS)   # no thread is started
+
+
 class TestSampleMemory:
     @pytest.mark.parametrize("sampler,tag,n,columns",
                              [(sample_su, "A", 6, 1),

@@ -5,8 +5,9 @@ import pytest
 
 from lievol.exact import ExactScalar
 from lievol.roots import MAX_EXACT_RANK, Series
-from lievol.volumes import (closed_form_volume, group_volume, log_volume,
-                            ratio_exponent, ratio_scale, sphere_volume)
+from lievol.volumes import (LOG_VOLUME_MAX_RANK, closed_form_volume,
+                            group_volume, log_volume, ratio_exponent,
+                            ratio_scale, sphere_volume)
 
 
 def ES(q, k=0, s=1):
@@ -87,6 +88,13 @@ class TestCenterQuotient:
 def test_exact_rank_guard():
     with pytest.raises(ValueError, match="refused"):
         group_volume(Series("D", MAX_EXACT_RANK + 1))
+
+
+def test_log_rank_guard():
+    # the lgamma sums run at the limit and are refused one past it
+    assert math.isfinite(log_volume(Series("A", LOG_VOLUME_MAX_RANK)))
+    with pytest.raises(ValueError, match="log-gamma route"):
+        log_volume(Series("A", LOG_VOLUME_MAX_RANK + 1))
 
 
 class TestRatioExponent:
