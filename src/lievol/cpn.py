@@ -113,12 +113,6 @@ def gellmann_basis(m: int) -> np.ndarray:
     return np.array(mats)
 
 
-def expi(h: np.ndarray) -> np.ndarray:
-    """exp(i h) of a hermitian matrix by eigendecomposition."""
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * w)) @ v.conj().T
-
-
 def _chart_factors(c: QuotientCoords):
     """The hermitian generators (M_j, t_j) with h = prod exp(i t_j M_j)."""
     m = c.n + 1
@@ -133,11 +127,33 @@ def _chart_factors(c: QuotientCoords):
     return factors
 
 
+def _chart_exponentials(c: QuotientCoords) -> list:
+    """exp(i t_j M_j) of each chart factor, in closed form.
+
+    T_a is diagonal, so exp(i theta T_a) is a diagonal of phases; and
+    i P_a = E_{0a} - E_{a0}, so exp(i phi P_a) rotates the (0, a) plane:
+    cos(phi) at (0, 0) and (a, a), sin(phi) at (0, a), -sin(phi) at (a, 0).
+    """
+    m = c.n + 1
+    out = []
+    for a, (theta, phi) in enumerate(zip(c.thetas, c.phis), start=1):
+        b = max(a, 2)
+        phase = np.ones(m, dtype=complex)
+        phase[:b - 1] = np.exp(1j * theta)
+        phase[b - 1] = np.exp(1j * (theta * (1.0 - b)))
+        rot = np.eye(m, dtype=complex)
+        rot[0, 0] = rot[a, a] = math.cos(phi)
+        rot[0, a] = math.sin(phi)
+        rot[a, 0] = -rot[0, a]
+        out += [np.diag(phase), rot]
+    return out
+
+
 def quotient_point(c: QuotientCoords) -> np.ndarray:
     """The SU(n+1) representative h of the chart point."""
     h = np.eye(c.n + 1, dtype=complex)
-    for M, t in _chart_factors(c):
-        h = h @ expi(t * M)
+    for g in _chart_exponentials(c):
+        h = h @ g
     return h
 
 
@@ -148,7 +164,7 @@ def maurer_cartan(c: QuotientCoords) -> np.ndarray:
     ordered (theta_1..theta_n, phi_1..phi_n).
     """
     factors = _chart_factors(c)
-    mats = [expi(t * M) for M, t in factors]
+    mats = _chart_exponentials(c)
     # suffix[j] = F_j F_{j+1} ... F_K
     suffix = [np.eye(c.n + 1, dtype=complex)]
     for g in reversed(mats):

@@ -10,7 +10,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
+
+
+def _digits(n: int) -> str:
+    """str(n) without the interpreter's cap on converted digits.
+
+    str() refuses ints above sys.get_int_max_str_digits() digits (4300
+    by default), and an exact volume at n = 200 has ~66,000; Decimal
+    converts exactly with no cap.
+    """
+    return str(Decimal(n))
 
 
 def _split_square(n: int) -> tuple[int, int]:
@@ -111,16 +122,20 @@ class ExactScalar:
     # -- rendering ----------------------------------------------------
 
     def to_json(self) -> dict:
-        return {"q": f"{self.q.numerator}/{self.q.denominator}",
+        return {"q": f"{_digits(self.q.numerator)}/"
+                     f"{_digits(self.q.denominator)}",
                 "pi_pow": self.k, "sqrt": self.s}
 
     @staticmethod
     def from_json(d: dict) -> "ExactScalar":
-        num, den = d["q"].split("/")
-        return ExactScalar(Fraction(int(num), int(den)), d["pi_pow"], d["sqrt"])
+        num, den = (int(Decimal(x)) for x in d["q"].split("/"))
+        return ExactScalar(Fraction(num, den), d["pi_pow"], d["sqrt"])
 
     def __str__(self) -> str:
-        parts = [str(self.q)]
+        q = _digits(self.q.numerator)
+        if self.q.denominator != 1:
+            q += f"/{_digits(self.q.denominator)}"
+        parts = [q]
         if self.k == 1:
             parts.append("pi")
         elif self.k > 1:

@@ -40,6 +40,8 @@ from .special import betainc_half, gauss_legendre, kolmogorov_sf
 
 CHUNK = 2048
 
+_RSQRT2 = 1.0 / math.sqrt(2.0)
+
 # Largest array a sample_* call may return: 10^6 samples of SU(21) at
 # one column (336 MB) run, 10^9 are refused.
 SAMPLE_BUDGET = 2 * 2 ** 30
@@ -120,21 +122,34 @@ def _gram_schmidt(z: np.ndarray) -> np.ndarray:
 
     Modified Gram-Schmidt: column j equals column j of the QR factor
     whose R has a positive diagonal, so no phase correction follows.
+    The projections need contiguous columns: on strided ones einsum and
+    norm sum in another order, and the samples change in the last bits.
     """
     q = np.empty_like(z)
     for j in range(z.shape[-1]):
-        v = z[:, :, j].copy()
+        v = z[:, :, j] if j == 0 else z[:, :, j].copy()
         for i in range(j):
             w = q[:, :, i]
             v -= np.einsum("sa,sa->s", np.conj(w), v)[:, None] * w
-        q[:, :, j] = v / np.linalg.norm(v, axis=1)[:, None]
+        np.divide(v, np.linalg.norm(v, axis=1)[:, None], out=q[:, :, j])
     return q
 
 
+def _complex_gaussian(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    """Standard complex Gaussians (re + i im) / sqrt(2), re drawn first.
+
+    numpy divides a complex array by a real scalar as a product with its
+    reciprocal, so the halves written in place are bit-equal to that
+    quotient, without its temporaries.
+    """
+    z = np.empty(shape, dtype=complex)
+    np.multiply(rng.standard_normal(shape), _RSQRT2, out=z.real)
+    np.multiply(rng.standard_normal(shape), _RSQRT2, out=z.imag)
+    return z
+
+
 def _haar_unitary(rng: np.random.Generator, size: int, m: int) -> np.ndarray:
-    z = (rng.standard_normal((size, m, m))
-         + 1j * rng.standard_normal((size, m, m))) / math.sqrt(2.0)
-    q, r = np.linalg.qr(z)
+    q, r = np.linalg.qr(_complex_gaussian(rng, (size, m, m)))
     d = np.einsum("sii->si", r)
     q *= (d / np.abs(d))[:, None, :]
     return q
@@ -150,9 +165,7 @@ def haar_su_chunk(rng: np.random.Generator, size: int, m: int,
     """
     _check_columns(columns, m - 1)
     if columns is not None:
-        re = rng.standard_normal((size, m, columns))
-        im = rng.standard_normal((size, m, columns))
-        return _gram_schmidt((re + 1j * im) / math.sqrt(2.0))
+        return _gram_schmidt(_complex_gaussian(rng, (size, m, columns)))
     q = _haar_unitary(rng, size, m)
     det = np.linalg.det(q)
     q *= (det ** (-1.0 / m))[:, None, None]
@@ -201,14 +214,16 @@ def haar_usp_chunk(rng: np.random.Generator, size: int, two_n: int,
     # columns j < k, then their partners at j + k
     g = np.empty((size, two_n, 2 * k), dtype=complex)
     for j in range(k):
-        v = (rng.standard_normal((size, two_n))
-             + 1j * rng.standard_normal((size, two_n))) / math.sqrt(2.0)
+        v = _complex_gaussian(rng, (size, two_n))
         for kk in range(2 * j):
             w = g[:, :, _col_order(kk, k)]
             v -= np.einsum("sa,sa->s", np.conj(w), v)[:, None] * w
         v /= np.linalg.norm(v, axis=1)[:, None]
         g[:, :, j] = v
-        g[:, :, j + k] = _usp_partner(v)
+        # the column route returns no partners, and no later column
+        # reads the last one
+        if columns is None or j < k - 1:
+            g[:, :, j + k] = _usp_partner(v)
     return g if columns is None else g[:, :, :k]
 
 

@@ -28,9 +28,10 @@ _RANKS = {"A": range(2, 11), "B": range(2, 11),
           "C": range(2, 11), "D": range(4, 11)}
 
 # Largest n of the CP^n geometry checks.  Each structure-equation point
-# takes 4n + 1 Maurer-Cartan forms of 2n (n+1)-square eigendecompositions:
-# n = 16 takes ~1.7 s, n = 24 ~6 s.
-GEOMETRY_MAX_N = 16
+# takes 4n + 1 Maurer-Cartan forms, each a chain of 2n closed-form factor
+# exponentials and ~6n (n+1)-square matrix products: n = 16 takes ~0.8 s,
+# n = 20 ~1.7 s (what n = 16 took with eigh exponentials), n = 24 ~3.2 s.
+GEOMETRY_MAX_N = 20
 
 # Most pullback points: each costs ~85 us, so 10^5 take ~8 s (10^6 ~85 s).
 GEOMETRY_MAX_POINTS = 10 ** 5

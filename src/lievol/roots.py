@@ -1,25 +1,35 @@
 """Closed-form root data for the classical series A, B, C, D.
 
-Roots are stored as integer vectors in the ambient Z^n (the A series
-lives in the trace-zero hyperplane).  In this embedding every coroot
-2 alpha / (alpha, alpha) is integral too, so coroot norms are integers
-and the Gram determinant of the simple coroots comes from fraction-free
-(Bareiss) elimination: exact, with no rational arithmetic.
+Roots live in the ambient Z^n (the A series in its trace-zero
+hyperplane), where every classical root has at most two nonzero
+coordinates.  So each root and coroot is a sparse record of (index,
+coefficient) pairs, and dense vectors are made only for
+root_system_json.  In this embedding every coroot 2 alpha / (alpha,
+alpha) is integral too, so coroot norms are integers, and their product
+is prod norm**count over the (at most two) coroot lengths.  The Gram
+matrix of the simple coroots is tridiagonal along the Dynkin chain,
+except for the fork of D, so its determinant is an integer continuant
+with a closed term for the two fork leaves: O(n) exact integer steps,
+with no rational arithmetic.
 """
 
 from __future__ import annotations
 
 import math
-import operator
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .exact import ExactScalar
 
 _MIN_RANK = {"A": 2, "B": 2, "C": 2, "D": 4}
 
-# Largest n with exact root data: the dense root table holds about n^3
-# integers, and D200 already takes ~2 s and ~80 MiB.
-MAX_EXACT_RANK = 200
+# Largest n with exact root data.  The root data is O(n^2) records and
+# no longer sets the limit (D260: 0.14 s of a 0.46 s group_volume); the
+# ~4 * 10^5-bit result does.  `volume --series d --n N --exact` takes
+# 1.7 s at N = 260 and 2.1 s at 270 on a 2-core host (B and C alike, A
+# 0.6 s), most of it turning the pipeline and closed-form values into
+# decimal digits (0.9 s, quadratic) and their big-rational products.
+MAX_EXACT_RANK = 260
 
 # CLI / report aliases for each series tag.
 SERIES_ALIASES = {
@@ -67,22 +77,23 @@ class Series:
                 "C": f"USp({2 * n})", "D": f"Spin({2 * n})"}[self.tag]
 
 
-Vector = tuple[int, ...]
+# A root or coroot as a sparse record: (index, coefficient) pairs with
+# distinct indices in ascending order and nonzero coefficients.  Every
+# classical root has at most two.
+Record = tuple[tuple[int, int], ...]
 
 
-def _root(dim: int, *terms: tuple[int, int]) -> Vector:
-    """The vector sum of c * e_i over the (i, c) terms."""
-    v = [0] * dim
-    for i, c in terms:
-        v[i] += c
-    return tuple(v)
+def dot(u: Record, v: Record) -> int:
+    """Inner product of two records."""
+    s = 0
+    for i, a in u:
+        for j, b in v:
+            if i == j:
+                s += a * b
+    return s
 
 
-def dot(u: Vector, v: Vector) -> int:
-    return sum(map(operator.mul, u, v))
-
-
-def coroot(alpha: Vector) -> Vector:
+def coroot(alpha: Record) -> Record:
     """2 alpha / (alpha, alpha), which is integral for every A-D root.
 
     A and D roots have norm 2 and are their own coroots; the short B
@@ -91,14 +102,15 @@ def coroot(alpha: Vector) -> Vector:
     norm = dot(alpha, alpha)
     if norm == 2:
         return alpha
-    scaled = [2 * a for a in alpha]
-    if any(a % norm for a in scaled):
+    if any(2 * c % norm for _, c in alpha):
         raise ArithmeticError(f"coroot of {alpha} is not integral")
-    return tuple(a // norm for a in scaled)
+    return tuple((i, 2 * c // norm) for i, c in alpha)
 
 
 @dataclass(frozen=True)
 class RootSystem:
+    """Root data of one series; roots and coroots are records."""
+
     series: Series
     rank: int
     ambient_dim: int
@@ -112,6 +124,25 @@ class RootSystem:
         return tuple(coroot(a) for a in self.simple_roots)
 
 
+def _records(tag: str, n: int) -> tuple[list, list]:
+    """Simple and positive roots of series `tag` in Z^n, as records."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    simple = [((i, 1), (i + 1, -1)) for i in range(n - 1)]
+    positive = [((i, 1), (j, -1)) for i, j in pairs]
+    if tag != "A":
+        positive += [((i, 1), (j, 1)) for i, j in pairs]
+    if tag == "B":
+        simple.append(((n - 1, 1),))
+        positive += [((i, 1),) for i in range(n)]
+    elif tag == "C":
+        simple.append(((n - 1, 2),))
+        positive += [((i, 2),) for i in range(n)]
+    elif tag == "D":
+        # last simple root is e_{n-1} + e_n
+        simple.append(((n - 2, 1), (n - 1, 1)))
+    return simple, positive
+
+
 def build_root_system(series: Series) -> RootSystem:
     """Enumerate simple and positive roots in closed form."""
     n = series.n
@@ -119,27 +150,15 @@ def build_root_system(series: Series) -> RootSystem:
     if n > MAX_EXACT_RANK:
         raise ValueError(
             f"exact root data for {series.group_name} is refused above "
-            f"n = {MAX_EXACT_RANK} (its dense root table grows as n^3); "
-            f"use the log-gamma route")
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    simple = [_root(n, (i, 1), (i + 1, -1)) for i in range(n - 1)]
-    positive = [_root(n, (i, 1), (j, -1)) for i, j in pairs]
+            f"n = {MAX_EXACT_RANK} (its exact volume grows as n^2 log n "
+            f"bits); use the log-gamma route")
+    simple, positive = _records(tag, n)
     if tag == "A":
         degrees = tuple(i + 1 for i in range(1, n))
+    elif tag == "D":
+        degrees = tuple(2 * i for i in range(1, n)) + (n,)
     else:
-        positive += [_root(n, (i, 1), (j, 1)) for i, j in pairs]
-        if tag == "B":
-            simple.append(_root(n, (n - 1, 1)))
-            positive += [_root(n, (i, 1)) for i in range(n)]
-            degrees = tuple(2 * i for i in range(1, n + 1))
-        elif tag == "C":
-            simple.append(_root(n, (n - 1, 2)))
-            positive += [_root(n, (i, 2)) for i in range(n)]
-            degrees = tuple(2 * i for i in range(1, n + 1))
-        else:  # D
-            # last simple root is e_{n-1} + e_n
-            simple.append(_root(n, (n - 2, 1), (n - 1, 1)))
-            degrees = tuple(2 * i for i in range(1, n)) + (n,)
+        degrees = tuple(2 * i for i in range(1, n + 1))
 
     rs = RootSystem(series=series, rank=series.rank, ambient_dim=n,
                     simple_roots=tuple(simple),
@@ -153,45 +172,64 @@ def build_root_system(series: Series) -> RootSystem:
     return rs
 
 
-def _det_bareiss(rows: list[list[int]]) -> int:
-    """Exact determinant of a positive-definite integer matrix (Bareiss).
+def _path_minors(chain) -> tuple[int, int]:
+    """Gram determinants of `chain` and of `chain` without its last entry.
 
-    Every leading minor of a positive-definite matrix is positive, so
-    each pivot is nonzero and no row exchange is needed; each division
-    by the previous pivot is exact.
+    The records must lie on a path: each is orthogonal to all but its
+    neighbours, so the Gram matrix is tridiagonal and its leading minors
+    follow the continuant f_k = a_k f_{k-1} - b_k^2 f_{k-2}, with a_k the
+    norm of entry k and b_k its product with entry k - 1.
     """
-    m = [row[:] for row in rows]
-    n = len(m)
-    prev = 1
-    for c in range(n - 1):
-        piv = m[c][c]
-        if piv <= 0:
-            raise ArithmeticError("Gram matrix is not positive definite")
-        tail = m[c][c + 1:]
-        for row in m[c + 1:]:
-            f = row[c]
-            row[c + 1:] = [(piv * a - f * b) // prev
-                           for a, b in zip(row[c + 1:], tail)]
-        prev = piv
-    return m[n - 1][n - 1]
+    prev, cur = 0, 1
+    last = ()
+    for c in chain:
+        b = dot(last, c)
+        prev, cur = cur, dot(c, c) * cur - b * b * prev
+        last = c
+    return cur, prev
 
 
 def torus_volume(rs: RootSystem) -> ExactScalar:
-    """|a1^ ^ ... ^ ar^| = sqrt(det Gram) of the simple coroots, exactly."""
+    """|a1^ ^ ... ^ ar^| = sqrt(det Gram) of the simple coroots, exactly.
+
+    The simple coroots of A, B and C lie on a path.  Those of D are a
+    path with two orthogonal leaves l1, l2 on its end: expanding along
+    the leaves gives det = a1 a2 f - (b1^2 a2 + b2^2 a1) f', where f and
+    f' are the path's determinant and that of the path without its end.
+    """
     cr = rs.simple_coroots
-    gram = [[dot(u, v) for v in cr] for u in cr]
-    return ExactScalar.sqrt_rational(_det_bareiss(gram))
+    if rs.series.tag != "D":
+        det, _ = _path_minors(cr)
+    else:
+        *path, l1, l2 = cr
+        f, f1 = _path_minors(path)
+        a1, a2 = dot(l1, l1), dot(l2, l2)
+        b1, b2 = dot(path[-1], l1), dot(path[-1], l2)
+        det = a1 * a2 * f - (b1 * b1 * a2 + b2 * b2 * a1) * f1
+    return ExactScalar.sqrt_rational(det)
 
 
 def coroot_norm_product(rs: RootSystem) -> ExactScalar:
-    """Product of (a^|a^) over all positive coroots."""
+    """Product of (a^|a^) over all positive coroots.
+
+    There are at most two coroot lengths, so this is prod norm**count.
+    """
+    lengths = Counter(dot(cv, cv) for cv in rs.coroots)
     return ExactScalar.from_rational(
-        math.prod(dot(cv, cv) for cv in rs.coroots))
+        math.prod(norm ** count for norm, count in lengths.items()))
+
+
+def _dense(dim: int, rec: Record) -> list[int]:
+    """The record as a vector of Z^dim."""
+    v = [0] * dim
+    for i, c in rec:
+        v[i] = c
+    return v
 
 
 def root_system_json(rs: RootSystem) -> dict:
-    def vecs(vs):
-        return [[str(x) for x in v] for v in vs]
+    def vecs(recs):
+        return [[str(x) for x in _dense(rs.ambient_dim, r)] for r in recs]
     return {
         "series": rs.series.tag,
         "n": rs.series.n,

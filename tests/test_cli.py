@@ -45,6 +45,20 @@ class TestSubcommands:
         assert d["volume"]["exact"] == {"q": "16/1", "pi_pow": 5, "sqrt": 3}
         assert d["closed_form"] == d["volume"]["exact"]
 
+    def test_volume_exact_past_the_str_digit_cap(self, capsys):
+        # Spin(200)'s exact volume has ~13,000 digits, past the 4300 of
+        # int-to-str conversion, and still prints in every format
+        outs = {}
+        for fmt in FORMATS:
+            code, outs[fmt], err = run(capsys, "volume", "--series", "d",
+                                       "--n", "100", "--exact", "--format",
+                                       fmt)
+            assert code == 0, err
+            assert len(outs[fmt]) > 2 * 10 ** 4
+        d = json.loads(outs["json"])
+        assert d["closed_form"] == d["volume"]["exact"]
+        assert len(d["volume"]["exact"]["q"]) > 10 ** 4
+
     def test_volume_log_only_at_high_rank(self, capsys):
         code, out, _ = run(capsys, "volume", "--series", "su", "--n", "80")
         assert code == 0
@@ -219,14 +233,14 @@ class TestExitCodes:
         assert "budget" in err
 
     def test_oversize_exact_volume_is_one(self, capsys, monkeypatch):
-        # exact root data for SU(5000) would hold ~10^11 integers:
-        # refused before any root is built
+        # the exact volume of SU(5000) would have ~10^8 bits: refused
+        # before any root is built
         import lievol.roots
 
         def no_root(*args):
             raise AssertionError("root built for an oversize request")
 
-        monkeypatch.setattr(lievol.roots, "_root", no_root)
+        monkeypatch.setattr(lievol.roots, "_records", no_root)
         code, _, err = run(capsys, "volume", "--series", "a", "--n", "5000",
                            "--exact")
         assert code == 1
@@ -421,7 +435,8 @@ _ARGV = {
     "curvature": ({"--series": hs.sampled_from(["su", "so", "usp", "a"]),
                    "--n": _ints(-2, 12, 10 ** 4, 10 ** 7)}, {}),
     "cpn": ({"action": hs.sampled_from(["band-mass", "check-metric"]),
-             "--n": _ints(-2, 3, 17, 10 ** 6)},
+             "--n": _ints(-2, 3, lievol.reproduce.GEOMETRY_MAX_N + 1,
+                          10 ** 6)},
             {"--eps": _FLOATS, "--points": _ints(-2, 8, 10 ** 9),
              "--tol": _FLOATS}),
     "sample": ({"--series": _SERIES, "--n": _ints(-2, 8, 10 ** 9),
@@ -485,7 +500,7 @@ class TestExitContract:
             mp.chdir(tmp)   # every --output lands in tmp
             _small_only(mp, lievol.curvature, "build_basis",
                         lambda alg, m: m, 16)
-            _small_only(mp, lievol.roots, "_root", lambda dim, *t: dim, 64)
+            _small_only(mp, lievol.roots, "_records", lambda tag, n: n, 64)
             _small_only(mp, lievol.cpn, "_chart_factors", lambda c: c.n, 3)
             for name in ("haar_su_chunk", "haar_so_chunk", "haar_usp_chunk"):
                 _small_only(mp, lievol.montecarlo, name,

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from lievol.cpn import (AffineCoords, QuotientCoords, _chart_factors,
-                        angular_velocity_to_dz, band_complement_mass,
-                        band_mass, chart_volume, fs_metric_affine,
+from lievol.cpn import (AffineCoords, QuotientCoords, _chart_exponentials,
+                        _chart_factors, angular_velocity_to_dz,
+                        band_complement_mass, band_mass, chart_volume,
+                        fs_metric_affine,
                         fs_metric_affine_on_velocity, fs_metric_angular,
                         fs_metric_from_potential, gellmann_basis,
                         macdonald_quotient, maurer_cartan, maurer_cartan_fd,
@@ -19,6 +20,12 @@ RNG = np.random.default_rng(2024)
 def random_coords(n, lo=0.05, hi=1.3, rng=RNG):
     return QuotientCoords(tuple(rng.uniform(lo, hi, n)),
                           tuple(rng.uniform(lo, hi, n)))
+
+
+def expi(h):
+    """exp(i h) of a hermitian matrix by eigendecomposition."""
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(1j * w)) @ v.conj().T
 
 
 class TestGellmann:
@@ -77,6 +84,18 @@ class TestChartGenerators:
             coset = gellmann_basis(n + 1)[n * n - 1: n * n - 1 + 2 * n]
             want = np.einsum("uab,lba->ul", j, coset).imag * 0.5
             assert vielbein(c).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_closed_form_exponentials(self, n):
+        # each factor's exponential against eigh of its generator
+        rng = np.random.default_rng(100 + n)
+        for _ in range(3):
+            c = random_coords(n, hi=2 * math.pi, rng=rng)
+            got = _chart_exponentials(c)
+            want = [expi(t * M) for M, t in _chart_factors(c)]
+            assert len(got) == len(want) == 2 * n
+            for g, w in zip(got, want):
+                assert np.max(np.abs(g - w)) <= 1e-15
 
     def test_geometry_checks_build_no_gellmann_basis(self, monkeypatch):
         import lievol.cpn

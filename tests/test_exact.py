@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -137,3 +138,20 @@ class TestSerialization:
 
     def test_str(self):
         assert str(ES(Fraction(3, 2), 2, 5)) == "3/2 * pi^2 * sqrt(5)"
+        assert str(ES(Fraction(-4), 1, 1)) == "-4 * pi"
+
+    def test_past_the_str_digit_cap(self):
+        # 10^5 digits, far above sys.get_int_max_str_digits(): the
+        # rendering matches str() with the cap lifted, and round-trips
+        num, den = 7 ** 118300, 3 ** 50000
+        x = ES(Fraction(num, den), 3, 2)
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            want = f"{num}/{den}"
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert len(want) > 10 ** 5
+        assert x.to_json()["q"] == want
+        assert str(x) == f"{want} * pi^3 * sqrt(2)"
+        assert ExactScalar.from_json(x.to_json()) == x

@@ -63,6 +63,12 @@ class TestPipelineVsClosedForm:
         s = Series(tag, n)
         assert group_volume(s).exact == closed_form_volume(s)
 
+    @pytest.mark.parametrize("tag,n", [("B", 100), ("D", 200),
+                                       ("A", MAX_EXACT_RANK)])
+    def test_spot_checks_at_high_rank(self, tag, n):
+        s = Series(tag, n)
+        assert group_volume(s).exact == closed_form_volume(s)
+
     @pytest.mark.parametrize("tag,n", [("A", 7), ("B", 6), ("C", 6), ("D", 6)])
     def test_log_route_agrees(self, tag, n):
         s = Series(tag, n)
@@ -132,3 +138,18 @@ def test_volume_result_json():
     assert d["group"] == "USp(4)"
     assert d["exact"] == {"q": "8/3", "pi_pow": 6, "sqrt": 1}
     assert d["exact_str"] == "8/3 * pi^6"
+
+
+@pytest.mark.parametrize("tag,n", [("A", 30), ("B", 30), ("C", 30),
+                                   ("D", 30)])
+def test_volume_reads_no_dense_roots(monkeypatch, tag, n):
+    # the pipeline works on sparse records; a dense root vector on the
+    # volume path fails this
+    import lievol.roots
+
+    def no_dense(*args):
+        raise AssertionError("dense root vector built")
+
+    monkeypatch.setattr(lievol.roots, "_dense", no_dense)
+    s = Series(tag, n)
+    assert group_volume(s).exact == closed_form_volume(s)
