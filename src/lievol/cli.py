@@ -121,7 +121,7 @@ def cmd_curvature(args) -> dict:
 
 def cmd_cpn(args) -> dict:
     from .cpn import band_mass, band_complement_mass
-    from .reproduce import criterion_geometry, _pyify
+    from .reproduce import _STRUCTURE_TOL, criterion_geometry, _pyify
     out = {}
     if args.action == "band-mass":
         out["band_mass"] = {
@@ -132,7 +132,8 @@ def cmd_cpn(args) -> dict:
     else:  # check-metric
         res = _pyify(criterion_geometry(points=args.points, ns=(args.n,)))
         ok = bool(res["vielbein_density_dev"] < args.tol
-                  and res["pullback_dev"] < args.tol)
+                  and res["pullback_dev"] < args.tol
+                  and res["structure_equation_dev"] < _STRUCTURE_TOL)
         out["check_metric"] = {**res, "tol": args.tol, "passed": ok}
         if not ok:
             raise ArithmeticError("metric cross-check failed")

@@ -6,6 +6,11 @@ a = 1..n, on C^{n+1} with indices 0..n.  T_a = diag(1, ..., 1, 1 - b,
 periods assume), and P_a = -i E_{0a} + i E_{a0} rotates the (0, a)
 plane.  The coset directions of the U(n) quotient are the off-diagonal
 entries of row and column n.
+
+No factor is built as a matrix.  `_chart_factors` lists each as a record
+(the diagonal of T_a, or the plane index a of P_a), and both h and
+h^-1 dh apply the factors as row operations: a phase per row for T_a, a
+cos/sin mix of rows 0 and a for P_a.
 """
 
 from __future__ import annotations
@@ -113,71 +118,58 @@ def gellmann_basis(m: int) -> np.ndarray:
     return np.array(mats)
 
 
-def _chart_factors(c: QuotientCoords):
-    """The hermitian generators (M_j, t_j) with h = prod exp(i t_j M_j)."""
-    m = c.n + 1
-    factors = []
-    for a, (theta, phi) in enumerate(zip(c.thetas, c.phis), start=1):
-        b = max(a, 2)
-        T = np.diag([1.0] * (b - 1) + [1.0 - b] + [0.0] * (m - b))
-        P = np.zeros((m, m), dtype=complex)
-        P[0, a] = -1j
-        P[a, 0] = 1j
-        factors += [(T.astype(complex), theta), (P, phi)]
-    return factors
+def _chart_factors(c: QuotientCoords) -> list:
+    """(angle, M) of each factor exp(i angle M) of h, in chart order.
 
-
-def _chart_exponentials(c: QuotientCoords) -> list:
-    """exp(i t_j M_j) of each chart factor, in closed form.
-
-    T_a is diagonal, so exp(i theta T_a) is a diagonal of phases; and
-    i P_a = E_{0a} - E_{a0}, so exp(i phi P_a) rotates the (0, a) plane:
-    cos(phi) at (0, 0) and (a, a), sin(phi) at (0, a), -sin(phi) at (a, 0).
+    For theta_a, M is the nonzero diagonal (1, ..., 1, 1 - b) of T_a, an
+    array of length b; for phi_a, M is the plane index a of P_a.
     """
-    m = c.n + 1
     out = []
     for a, (theta, phi) in enumerate(zip(c.thetas, c.phis), start=1):
         b = max(a, 2)
-        phase = np.ones(m, dtype=complex)
-        phase[:b - 1] = np.exp(1j * theta)
-        phase[b - 1] = np.exp(1j * (theta * (1.0 - b)))
-        rot = np.eye(m, dtype=complex)
-        rot[0, 0] = rot[a, a] = math.cos(phi)
-        rot[0, a] = math.sin(phi)
-        rot[a, 0] = -rot[0, a]
-        out += [np.diag(phase), rot]
+        out += [(theta, np.array([1.0] * (b - 1) + [1.0 - b])), (phi, a)]
     return out
+
+
+def _apply(angle: float, M, rows: np.ndarray) -> None:
+    """rows <- exp(i angle M) rows, in place."""
+    if isinstance(M, int):  # i P_a = E_0a - E_a0 rotates rows 0 and a
+        cos, sin = math.cos(angle), math.sin(angle)
+        row0 = cos * rows[0] + sin * rows[M]
+        rows[M] = cos * rows[M] - sin * rows[0]
+        rows[0] = row0
+    else:  # T_a is diagonal: one phase per row
+        rows[:len(M)] *= np.exp(1j * (angle * M))[:, None]
 
 
 def quotient_point(c: QuotientCoords) -> np.ndarray:
     """The SU(n+1) representative h of the chart point."""
     h = np.eye(c.n + 1, dtype=complex)
-    for g in _chart_exponentials(c):
-        h = h @ g
+    for angle, M in reversed(_chart_factors(c)):
+        _apply(angle, M, h)
     return h
 
 
 def maurer_cartan(c: QuotientCoords) -> np.ndarray:
     """h^-1 dh per coordinate, by factor-wise analytic differentiation.
 
-    Returns an array of shape (2n, m, m) of anti-hermitian matrices,
-    ordered (theta_1..theta_n, phi_1..phi_n).
+    With tail = F_j ... F_K, the component of factor j is tail^H (i M_j)
+    tail.  Returns an array of shape (2n, m, m) of anti-hermitian
+    matrices, ordered (theta_1..theta_n, phi_1..phi_n).
     """
-    factors = _chart_factors(c)
-    mats = _chart_exponentials(c)
-    # suffix[j] = F_j F_{j+1} ... F_K
-    suffix = [np.eye(c.n + 1, dtype=complex)]
-    for g in reversed(mats):
-        suffix.append(g @ suffix[-1])
-    suffix.reverse()  # suffix[j] = prod of factors j..K
-    comps = []
-    for j, (M, _t) in enumerate(factors):
-        tail = suffix[j]
-        comps.append(tail.conj().T @ (1j * M) @ tail)
-    # factor order is interleaved (t1, p1, t2, p2, ...); reorder
-    thetas = comps[0::2]
-    phis = comps[1::2]
-    return np.array(thetas + phis)
+    n = c.n
+    out = np.empty((2 * n, n + 1, n + 1), dtype=complex)
+    tail = np.eye(n + 1, dtype=complex)
+    for j, (angle, M) in reversed(list(enumerate(_chart_factors(c)))):
+        _apply(angle, M, tail)
+        if isinstance(M, int):
+            k, row0, rowa = n + M - 1, tail[0], tail[M]
+            np.multiply(row0.conj()[:, None], rowa, out=out[k])
+            out[k] -= rowa.conj()[:, None] * row0
+        else:
+            b = len(M)
+            np.matmul(tail[:b].conj().T * (1j * M), tail[:b], out=out[j // 2])
+    return out
 
 
 def maurer_cartan_fd(c: QuotientCoords, step: float = 1e-6) -> np.ndarray:
@@ -214,19 +206,18 @@ def structure_equation_residual(c: QuotientCoords,
         return maurer_cartan(q)
 
     j0 = j_at(coords)
-    partials = []
+    d = np.empty((2 * n,) + j0.shape, dtype=complex)  # d[u, v] = d_u j_v
     for idx in range(2 * n):
         up = coords.copy()
         dn = coords.copy()
         up[idx] += step
         dn[idx] -= step
-        partials.append((j_at(up) - j_at(dn)) / (2 * step))
+        d[idx] = (j_at(up) - j_at(dn)) / (2 * step)
     worst = 0.0
-    for u in range(2 * n):
-        for v in range(u + 1, 2 * n):
-            res = (partials[u][v] - partials[v][u]
-                   + j0[u] @ j0[v] - j0[v] @ j0[u])
-            worst = max(worst, float(np.max(np.abs(res))))
+    for u in range(2 * n - 1):
+        v = slice(u + 1, None)  # every pair u < v at once
+        res = d[u, v] - d[v, u] + j0[u] @ j0[v] - j0[v] @ j0[u]
+        worst = max(worst, float(np.max(np.abs(res))))
     return worst
 
 
@@ -243,6 +234,7 @@ def vielbein(c: QuotientCoords) -> np.ndarray:
     out = np.empty((2 * n, 2 * n))
     out[:, 0::2] = (col + row).imag * 0.5
     out[:, 1::2] = (col - row).real * 0.5
+    out += 0.0  # a trace sums from +0, so exact zeros of j give no -0
     return out
 
 

@@ -411,11 +411,12 @@ def concentration_experiment(cfg: SamplerConfig, r: float
 
     if series.tag == "A":
         # SU(n): distance of the fiber point to the hyperplane at infinity
+        from .cpn import band_complement_mass  # keeps cpn off CLI start-up
         g = sample_su(cfg, columns=1)
         _, xi = cp_coordinate(g)
         dist = math.pi / 2 - xi
         inside = dist < r
-        predicted = 1.0 - math.cos(r) ** (2 * (n - 1))
+        predicted = band_complement_mass(n - 1, r)
         base = f"CP^{n - 1} hyperplane at infinity"
         mag2 = np.sort(np.abs(g[:, 0, 0]) ** 2)
         stat, pval = ks_test(mag2,

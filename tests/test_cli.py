@@ -301,6 +301,16 @@ class TestExitCodes:
         assert code == 1
         assert "run to n" in err and out == ""
 
+    def test_check_metric_needs_the_structure_equation(self, capsys,
+                                                       monkeypatch):
+        # a failed structure equation fails the verdict, as in criterion 7
+        monkeypatch.setattr(lievol.reproduce, "structure_equation_residual",
+                            lambda c: 1.0)
+        code, out, err = run(capsys, "cpn", "check-metric", "--n", "2",
+                             "--points", "5")
+        assert code == 1
+        assert "metric cross-check failed" in err and "Traceback" not in err
+
     @pytest.mark.parametrize(
         "points", [0, -1, lievol.reproduce.GEOMETRY_MAX_POINTS + 1])
     def test_bad_check_metric_points_are_one(self, capsys, monkeypatch,

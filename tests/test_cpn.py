@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from lievol.cpn import (AffineCoords, QuotientCoords, _chart_exponentials,
-                        _chart_factors, angular_velocity_to_dz,
+from lievol.cpn import (AffineCoords, QuotientCoords, _chart_factors,
+                        angular_velocity_to_dz,
                         band_complement_mass, band_mass, chart_volume,
                         fs_metric_affine,
                         fs_metric_affine_on_velocity, fs_metric_angular,
@@ -13,6 +13,7 @@ from lievol.cpn import (AffineCoords, QuotientCoords, _chart_exponentials,
                         measure_density, quotient_point,
                         structure_equation_residual, theta_periods, vielbein,
                         vielbein_density)
+from lievol.reproduce import GEOMETRY_MAX_N
 
 RNG = np.random.default_rng(2024)
 
@@ -26,6 +27,49 @@ def expi(h):
     """exp(i h) of a hermitian matrix by eigendecomposition."""
     w, v = np.linalg.eigh(h)
     return (v * np.exp(1j * w)) @ v.conj().T
+
+
+def gellmann_generators(n):
+    """The chart generators T_1, P_1, ..., T_n, P_n from the Gell-Mann basis.
+
+    The T_a are rounded to their integer entries: dividing out the
+    Gell-Mann normalization leaves an error of ~1e-15, which the chart's
+    phases e^{i theta (1 - a)} would magnify past 1e-14.
+    """
+    lam = gellmann_basis(n + 1)
+    gens = [lam[2], lam[1]]
+    for a in range(2, n + 1):
+        eps = math.sqrt(2.0 / (a * (a - 1)))
+        gens += [np.round(lam[a * a - 2] / eps), lam[a * a]]
+    return gens
+
+
+def dense_chart(c):
+    """Second route: h and h^-1 dh from eigh exponentials and dense products.
+
+    Independent of the chart's factor records, so that it catches a wrong
+    factor, which maurer_cartan_fd (it differentiates quotient_point)
+    cannot.
+    """
+    gens = gellmann_generators(c.n)
+    angles = [x for pair in zip(c.thetas, c.phis) for x in pair]
+    tail = np.eye(c.n + 1, dtype=complex)
+    comps = []
+    for M, t in reversed(list(zip(gens, angles))):
+        tail = expi(t * M) @ tail
+        comps.append(tail.conj().T @ (1j * M) @ tail)
+    comps.reverse()
+    return tail, np.array(comps[0::2] + comps[1::2])
+
+
+def record_generator(M, m):
+    """The dense generator a chart factor record stands for."""
+    G = np.zeros((m, m), dtype=complex)
+    if isinstance(M, int):
+        G[0, M], G[M, 0] = -1j, 1j
+    else:
+        G[range(len(M)), range(len(M))] = M
+    return G
 
 
 class TestGellmann:
@@ -59,21 +103,14 @@ class TestChartGenerators:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_generators_are_the_gellmann_ones(self, n):
-        lam = gellmann_basis(n + 1)
-        want = [lam[2], lam[1]]
-        for a in range(2, n + 1):
-            eps = math.sqrt(2.0 / (a * (a - 1)))
-            want += [lam[a * a - 2] / eps, lam[a * a]]
+        want = gellmann_generators(n)
         rng = np.random.default_rng(n)
-        got = [M for M, _ in _chart_factors(random_coords(n, rng=rng))]
+        got = [record_generator(M, n + 1)
+               for _, M in _chart_factors(random_coords(n, rng=rng))]
         assert len(got) == len(want) == 2 * n
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and g.shape == w.shape
-            if n <= 3:
-                assert g.tobytes() == w.tobytes()
-            else:
-                # dividing out the Gell-Mann normalization rounds
-                assert np.max(np.abs(g - w)) <= 1e-15
+            assert g.tobytes() == w.tobytes()
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_vielbein_is_the_gellmann_trace(self, n):
@@ -87,15 +124,13 @@ class TestChartGenerators:
 
     @pytest.mark.parametrize("n", range(1, 17))
     def test_closed_form_exponentials(self, n):
-        # each factor's exponential against eigh of its generator
+        # the row operations against the dense eigh route
         rng = np.random.default_rng(100 + n)
         for _ in range(3):
             c = random_coords(n, hi=2 * math.pi, rng=rng)
-            got = _chart_exponentials(c)
-            want = [expi(t * M) for M, t in _chart_factors(c)]
-            assert len(got) == len(want) == 2 * n
-            for g, w in zip(got, want):
-                assert np.max(np.abs(g - w)) <= 1e-15
+            h, j = dense_chart(c)
+            assert np.max(np.abs(quotient_point(c) - h)) <= 1e-14
+            assert np.max(np.abs(maurer_cartan(c) - j)) <= 1e-13
 
     def test_geometry_checks_build_no_gellmann_basis(self, monkeypatch):
         import lievol.cpn
@@ -155,6 +190,15 @@ class TestDensity:
         for _ in range(20):
             c = random_coords(n)
             assert abs(vielbein_density(c) - measure_density(c)) < 1e-8
+
+    @pytest.mark.parametrize("n", range(1, GEOMETRY_MAX_N + 1))
+    def test_density_ratio(self, n):
+        # relative: past n ~ 8 the densities fall below any absolute bound
+        rng = np.random.default_rng(300 + n)
+        for _ in range(10):
+            c = QuotientCoords(tuple(rng.uniform(0.05, 1.2, n)),
+                               tuple(rng.uniform(0.1, 1.4, n)))
+            assert abs(vielbein_density(c) / measure_density(c) - 1) <= 1e-11
 
     def test_degenerate_at_boundary(self):
         c = QuotientCoords((0.3, 0.4), (0.5, math.pi / 2))
