@@ -11,6 +11,9 @@ No factor is built as a matrix.  `_chart_factors` lists each as a record
 (the diagonal of T_a, or the plane index a of P_a), and both h and
 h^-1 dh apply the factors as row operations: a phase per row for T_a, a
 cos/sin mix of rows 0 and a for P_a.
+
+The tests hold the second routes: the Gell-Mann generators, the
+finite-difference Maurer-Cartan form and the Kaehler-potential Hessian.
 """
 
 from __future__ import annotations
@@ -77,46 +80,6 @@ class AffineCoords:
         return np.array([t * r * np.exp(1j * p)
                          for r, p in zip(self.R, self.psi)])
 
-    @staticmethod
-    def from_z(z: np.ndarray) -> "AffineCoords":
-        z = np.asarray(z, dtype=complex)
-        rho = np.linalg.norm(z)
-        if rho == 0:
-            return AffineCoords(0.0, (1.0,) + (0.0,) * (len(z) - 1),
-                                (0.0,) * len(z))
-        return AffineCoords(math.atan(rho), tuple(np.abs(z) / rho),
-                            tuple(np.angle(z)))
-
-
-def gellmann_basis(m: int) -> np.ndarray:
-    """Generalized Gell-Mann matrices, Tr(l_I l_J) = 2 delta_IJ.
-
-    Ordered block by block: for each a = 2..m the off-diagonal pairs
-    (k, a), k < a, then the diagonal matrix at index a^2 - 1 (1-based).
-    The tests' oracle for the chart: its generators are lam[2], lam[1],
-    lam[a^2 - 2] / eps_a and lam[a^2] (0-based), its coset directions
-    the matrices n^2 .. n^2 + 2n - 1 (1-based).
-    """
-    if m < 2:
-        raise ValueError("need m >= 2")
-    mats = []
-    for a in range(2, m + 1):
-        for k in range(1, a):
-            S = np.zeros((m, m), dtype=complex)
-            S[k - 1, a - 1] = S[a - 1, k - 1] = 1.0
-            mats.append(S)
-            A = np.zeros((m, m), dtype=complex)
-            A[k - 1, a - 1] = -1j
-            A[a - 1, k - 1] = 1j
-            mats.append(A)
-        D = np.zeros((m, m), dtype=complex)
-        c = math.sqrt(2.0 / (a * (a - 1)))
-        for b in range(a - 1):
-            D[b, b] = c
-        D[a - 1, a - 1] = -(a - 1) * c
-        mats.append(D)
-    return np.array(mats)
-
 
 def _chart_factors(c: QuotientCoords) -> list:
     """(angle, M) of each factor exp(i angle M) of h, in chart order.
@@ -172,26 +135,7 @@ def maurer_cartan(c: QuotientCoords) -> np.ndarray:
     return out
 
 
-def maurer_cartan_fd(c: QuotientCoords, step: float = 1e-6) -> np.ndarray:
-    """Central finite-difference oracle for the Maurer-Cartan components."""
-    n = c.n
-    h0 = quotient_point(c)
-    inv = h0.conj().T
-    out = []
-    coords = list(c.thetas) + list(c.phis)
-    for idx in range(2 * n):
-        up = coords.copy()
-        dn = coords.copy()
-        up[idx] += step
-        dn[idx] -= step
-        hp = quotient_point(QuotientCoords(tuple(up[:n]), tuple(up[n:])))
-        hm = quotient_point(QuotientCoords(tuple(dn[:n]), tuple(dn[n:])))
-        out.append(inv @ (hp - hm) / (2 * step))
-    return np.array(out)
-
-
-def structure_equation_residual(c: QuotientCoords,
-                                step: float = 1e-6) -> float:
+def structure_equation_residual(c: QuotientCoords) -> float:
     """Max |dj + 1/2 [j, j]| with the exterior derivative by differences.
 
     For each coordinate pair (u, v) the two-form component is
@@ -199,6 +143,7 @@ def structure_equation_residual(c: QuotientCoords,
     the one-form is a genuine Maurer-Cartan form.
     """
     n = c.n
+    step = 1e-6  # of the central differences
     coords = list(c.thetas) + list(c.phis)
 
     def j_at(vals):
@@ -283,45 +228,6 @@ def macdonald_quotient(n: int) -> float:
     return (v_top / v_sub).to_float() / (2.0 * math.pi * U_FIBER_CONSTANT)
 
 
-def fs_metric_affine(z: np.ndarray) -> np.ndarray:
-    """Line-element matrix G with ds^2 = sum_ij G_ij dz_i conj(dz_j)."""
-    z = np.asarray(z, dtype=complex)
-    w = 1.0 + float(np.vdot(z, z).real)
-    return np.eye(len(z)) / w - np.outer(np.conj(z), z) / (w * w)
-
-
-def kahler_potential(z: np.ndarray) -> float:
-    z = np.asarray(z, dtype=complex)
-    return 0.5 * math.log(1.0 + float(np.vdot(z, z).real))
-
-
-def fs_metric_from_potential(z: np.ndarray, step: float = 1e-4) -> np.ndarray:
-    """Finite-difference complex Hessian of the Kaehler potential.
-
-    The line element is twice the Hessian d^2 K / dz_i dconj(z)_j.
-    """
-    z = np.asarray(z, dtype=complex)
-    n = len(z)
-
-    def hess(u_dir: np.ndarray, v_dir: np.ndarray) -> float:
-        # central second difference of K along two real directions
-        f = kahler_potential
-        return (f(z + step * (u_dir + v_dir)) - f(z + step * (u_dir - v_dir))
-                - f(z + step * (v_dir - u_dir)) + f(z - step * (u_dir + v_dir))
-                ) / (4.0 * step * step)
-
-    ex = [np.eye(n, dtype=complex)[i] for i in range(n)]
-    ey = [1j * e for e in ex]
-    G = np.zeros((n, n), dtype=complex)
-    # d2/dz_i dzbar_j = (K_xx + K_yy + i K_xy - i K_yx) / 4
-    for i in range(n):
-        for j in range(n):
-            G[i, j] = (hess(ex[i], ex[j]) + hess(ey[i], ey[j])
-                       + 1j * hess(ex[i], ey[j])
-                       - 1j * hess(ey[i], ex[j])) / 4.0
-    return 2.0 * G
-
-
 def fs_metric_angular(a: AffineCoords, d_xi: float, d_R: Sequence[float],
                       d_psi: Sequence[float]) -> float:
     """ds^2 of the angular form on the given coordinate velocity."""
@@ -358,12 +264,12 @@ def angular_velocity_to_dz(a: AffineCoords, d_xi: float,
     return (sec2 * d_xi * R + t * dR + 1j * t * R * dpsi) * phase
 
 
-def band_mass(n: int, eps: float, check_tol: float = 1e-10) -> float:
+def band_mass(n: int, eps: float) -> float:
     """Unnormalized mass cos^{2n}(eps)/(2n) of the chart band phi_n < pi/2-eps.
 
-    Verified on the fly against Gauss-Legendre quadrature of the defining
-    integral, with nodes doubled until two estimates agree; the
-    normalized complement 1 - cos^{2n}(eps) is the measure of the
+    Verified on the fly, to 1e-10, against Gauss-Legendre quadrature of
+    the defining integral, with nodes doubled until two estimates agree;
+    the normalized complement 1 - cos^{2n}(eps) is the measure of the
     radius-eps neighbourhood of the locus at infinity.
     """
     if not (0.0 <= eps <= math.pi / 2):
@@ -373,7 +279,7 @@ def band_mass(n: int, eps: float, check_tol: float = 1e-10) -> float:
     val = math.cos(eps) ** (2 * n) / (2 * n)
     num = gauss_legendre(lambda p: np.cos(p) * np.sin(p) ** (2 * n - 1),
                          0.0, math.pi / 2 - eps)
-    if abs(num - val) > check_tol:
+    if abs(num - val) > 1e-10:
         raise ArithmeticError(
             f"band mass quadrature mismatch: {num} vs {val}")
     return val

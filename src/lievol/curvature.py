@@ -6,10 +6,11 @@ Structure constants are computed numerically from those nonzeros, as
 two index joins (pair products, then triple traces), and kept in
 coordinate form: under 0.3% of c_ijk are nonzero.  The printed
 commutator tables of the construction then serve as test oracles
-rather than inputs.  The Killing form (checked against
-the trace-form identity K = -2 kappa I), the Ricci tensor (checked
-against -K/4) and chi follow by the same sparse contraction, with K
-computed once per report.  Inputs whose chain would allocate more than
+rather than inputs, as does the Jacobi residual, which lives beside the
+tests that use it.  The Killing form (checked against the trace-form
+identity K = -2 kappa I), the Ricci tensor (checked against -K/4) and
+chi follow by the same sparse contraction, with K computed once per
+report.  Inputs whose chain would allocate more than
 DENSE_BUDGET are refused.  The Levy-family bound sequences close the
 module.
 """
@@ -23,6 +24,9 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 ZERO_CUTOFF = 1e-12
+
+# Tolerance of the chain's identity checks and of a report's chi match.
+_IDENTITY_TOL = 1e-9
 
 # Largest allocation of one curvature chain (check_dense_budget), and of
 # a dense structure or Riemann tensor built on demand.
@@ -179,8 +183,8 @@ def _scalar_deviation(d: int, keys: np.ndarray, values: np.ndarray,
     return dev
 
 
-def check_orthonormal(basis: LieAlgebraBasis, tol: float = 1e-12) -> float:
-    """Max |-1/2 Tr(T_i T_j) - delta_ij|; above `tol` raises ValueError."""
+def check_orthonormal(basis: LieAlgebraBasis) -> float:
+    """Max |-1/2 Tr(T_i T_j) - delta_ij|; above 1e-12 raises ValueError."""
     d, m = basis.dim, basis.matrix_dim
     e, r, c = basis.index.T
     v = basis.value
@@ -188,7 +192,7 @@ def check_orthonormal(basis: LieAlgebraBasis, tol: float = 1e-12) -> float:
     li, ri = _match(c * m + r, r * m + c)
     keys, g = _summed(e[li] * d + e[ri], (v[li] * v[ri]).real)
     dev = _scalar_deviation(d, keys, -0.5 * g, 1.0)
-    if dev > tol:
+    if dev > 1e-12:
         raise ValueError(f"basis not orthonormal (dev {dev:.2e})")
     return dev
 
@@ -276,11 +280,11 @@ def _dense(d: int, keys: np.ndarray, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def killing_form(st: StructureTensor, tol: float = 1e-9) -> np.ndarray:
+def killing_form(st: StructureTensor) -> np.ndarray:
     """K_ab = sum_{k,l} c_akl c_blk, checked against -2 kappa I.
 
     kappa is the trace-form index of the algebra (TRACE_FORM_INDEX); an
-    entry off by more than `tol` raises ArithmeticError.
+    entry off by more than _IDENTITY_TOL raises ArithmeticError.
     """
     d = st.dim
     i, j, k = st.index.T
@@ -289,7 +293,7 @@ def killing_form(st: StructureTensor, tol: float = 1e-9) -> np.ndarray:
     keys, vals = _summed(i[li] * d + i[ri], st.value[li] * st.value[ri])
     want = -2.0 * TRACE_FORM_INDEX[st.algebra](st.matrix_dim)
     dev = _scalar_deviation(d, keys, vals, want)
-    if dev > tol:
+    if dev > _IDENTITY_TOL:
         raise ArithmeticError(
             f"Killing form deviates from the trace-form value "
             f"{want:g} I by {dev:.2e}")
@@ -301,7 +305,7 @@ class ChiValues(NamedTuple):
     chi_prime: float  # K = -chi_prime * I
 
 
-def chi_coefficient(st: StructureTensor, tol: float = 1e-9, *,
+def chi_coefficient(st: StructureTensor, *,
                     K: Optional[np.ndarray] = None) -> ChiValues:
     """Both normalisation constants of the (scalar) Killing matrix.
 
@@ -319,7 +323,7 @@ def chi_coefficient(st: StructureTensor, tol: float = 1e-9, *,
     diag = np.diagonal(K)
     off = np.abs(K)
     np.fill_diagonal(off, 0.0)
-    if np.max(off) > tol or np.ptp(diag) > tol:
+    if np.max(off) > _IDENTITY_TOL or np.ptp(diag) > _IDENTITY_TOL:
         raise ArithmeticError("Killing matrix is not scalar")
     return ChiValues(chi=chi, chi_prime=float(-np.mean(diag)))
 
@@ -335,7 +339,7 @@ def riemann_tensor(st: StructureTensor) -> np.ndarray:
     return 0.25 * np.einsum("lms,jsk->kjlm", c, c)
 
 
-def ricci_tensor(st: StructureTensor, tol: float = 1e-9, *,
+def ricci_tensor(st: StructureTensor, *,
                  K: Optional[np.ndarray] = None) -> np.ndarray:
     """Ricci by contraction, verified equal to -K/4.
 
@@ -352,32 +356,10 @@ def ricci_tensor(st: StructureTensor, tol: float = 1e-9, *,
     diff = 0.25 * K
     diff += ric
     dev = float(np.max(np.abs(diff, out=diff)))
-    if dev > tol:
+    if dev > _IDENTITY_TOL:
         raise ArithmeticError(
             f"Ricci contraction vs -K/4 mismatch {dev:.2e}")
     return ric
-
-
-def jacobi_residual(st: StructureTensor, samples: int = 10_000,
-                    seed: int = 0) -> float:
-    """Max |Jacobi identity| over random index triples, from the COO form.
-
-    For each triple (i, j, k) and every l, sums c_ij^m c_mk^l and its two
-    cyclic shifts.
-    """
-    d = st.dim
-    rng = np.random.default_rng(seed)
-    i, j, k = rng.integers(0, d, size=(3, samples))
-    a, b, c = st.index.T
-    pair = a * d + b                      # key of the row c[a, b, :]
-    keys, vals = [], []
-    for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
-        s, e1 = _match(x * d + y, pair)           # c[x, y, m]
-        t, e2 = _match(c[e1] * d + z[s], pair)    # c[m, z, l]
-        keys.append(s[t] * d + c[e2])
-        vals.append(st.value[e1][t] * st.value[e2])
-    _, total = _summed(np.concatenate(keys), np.concatenate(vals))
-    return float(np.max(np.abs(total), initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -401,7 +383,7 @@ class CurvatureReport:
             "chi_killing_scalar": self.chi_prime,
             "chi_claimed": self.claimed_chi,
             "chi_matches_claimed": bool(
-                abs(self.chi - self.claimed_chi) < 1e-9),
+                abs(self.chi - self.claimed_chi) < _IDENTITY_TOL),
             "ricci_lower_bound": self.ricci_lower_bound,
             "killing_diagonal": float(self.killing_matrix[0, 0]),
         }
@@ -463,12 +445,12 @@ def ricci_bound_sequence(family: str, n_range: Sequence[int],
 
 
 def rescaled_levy_check(r_seq: Sequence[float], c_seq: Sequence[float],
-                        floor: float, margin: float = 1e-12):
+                        floor: float):
     """Levy criterion after metric rescaling by 1/c_i.
 
     True iff R_i >= floor from some index onward (finite exceptions) and
     the c_i diverge on the window: the last element exceeds every prior
-    maximum by `margin`.  Returns (ok, [c_i * R_i]).
+    maximum by 1e-12.  Returns (ok, [c_i * R_i]).
     """
     if len(r_seq) != len(c_seq):
         raise ValueError("sequences must have equal length")
@@ -478,31 +460,6 @@ def rescaled_levy_check(r_seq: Sequence[float], c_seq: Sequence[float],
     # require an all->=floor suffix, i.e. only finitely many exceptions
     bounded = tail_ok
     diverging = (len(c_seq) > 1
-                 and c_seq[-1] > max(c_seq[:-1]) + margin)
+                 and c_seq[-1] > max(c_seq[:-1]) + 1e-12)
     scaled = [c * r for c, r in zip(c_seq, r_seq)]
     return bounded and diverging, scaled
-
-
-def two_plane_orbit_length(basis: LieAlgebraBasis, element_index: int,
-                           steps: int = 256) -> float:
-    """Arclength of exp(theta*T) over [0, 2pi] in the normalised metric.
-
-    The orbit is discretized and each step length is taken from the
-    matrix log of the step transition, measured with -1/2 Tr(X^2).
-    """
-    own = basis.index[:, 0] == element_index
-    T = _dense_view("basis element", (basis.matrix_dim,) * 2,
-                    basis.index[own, 1:], basis.value[own])
-    # T is skew-Hermitian: T = V diag(i w) V^H with (w, V) = eigh(-i T),
-    # so exp(t T) = V diag(e^{i t w}) V^H.
-    w, V = np.linalg.eigh(-1j * T)
-    h = 2 * math.pi / steps
-    gs = [(V * np.exp(1j * t * w)) @ V.conj().T
-          for t in np.arange(0.0, 2 * math.pi + h / 2, h)]
-    total = 0.0
-    for g0, g1 in zip(gs, gs[1:]):
-        # the step transition is diagonal in the same basis, with
-        # eigenvalues e^{i theta}; its log X has -1/2 Tr(X^2) = |theta|^2/2
-        theta = np.angle(np.diagonal(V.conj().T @ (g0.conj().T @ g1) @ V))
-        total += math.sqrt(0.5 * float(np.sum(theta ** 2)))
-    return total

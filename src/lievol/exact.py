@@ -144,7 +144,7 @@ class ExactScalar:
             parts.append(f"sqrt({self.s})")
         return " * ".join(parts)
 
-    def decimal(self, digits: int = 15) -> str:
-        """Decimal rendering to the given number of significant digits."""
-        return f"{self.to_float():.{digits}g}"
+    def decimal(self) -> str:
+        """Decimal rendering to 15 significant digits."""
+        return f"{self.to_float():.15g}"
 

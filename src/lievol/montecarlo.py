@@ -22,8 +22,8 @@ each chunk is copied into its slice as soon as it is drawn, so a sample
 costs its own size plus one chunk per worker.
 
 Band masses are I_x(1/2, m/2) (special.betainc_half); their second
-route, sphere_band_mass_quadrature, is Gauss-Legendre quadrature with
-node doubling (special.gauss_legendre).
+route, Gauss-Legendre quadrature of the band (special.gauss_legendre),
+lives beside the tests that use it.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .roots import Series
-from .special import betainc_half, gauss_legendre, kolmogorov_sf
+from .special import betainc_half, kolmogorov_sf
 
 CHUNK = 2048
 
@@ -232,14 +232,6 @@ def _col_order(kk: int, k: int) -> int:
     return kk // 2 if kk % 2 == 0 else kk // 2 + k
 
 
-def symplectic_form(two_n: int) -> np.ndarray:
-    n = two_n // 2
-    J = np.zeros((two_n, two_n))
-    J[:n, n:] = np.eye(n)
-    J[n:, :n] = -np.eye(n)
-    return J
-
-
 def _check_sample_budget(count: int, rows: int, cols: int,
                         itemsize: int) -> None:
     """Refuse a sample whose returned array exceeds SAMPLE_BUDGET."""
@@ -310,21 +302,7 @@ def _band_cdf(m: int, t: np.ndarray) -> np.ndarray:
     return betainc_half(m, np.minimum(t, 1.0) ** 2)
 
 
-def sphere_band_mass_quadrature(m: int, r: float) -> float:
-    """sphere_band_mass by quadrature of cos^(m-1) over the band."""
-    def density(t):
-        return np.cos(t) ** (m - 1)
-
-    return (gauss_legendre(density, -r, r)
-            / gauss_legendre(density, -math.pi / 2, math.pi / 2))
-
-
 # -- KS test ----------------------------------------------------------
-
-def kolmogorov_pvalue(lam: float) -> float:
-    """Asymptotic KS tail probability P(sqrt(n) D > lam)."""
-    return float(kolmogorov_sf(lam))
-
 
 def ks_test(samples: np.ndarray, cdf: Callable) -> tuple:
     """One-sample KS statistic and asymptotic p-value.
@@ -344,7 +322,7 @@ def ks_test(samples: np.ndarray, cdf: Callable) -> tuple:
         raise ValueError("cdf must return one value per sample")
     i = np.arange(1, n + 1)
     d = float(max(np.max(i / n - f), np.max(f - (i - 1) / n)))
-    return d, kolmogorov_pvalue(math.sqrt(n) * d)
+    return d, float(kolmogorov_sf(math.sqrt(n) * d))
 
 
 # -- concentration experiments ----------------------------------------

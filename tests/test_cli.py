@@ -311,6 +311,18 @@ class TestExitCodes:
         assert code == 1
         assert "metric cross-check failed" in err and "Traceback" not in err
 
+    def test_check_metric_judges_the_relative_density(self, capsys,
+                                                      monkeypatch):
+        # at n = 12 the densities lie far below --tol, so a vielbein off
+        # by 1e-6 of itself is off by far less than --tol in absolute terms
+        monkeypatch.setattr(lievol.reproduce, "vielbein_density",
+                            lambda c, f=lievol.reproduce.vielbein_density:
+                            f(c) * (1 + 1e-6))
+        code, out, err = run(capsys, "cpn", "check-metric", "--n", "12",
+                             "--points", "5")
+        assert code == 1
+        assert "metric cross-check failed" in err and "Traceback" not in err
+
     @pytest.mark.parametrize(
         "points", [0, -1, lievol.reproduce.GEOMETRY_MAX_POINTS + 1])
     def test_bad_check_metric_points_are_one(self, capsys, monkeypatch,

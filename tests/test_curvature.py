@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 
 from lievol.curvature import (ALGEBRA_DIM, CLAIMED_CHI, LieAlgebraBasis,
-                              TRACE_FORM_INDEX, StructureTensor,
-                              build_basis, check_dense_budget,
+                              TRACE_FORM_INDEX, StructureTensor, _match,
+                              _summed, build_basis, check_dense_budget,
                               check_orthonormal, chi_coefficient,
-                              curvature_report, jacobi_residual, killing_form,
+                              curvature_report, killing_form,
                               rescaled_levy_check, ricci_bound_sequence,
                               ricci_tensor, riemann_tensor, so_basis,
-                              structure_constants, su_basis,
-                              two_plane_orbit_length, usp_basis)
+                              structure_constants, su_basis, usp_basis)
 
 # every size the dense route below runs in well under a second
 TIER1_SIZES = ([("su", m) for m in range(2, 13)]
@@ -39,6 +38,27 @@ def dense_structure_constants(basis):
     c = -0.5 * (re - re.transpose(1, 0, 2))
     c[np.abs(c) < 1e-12] = 0.0
     return c
+
+
+def jacobi_residual(st, samples=10_000, seed=0):
+    """Max |Jacobi identity| over random index triples, from the COO form.
+
+    For each triple (i, j, k) and every l, sums c_ij^m c_mk^l and its two
+    cyclic shifts.
+    """
+    d = st.dim
+    rng = np.random.default_rng(seed)
+    i, j, k = rng.integers(0, d, size=(3, samples))
+    a, b, c = st.index.T
+    pair = a * d + b                      # key of the row c[a, b, :]
+    keys, vals = [], []
+    for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+        s, e1 = _match(x * d + y, pair)           # c[x, y, m]
+        t, e2 = _match(c[e1] * d + z[s], pair)    # c[m, z, l]
+        keys.append(s[t] * d + c[e2])
+        vals.append(st.value[e1][t] * st.value[e2])
+    _, total = _summed(np.concatenate(keys), np.concatenate(vals))
+    return float(np.max(np.abs(total), initial=0.0))
 
 
 class TestBases:
@@ -397,10 +417,3 @@ class TestLevySequences:
         assert len(ricci_bound_sequence(family, [low])) == 1
         with pytest.raises(ValueError, match="start at index"):
             ricci_bound_sequence(family, [low - 1, low])
-
-
-def test_orbit_length_is_two_pi():
-    b = su_basis(2)
-    for idx in range(3):
-        assert two_plane_orbit_length(b, idx) == pytest.approx(
-            2 * math.pi, abs=1e-9)
