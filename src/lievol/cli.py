@@ -95,8 +95,11 @@ def cmd_volume(args) -> dict:
         out["volume"] = {"group": s.group_name, "log_volume": log_volume(s)}
     else:
         res = group_volume(s, args.gamma)
+        closed = closed_form_volume(s)
         out["volume"] = res.to_json()
-        out["closed_form"] = closed_form_volume(s).to_json()
+        # an equal value renders alike: reuse the pipeline's digits
+        out["closed_form"] = (res.exact if closed == res.exact
+                              else closed).to_json()
     if s.tag == "C":
         out["note"] = USP_DIMENSION_NOTE
     return out

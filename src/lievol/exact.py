@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from functools import cached_property
 
 
 def _digits(n: int) -> str:
@@ -121,10 +122,14 @@ class ExactScalar:
 
     # -- rendering ----------------------------------------------------
 
+    @cached_property
+    def _q_digits(self) -> tuple[str, str]:
+        """q's numerator and denominator in decimal, rendered once."""
+        return _digits(self.q.numerator), _digits(self.q.denominator)
+
     def to_json(self) -> dict:
-        return {"q": f"{_digits(self.q.numerator)}/"
-                     f"{_digits(self.q.denominator)}",
-                "pi_pow": self.k, "sqrt": self.s}
+        num, den = self._q_digits
+        return {"q": f"{num}/{den}", "pi_pow": self.k, "sqrt": self.s}
 
     @staticmethod
     def from_json(d: dict) -> "ExactScalar":
@@ -132,10 +137,8 @@ class ExactScalar:
         return ExactScalar(Fraction(num, den), d["pi_pow"], d["sqrt"])
 
     def __str__(self) -> str:
-        q = _digits(self.q.numerator)
-        if self.q.denominator != 1:
-            q += f"/{_digits(self.q.denominator)}"
-        parts = [q]
+        num, den = self._q_digits
+        parts = [num if self.q.denominator == 1 else f"{num}/{den}"]
         if self.k == 1:
             parts.append("pi")
         elif self.k > 1:

@@ -16,10 +16,17 @@ column k - 1, so its columns are bit-equal to the full sample's.  The
 concentration statistics read at most two columns, so they take this
 route; the full matrices stay the reference.
 
-A request whose returned array would exceed SAMPLE_BUDGET bytes is
-refused before any chunk is drawn.  The result is allocated once and
-each chunk is copied into its slice as soon as it is drawn, so a sample
-costs its own size plus one chunk per worker.
+A sampler given a Reduction maps each chunk, as soon as it is drawn, to
+the float64 scalars its caller reads and returns only those, so the
+concentration statistics hold one or two scalars per sample and never a
+(count, m, k) array.  Each worker draws its chunks into one set of work
+arrays, kept for the whole draw.
+
+The result is allocated once and each chunk is copied into its slice as
+soon as it is drawn, so a draw costs its result plus one chunk's work
+arrays per worker.  A draw whose cost would exceed SAMPLE_BUDGET bytes
+is refused before any chunk is drawn; with a Reduction the result is
+the scalars and the statistics' arrays it declares.
 
 Band masses are I_x(1/2, m/2) (special.betainc_half); their second
 route, Gauss-Legendre quadrature of the band (special.gauss_legendre),
@@ -29,9 +36,10 @@ lives beside the tests that use it.
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -42,13 +50,26 @@ CHUNK = 2048
 
 _RSQRT2 = 1.0 / math.sqrt(2.0)
 
-# Largest array a sample_* call may return: 10^6 samples of SU(21) at
-# one column (336 MB) run, 10^9 are refused.
+# Most bytes one draw may hold, its result and work arrays together:
+# 10^6 samples of SU(21) at one column (336 MB) run, and the
+# concentration statistics of SU(21) take up to 2.68 * 10^7 samples.
 SAMPLE_BUDGET = 2 * 2 ** 30
+
+# Bytes per sample the concentration statistics hold at their peak,
+# their scalars included: tracemalloc measured 50 B for SU(6) and
+# SU(21), 65 B for Spin(5), USp(4) and USp(6), and 73 B for Spin(8), at
+# count 10^5.
+_STATS_BYTES = 80
+
+# Work arrays one worker holds while it draws, in chunks of the sampled
+# array: tracemalloc measured peaks of up to 4.8 chunks for SU and SO
+# and 5.8 for USp, whose fill holds each column's partner beside it.
+_WORK_CHUNKS = 6
 
 # Most threads one sample may use.  The draw stops gaining at the core
 # count (SU(21), 2 * 10^5 samples on 2 cores: 1.31 s at 1 worker, 1.05 s
-# at 2, 1.07 s at 32), and each worker holds one chunk beside the result.
+# at 2, 1.07 s at 32), and each worker holds its work arrays beside the
+# result.
 MAX_WORKERS = 64
 
 # Most bins of xi_histogram: each costs ~240 B and ~3 us (edges, counts,
@@ -86,17 +107,43 @@ def _chunks(count: int):
         idx += 1
 
 
+class _Buffers:
+    """Work arrays of one worker, kept for every chunk it draws.
+
+    A draw's first chunk is its largest, so a later chunk takes a leading
+    slice of each array, which stays C-contiguous.  Reuse matters: when
+    each chunk allocates and frees its own arrays of a few hundred KiB,
+    glibc trims the heap after every chunk and the next one faults its
+    pages in again.
+    """
+
+    def __init__(self):
+        self._arrays = {}
+
+    def get(self, name: str, shape: tuple, dtype) -> np.ndarray:
+        a = self._arrays.get(name)
+        if a is None or a.shape[1:] != shape[1:] or a.dtype != dtype \
+                or len(a) < shape[0]:
+            a = self._arrays[name] = np.empty(shape, dtype)
+        return a[:shape[0]]
+
+
 def _map_chunks(cfg: SamplerConfig, fn: Callable, out: np.ndarray
                 ) -> np.ndarray:
-    """Write fn(chunk_rng, size) of chunk i into its rows of `out`.
+    """Write fn(chunk_rng, size, buffers) of chunk i into its rows of `out`.
 
-    Each chunk is dropped once copied, so at most one chunk per worker
-    is alive beside `out`; the rows a chunk fills depend only on its
-    index, whichever thread draws it.
+    Each worker keeps one _Buffers for the whole draw, so beside `out`
+    only one chunk's work arrays per worker are alive; the rows a chunk
+    fills depend only on its index, whichever thread draws it.
     """
+    local = threading.local()
+
     def fill(i: int, size: int) -> None:
+        buffers = getattr(local, "buffers", None)
+        if buffers is None:
+            buffers = local.buffers = _Buffers()
         start = i * CHUNK
-        out[start:start + size] = fn(_chunk_rng(cfg.seed, i), size)
+        out[start:start + size] = fn(_chunk_rng(cfg.seed, i), size, buffers)
 
     if cfg.workers == 1:
         for i, size in _chunks(cfg.count):
@@ -117,73 +164,106 @@ def _check_columns(columns: Optional[int], limit: int) -> None:
         raise ValueError(f"columns must lie in [1, {limit}], got {columns}")
 
 
-def _gram_schmidt(z: np.ndarray) -> np.ndarray:
-    """Orthonormalize the k columns of each (m, k) slice, in order.
+def _row_norms(v: np.ndarray, buffers: _Buffers) -> np.ndarray:
+    """np.linalg.norm(v, axis=1) of a (size, m) array, in work buffers.
+
+    The same conj, multiply, .real, add.reduce and sqrt sequence as
+    numpy's, so the norms are bit-equal to it.
+    """
+    if np.iscomplexobj(v):
+        sq = buffers.get("norm_sq", v.shape, v.dtype)
+        np.conjugate(v, out=sq)
+        np.multiply(sq, v, out=sq)
+        sq = sq.real
+    else:   # a real array's conj() is the array itself
+        sq = np.multiply(v, v, out=buffers.get("norm_sq", v.shape, v.dtype))
+    norms = buffers.get("norm", v.shape[:1], float)
+    np.add.reduce(sq, axis=1, out=norms)
+    return np.sqrt(norms, out=norms)
+
+
+def _gram_schmidt(z: np.ndarray, buffers: _Buffers) -> np.ndarray:
+    """Orthonormalize the k columns of each (m, k) slice, in order, in place.
 
     Modified Gram-Schmidt: column j equals column j of the QR factor
     whose R has a positive diagonal, so no phase correction follows.
     The projections need contiguous columns: on strided ones einsum and
     norm sum in another order, and the samples change in the last bits.
     """
-    q = np.empty_like(z)
     for j in range(z.shape[-1]):
         v = z[:, :, j] if j == 0 else z[:, :, j].copy()
         for i in range(j):
-            w = q[:, :, i]
+            w = z[:, :, i]
             v -= np.einsum("sa,sa->s", np.conj(w), v)[:, None] * w
-        np.divide(v, np.linalg.norm(v, axis=1)[:, None], out=q[:, :, j])
-    return q
+        np.divide(v, _row_norms(v, buffers)[:, None], out=z[:, :, j])
+    return z
 
 
-def _complex_gaussian(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+def _normal(rng: np.random.Generator, shape: tuple,
+            buffers: _Buffers) -> np.ndarray:
+    """rng.standard_normal(shape), drawn into a work buffer."""
+    return rng.standard_normal(out=buffers.get("normal", shape, float))
+
+
+def _complex_gaussian(rng: np.random.Generator, shape: tuple,
+                      buffers: _Buffers) -> np.ndarray:
     """Standard complex Gaussians (re + i im) / sqrt(2), re drawn first.
 
     numpy divides a complex array by a real scalar as a product with its
     reciprocal, so the halves written in place are bit-equal to that
     quotient, without its temporaries.
     """
-    z = np.empty(shape, dtype=complex)
-    np.multiply(rng.standard_normal(shape), _RSQRT2, out=z.real)
-    np.multiply(rng.standard_normal(shape), _RSQRT2, out=z.imag)
+    z = buffers.get("gaussian", shape, complex)
+    np.multiply(_normal(rng, shape, buffers), _RSQRT2, out=z.real)
+    np.multiply(_normal(rng, shape, buffers), _RSQRT2, out=z.imag)
     return z
 
 
-def _haar_unitary(rng: np.random.Generator, size: int, m: int) -> np.ndarray:
-    q, r = np.linalg.qr(_complex_gaussian(rng, (size, m, m)))
+def _haar_unitary(rng: np.random.Generator, size: int, m: int,
+                  buffers: _Buffers) -> np.ndarray:
+    q, r = np.linalg.qr(_complex_gaussian(rng, (size, m, m), buffers))
     d = np.einsum("sii->si", r)
     q *= (d / np.abs(d))[:, None, :]
     return q
 
 
 def haar_su_chunk(rng: np.random.Generator, size: int, m: int,
-                  columns: Optional[int] = None) -> np.ndarray:
+                  columns: Optional[int] = None,
+                  buffers: Optional[_Buffers] = None) -> np.ndarray:
     """(size, m, m) Haar SU(m) samples, or their first `columns` columns.
 
     The column route draws only `columns` Gaussian columns and leaves out
     the det phase: for k < m the first k columns of Haar U(m) and of Haar
-    SU(m) have the same law.
+    SU(m) have the same law.  With `buffers` the result may live in them,
+    until the next chunk drawn with the same buffers.
     """
     _check_columns(columns, m - 1)
+    buffers = buffers or _Buffers()
     if columns is not None:
-        return _gram_schmidt(_complex_gaussian(rng, (size, m, columns)))
-    q = _haar_unitary(rng, size, m)
+        return _gram_schmidt(
+            _complex_gaussian(rng, (size, m, columns), buffers), buffers)
+    q = _haar_unitary(rng, size, m, buffers)
     det = np.linalg.det(q)
     q *= (det ** (-1.0 / m))[:, None, None]
     return q
 
 
 def haar_so_chunk(rng: np.random.Generator, size: int, m: int,
-                  columns: Optional[int] = None) -> np.ndarray:
+                  columns: Optional[int] = None,
+                  buffers: Optional[_Buffers] = None) -> np.ndarray:
     """(size, m, m) Haar SO(m) samples, or their first `columns` columns.
 
     The column route draws only `columns` Gaussian columns and leaves out
     the det-sign fold: for k < m the first k columns of Haar O(m) and of
-    Haar SO(m) have the same law.
+    Haar SO(m) have the same law.  With `buffers` the result may live in
+    them, until the next chunk drawn with the same buffers.
     """
     _check_columns(columns, m - 1)
+    buffers = buffers or _Buffers()
     if columns is not None:
-        return _gram_schmidt(rng.standard_normal((size, m, columns)))
-    q, r = np.linalg.qr(rng.standard_normal((size, m, m)))
+        return _gram_schmidt(_normal(rng, (size, m, columns), buffers),
+                             buffers)
+    q, r = np.linalg.qr(_normal(rng, (size, m, m), buffers))
     d = np.einsum("sii->si", r)
     q *= np.sign(d)[:, None, :]
     # fold the det = -1 coset onto SO(m) with a fixed reflection
@@ -202,23 +282,27 @@ def _usp_partner(v: np.ndarray) -> np.ndarray:
 
 
 def haar_usp_chunk(rng: np.random.Generator, size: int, two_n: int,
-                   columns: Optional[int] = None) -> np.ndarray:
+                   columns: Optional[int] = None,
+                   buffers: Optional[_Buffers] = None) -> np.ndarray:
     """Quaternion Gram-Schmidt on Gaussian columns, in the 2n x 2n form.
 
     With `columns` = k <= n the fill stops after column k - 1, and the
-    first k columns come out bit-equal to the full sample's.
+    first k columns come out bit-equal to the full sample's.  With
+    `buffers` the result may live in them, until the next chunk drawn
+    with the same buffers.
     """
     n = two_n // 2
     _check_columns(columns, n)
+    buffers = buffers or _Buffers()
     k = n if columns is None else columns
     # columns j < k, then their partners at j + k
-    g = np.empty((size, two_n, 2 * k), dtype=complex)
+    g = buffers.get("usp", (size, two_n, 2 * k), complex)
     for j in range(k):
-        v = _complex_gaussian(rng, (size, two_n))
+        v = _complex_gaussian(rng, (size, two_n), buffers)
         for kk in range(2 * j):
             w = g[:, :, _col_order(kk, k)]
             v -= np.einsum("sa,sa->s", np.conj(w), v)[:, None] * w
-        v /= np.linalg.norm(v, axis=1)[:, None]
+        v /= _row_norms(v, buffers)[:, None]
         g[:, :, j] = v
         # the column route returns no partners, and no later column
         # reads the last one
@@ -232,10 +316,31 @@ def _col_order(kk: int, k: int) -> int:
     return kk // 2 if kk % 2 == 0 else kk // 2 + k
 
 
-def _check_sample_budget(count: int, rows: int, cols: int,
-                        itemsize: int) -> None:
-    """Refuse a sample whose returned array exceeds SAMPLE_BUDGET."""
-    need = count * rows * cols * itemsize
+class Reduction(NamedTuple):
+    """A map of each drawn chunk to the float64 scalars a caller reads.
+
+    fn takes a (size, m, k) chunk and returns its (size, width) scalars.
+    A reduced draw is budgeted _STATS_BYTES per sample: the scalars and
+    the arrays the statistics build from them.
+    """
+    width: int
+    fn: Callable
+
+
+def _check_sample_budget(count: int, rows: int, cols: int, itemsize: int,
+                         workers: int = 1,
+                         per_sample: Optional[int] = None) -> None:
+    """Refuse a draw whose result and work arrays exceed SAMPLE_BUDGET.
+
+    The result costs `per_sample` bytes a sample, by default one whole
+    rows x cols sample; each busy worker holds _WORK_CHUNKS chunks of
+    samples besides.
+    """
+    if per_sample is None:
+        per_sample = rows * cols * itemsize
+    busy = min(workers, -(-count // CHUNK))
+    need = (count * per_sample
+            + busy * _WORK_CHUNKS * min(CHUNK, count) * rows * cols * itemsize)
     if need > SAMPLE_BUDGET:
         raise ValueError(
             f"{count} samples of {rows} x {cols} need {need / 2 ** 30:.1f} "
@@ -243,48 +348,58 @@ def _check_sample_budget(count: int, rows: int, cols: int,
 
 
 def _sample(cfg: SamplerConfig, rows: int, cols: int, dtype,
-            fn: Callable) -> np.ndarray:
-    """(count, rows, cols) samples from fn(chunk_rng, size), chunk by chunk."""
-    dtype = np.dtype(dtype)
-    _check_sample_budget(cfg.count, rows, cols, dtype.itemsize)
-    return _map_chunks(cfg, fn, np.empty((cfg.count, rows, cols), dtype))
+            reduce: Optional[Reduction], fn: Callable) -> np.ndarray:
+    """(count, rows, cols) samples from fn(chunk_rng, size, buffers), chunk
+    by chunk, or with `reduce` their (count, reduce.width) scalars."""
+    _check_sample_budget(cfg.count, rows, cols, np.dtype(dtype).itemsize,
+                         cfg.workers, None if reduce is None else _STATS_BYTES)
+    if reduce is None:
+        return _map_chunks(cfg, fn, np.empty((cfg.count, rows, cols), dtype))
+    return _map_chunks(cfg, lambda rng, size, buffers:
+                       reduce.fn(fn(rng, size, buffers)),
+                       np.empty((cfg.count, reduce.width)))
 
 
 # The lambdas look haar_*_chunk up when called, so rebinding one in this
 # module (to trace or to fail it) reaches every sampler.
 
-def sample_su(cfg: SamplerConfig, columns: Optional[int] = None
-              ) -> np.ndarray:
+def sample_su(cfg: SamplerConfig, columns: Optional[int] = None,
+              reduce: Optional[Reduction] = None) -> np.ndarray:
     m = cfg.series.n
     _check_columns(columns, m - 1)
-    return _sample(cfg, m, columns or m, complex,
-                   lambda rng, size: haar_su_chunk(rng, size, m, columns))
+    return _sample(cfg, m, columns or m, complex, reduce,
+                   lambda rng, size, buffers:
+                   haar_su_chunk(rng, size, m, columns, buffers))
 
 
-def sample_so(cfg: SamplerConfig, columns: Optional[int] = None
-              ) -> np.ndarray:
+def sample_so(cfg: SamplerConfig, columns: Optional[int] = None,
+              reduce: Optional[Reduction] = None) -> np.ndarray:
     n = cfg.series.n
     m = 2 * n + 1 if cfg.series.tag == "B" else 2 * n
     _check_columns(columns, m - 1)
-    return _sample(cfg, m, columns or m, float,
-                   lambda rng, size: haar_so_chunk(rng, size, m, columns))
+    return _sample(cfg, m, columns or m, float, reduce,
+                   lambda rng, size, buffers:
+                   haar_so_chunk(rng, size, m, columns, buffers))
 
 
-def sample_usp(cfg: SamplerConfig, columns: Optional[int] = None
-               ) -> np.ndarray:
+def sample_usp(cfg: SamplerConfig, columns: Optional[int] = None,
+               reduce: Optional[Reduction] = None) -> np.ndarray:
     n = cfg.series.n
     _check_columns(columns, n)
-    return _sample(cfg, 2 * n, columns or 2 * n, complex,
-                   lambda rng, size: haar_usp_chunk(rng, size, 2 * n,
-                                                    columns))
+    return _sample(cfg, 2 * n, columns or 2 * n, complex, reduce,
+                   lambda rng, size, buffers:
+                   haar_usp_chunk(rng, size, 2 * n, columns, buffers))
 
 
 # -- chart coordinate and band statistics -----------------------------
 
-def cp_coordinate(g: np.ndarray) -> tuple:
-    """(|zeta_0|, xi) of the fiber point: first column as homogeneous rep."""
-    mag = np.abs(g[..., 0, 0])
-    return mag, np.arccos(np.clip(mag, 0.0, 1.0))
+def _chart_angle(mag: np.ndarray) -> np.ndarray:
+    """The chart angle xi of the fiber points whose |zeta_0| is `mag`.
+
+    The first column of an SU sample is the homogeneous representative
+    of its fiber point, so mag is |g_00|.
+    """
+    return np.arccos(np.clip(mag, 0.0, 1.0))
 
 
 def sphere_band_mass(m: int, r: float) -> float:
@@ -378,9 +493,28 @@ def _equator_distance(coord: np.ndarray) -> np.ndarray:
     return np.arcsin(np.clip(np.abs(coord), 0.0, 1.0))
 
 
+def _spin_coordinates(g: np.ndarray) -> np.ndarray:
+    """first[:, 0] and the Householder-reduced second[:, 0] of each sample."""
+    out = np.empty((len(g), 2))
+    out[:, 0] = g[:, 0, 0]
+    out[:, 1] = _householder_reduce(g[:, :, 1], g[:, :, 0])[:, 0]
+    return out
+
+
+# What each series' statistics read: SU |g_00|, Spin the first
+# coordinates of its two base-sphere points, USp Re g_00.
+_SU_MAGNITUDE = Reduction(1, lambda g: np.abs(g[:, 0, :1]))
+_SPIN_COORDINATES = Reduction(2, _spin_coordinates)
+_USP_COORDINATE = Reduction(1, lambda g: g[:, 0, :1].real)
+
+
 def concentration_experiment(cfg: SamplerConfig, r: float
                              ) -> ConcentrationReport:
-    """Empirical band mass around the concentration locus vs closed form."""
+    """Empirical band mass around the concentration locus vs closed form.
+
+    Each chunk is reduced to the scalars the statistics read as soon as
+    it is drawn, so no (count, m, k) sample array is held.
+    """
     if not (0.0 < r < math.pi / 2):
         raise ValueError("r must lie in (0, pi/2)")
     series = cfg.series
@@ -390,35 +524,28 @@ def concentration_experiment(cfg: SamplerConfig, r: float
     if series.tag == "A":
         # SU(n): distance of the fiber point to the hyperplane at infinity
         from .cpn import band_complement_mass  # keeps cpn off CLI start-up
-        g = sample_su(cfg, columns=1)
-        _, xi = cp_coordinate(g)
-        dist = math.pi / 2 - xi
-        inside = dist < r
+        mag = sample_su(cfg, columns=1, reduce=_SU_MAGNITUDE)[:, 0]
+        inside = math.pi / 2 - _chart_angle(mag) < r
         predicted = band_complement_mass(n - 1, r)
         base = f"CP^{n - 1} hyperplane at infinity"
-        mag2 = np.sort(np.abs(g[:, 0, 0]) ** 2)
+        mag2 = np.sort(mag ** 2)
         stat, pval = ks_test(mag2,
                              lambda s2: 1.0 - (1.0 - s2) ** (n - 1))
     elif series.tag in ("B", "D"):
         m = 2 * n + 1 if series.tag == "B" else 2 * n
-        g = sample_so(cfg, columns=2)
-        first = g[:, :, 0]
-        second = _householder_reduce(g[:, :, 1], first)
-        d1 = _equator_distance(first[:, 0])
-        d2 = _equator_distance(second[:, 0])
-        inside = (d1 < r) & (d2 < r)
+        coords = sample_so(cfg, columns=2, reduce=_SPIN_COORDINATES)
+        inside = ((_equator_distance(coords[:, 0]) < r)
+                  & (_equator_distance(coords[:, 1]) < r))
         predicted = sphere_band_mass(m - 1, r) * sphere_band_mass(m - 2, r)
         base = f"S^{m - 1} x S^{m - 2} bi-equator"
-        samp = np.sort(np.abs(first[:, 0]))
+        samp = np.sort(np.abs(coords[:, 0]))
         stat, pval = ks_test(samp, lambda t: _band_cdf(m - 1, t))
         note = ("sampling on SO(m); band statistics live on the base "
                 "spheres and are unchanged under the double cover")
     else:  # C
-        g = sample_usp(cfg, columns=1)
-        first = g[:, :, 0]
-        coord = first[:, 0].real  # first real coordinate of S^{4n-1}
-        dist = _equator_distance(coord)
-        inside = dist < r
+        # first real coordinate of S^{4n-1}
+        coord = sample_usp(cfg, columns=1, reduce=_USP_COORDINATE)[:, 0]
+        inside = _equator_distance(coord) < r
         predicted = sphere_band_mass(4 * n - 1, r)
         base = f"S^{4 * n - 1} equator"
         samp = np.sort(np.abs(coord))
@@ -439,7 +566,6 @@ def xi_histogram(cfg: SamplerConfig, bins: int = 200) -> dict:
     if not 1 <= bins <= HIST_MAX_BINS:
         raise ValueError(f"bins must lie in [1, {HIST_MAX_BINS}], "
                          f"not {bins}")
-    g = sample_su(cfg, columns=1)
-    _, xi = cp_coordinate(g)
+    xi = _chart_angle(sample_su(cfg, columns=1, reduce=_SU_MAGNITUDE)[:, 0])
     counts, edges = np.histogram(xi, bins=bins, range=(0.0, math.pi / 2))
     return {"edges": edges.tolist(), "counts": counts.tolist()}

@@ -185,6 +185,23 @@ class TestFormatsAndOutput:
         assert any(line.startswith("ratio.ratio_exponent = ")
                    for line in out.splitlines())
 
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_exact_volume_renders_each_integer_once(self, capsys,
+                                                    monkeypatch, fmt):
+        # the pipeline value and the equal closed form share q's two
+        # integers; at n = 260 each rendering takes ~0.15 s
+        import lievol.exact
+
+        rendered = []
+        digits = lievol.exact._digits
+        monkeypatch.setattr(lievol.exact, "_digits",
+                            lambda n: rendered.append(n) or digits(n))
+        code, out, _ = run(capsys, "volume", "--series", "d", "--n", "30",
+                           "--exact", "--format", fmt)
+        assert code == 0
+        assert len(rendered) == 2
+        assert all(digits(n) in out for n in rendered)
+
     def test_output_file(self, tmp_path, capsys):
         target = tmp_path / "vol.json"
         code, out, _ = run(capsys, "volume", "--series", "su", "--n", "2",
@@ -247,7 +264,7 @@ class TestExitCodes:
         assert "refused" in err
 
     def test_oversize_sample_is_one(self, capsys, monkeypatch):
-        # 10^9 samples of SU(21), one column each, would need 313 GiB:
+        # the statistics of 10^9 samples of SU(21) would need 75 GiB:
         # refused before any chunk is drawn
         import lievol.montecarlo
 
@@ -259,6 +276,26 @@ class TestExitCodes:
                            "--count", "1000000000", "--seed", "1")
         assert code == 1
         assert "budget" in err
+
+    @pytest.mark.parametrize("series,n,count", [("su", 10 ** 9, 100),
+                                                ("su", 21, 10 ** 8),
+                                                ("b", 10 ** 8, 100),
+                                                ("usp", 3, 10 ** 8)])
+    def test_oversize_reduced_sample_is_one(self, capsys, monkeypatch,
+                                            series, n, count):
+        # an oversize group fills the chunk buffers, an oversize count
+        # the statistics' arrays: refused before any chunk is drawn
+        import lievol.montecarlo
+
+        def no_chunk(*args):
+            raise AssertionError("chunk drawn for an oversize request")
+
+        monkeypatch.setattr(lievol.montecarlo, "_map_chunks", no_chunk)
+        code, out, err = run(capsys, "sample", "--series", series,
+                             "--n", str(n), "--count", str(count),
+                             "--seed", "1")
+        assert code == 1
+        assert "budget" in err and out == ""
 
     def test_unwritable_output_is_one_before_any_work(self, capsys,
                                                       monkeypatch, tmp_path):

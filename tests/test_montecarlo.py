@@ -7,9 +7,11 @@ import pytest
 from scipy import stats
 
 from lievol import montecarlo
-from lievol.montecarlo import (CHUNK, SamplerConfig, concentration_experiment,
-                               cp_coordinate, ks_test, sample_so, sample_su,
-                               sample_usp, sphere_band_mass, xi_histogram)
+from lievol.cpn import band_complement_mass
+from lievol.montecarlo import (CHUNK, ConcentrationReport, SamplerConfig,
+                               concentration_experiment, ks_test, sample_so,
+                               sample_su, sample_usp, sphere_band_mass,
+                               xi_histogram)
 from lievol.roots import Series
 from lievol.special import gauss_legendre, kolmogorov_sf
 
@@ -29,6 +31,12 @@ def sphere_band_mass_quadrature(m, r):
 
     return (gauss_legendre(density, -r, r)
             / gauss_legendre(density, -math.pi / 2, math.pi / 2))
+
+
+def cp_coordinate(g):
+    """(|zeta_0|, xi) of the fiber point: first column as homogeneous rep."""
+    mag = np.abs(g[..., 0, 0])
+    return mag, np.arccos(np.clip(mag, 0.0, 1.0))
 
 
 def cfg(tag, n, count=4096, seed=11, workers=1):
@@ -121,7 +129,8 @@ class TestColumnRoute:
                                            size, m, k)
             z = rng.standard_normal((size, m, k))
         assert got.shape == (size, m, k)
-        assert got.tobytes() == montecarlo._gram_schmidt(z).tobytes()
+        assert got.tobytes() == montecarlo._gram_schmidt(
+            z, montecarlo._Buffers()).tobytes()
         gram = np.conj(got).transpose(0, 2, 1) @ got
         assert np.max(np.abs(gram - np.eye(k))) < 1e-12
 
@@ -159,8 +168,8 @@ class TestColumnRoute:
         for name in ("sample_su", "sample_so", "sample_usp"):
             full = getattr(montecarlo, name)
             monkeypatch.setattr(montecarlo, name,
-                                lambda cfg, columns=None, full=full:
-                                full(cfg))
+                                lambda cfg, columns=None, reduce=None,
+                                full=full: reduce.fn(full(cfg)))
         return concentration_experiment(c, r)
 
     @pytest.mark.parametrize("tag,n,r", [("C", 3, 0.5)])
@@ -190,6 +199,118 @@ class TestColumnRoute:
     def test_out_of_range_columns(self, sampler, tag, n, bad):
         with pytest.raises(ValueError):
             sampler(cfg(tag, n, count=16), columns=bad)
+
+
+def column_array_report(c, r):
+    """concentration_experiment's statistics read off whole (count, m, k)
+    column arrays, as they were before each chunk was reduced."""
+    series, n = c.series, c.series.n
+    note = ""
+    if series.tag == "A":
+        g = sample_su(c, columns=1)
+        _, xi = cp_coordinate(g)
+        inside = math.pi / 2 - xi < r
+        predicted = band_complement_mass(n - 1, r)
+        base = f"CP^{n - 1} hyperplane at infinity"
+        mag2 = np.sort(np.abs(g[:, 0, 0]) ** 2)
+        stat, pval = ks_test(mag2, lambda s2: 1.0 - (1.0 - s2) ** (n - 1))
+    elif series.tag in ("B", "D"):
+        m = 2 * n + 1 if series.tag == "B" else 2 * n
+        g = sample_so(c, columns=2)
+        first = g[:, :, 0]
+        second = montecarlo._householder_reduce(g[:, :, 1], first)
+        inside = ((montecarlo._equator_distance(first[:, 0]) < r)
+                  & (montecarlo._equator_distance(second[:, 0]) < r))
+        predicted = sphere_band_mass(m - 1, r) * sphere_band_mass(m - 2, r)
+        base = f"S^{m - 1} x S^{m - 2} bi-equator"
+        samp = np.sort(np.abs(first[:, 0]))
+        stat, pval = ks_test(samp,
+                             lambda t: montecarlo._band_cdf(m - 1, t))
+        note = ("sampling on SO(m); band statistics live on the base "
+                "spheres and are unchanged under the double cover")
+    else:
+        coord = sample_usp(c, columns=1)[:, 0, 0].real
+        inside = montecarlo._equator_distance(coord) < r
+        predicted = sphere_band_mass(4 * n - 1, r)
+        base = f"S^{4 * n - 1} equator"
+        samp = np.sort(np.abs(coord))
+        stat, pval = ks_test(samp,
+                             lambda t: montecarlo._band_cdf(4 * n - 1, t))
+    emp = float(np.mean(inside))
+    stderr = math.sqrt(predicted * (1.0 - predicted) / c.count)
+    return ConcentrationReport(
+        series=series, n=n, r=r, count=c.count, seed=c.seed,
+        empirical_mass=emp, predicted_mass=predicted, stderr=stderr,
+        z_score=(emp - predicted) / stderr, ks_statistic=stat,
+        ks_pvalue=pval, base_description=base, note=note)
+
+
+class TestReducedRoute:
+    """Each chunk reduced to its scalars: the same reports, bit for bit."""
+
+    @pytest.mark.parametrize("tag,n,r", [("A", 6, 0.4), ("A", 21, 0.2),
+                                         ("B", 2, 0.5), ("D", 4, 0.5),
+                                         ("C", 2, 0.5), ("C", 3, 0.5)])
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_report_equals_the_column_array_report(self, tag, n, r,
+                                                   workers):
+        # three chunks, the last one short
+        c = cfg(tag, n, count=2 * CHUNK + 77, seed=37, workers=workers)
+        want = column_array_report(cfg(tag, n, count=c.count, seed=37), r)
+        assert concentration_experiment(c, r) == want
+
+    def test_workers_keep_their_own_buffers(self):
+        # four workers on seven chunks, with frequent thread switches: a
+        # buffer shared between workers would mix their chunks
+        c = cfg("A", 9, count=6 * CHUNK + 5, seed=6, workers=4)
+        want = concentration_experiment(cfg("A", 9, count=c.count, seed=6),
+                                         0.3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = concentration_experiment(c, 0.3)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_histogram_equals_the_column_array_histogram(self, workers):
+        c = cfg("A", 7, count=2 * CHUNK + 77, seed=38, workers=workers)
+        _, xi = cp_coordinate(sample_su(cfg("A", 7, count=c.count, seed=38),
+                                        columns=1))
+        counts, edges = np.histogram(xi, bins=60, range=(0.0, math.pi / 2))
+        assert xi_histogram(c, bins=60) == {"edges": edges.tolist(),
+                                            "counts": counts.tolist()}
+
+    @pytest.mark.parametrize("tag,n,count", [("A", 10 ** 9, 100),
+                                             ("A", 21, 10 ** 8),
+                                             ("B", 10 ** 8, 100),
+                                             ("D", 4, 10 ** 8),
+                                             ("C", 10 ** 8, 100),
+                                             ("C", 3, 10 ** 8)])
+    def test_oversize_refused_before_drawing(self, monkeypatch, tag, n,
+                                             count):
+        # an oversize group fills the chunk buffers, an oversize count
+        # the statistics' arrays
+        def no_chunk(*args):
+            raise AssertionError("chunk drawn for an oversize request")
+
+        monkeypatch.setattr(montecarlo, "_map_chunks", no_chunk)
+        with pytest.raises(ValueError, match="budget"):
+            concentration_experiment(cfg(tag, n, count=count), 0.3)
+        if tag == "A":
+            with pytest.raises(ValueError, match="budget"):
+                xi_histogram(cfg(tag, n, count=count))
+
+    def test_statistics_cap(self):
+        # about 2.7 * 10^7 samples of SU(21) fit the budget
+        def need(count):
+            montecarlo._check_sample_budget(count, 21, 1, 16, 1,
+                                            montecarlo._STATS_BYTES)
+
+        need(2 * 10 ** 7)
+        with pytest.raises(ValueError, match="budget"):
+            need(3 * 10 ** 7)
 
 
 class TestSampleBudget:
@@ -239,6 +360,20 @@ class TestSampleMemory:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * g.nbytes
+
+    @pytest.mark.parametrize("stat", [
+        lambda c: concentration_experiment(c, 0.2), xi_histogram])
+    def test_statistics_hold_no_column_array(self, stat):
+        # a quarter of the (count, 21, 1) complex array once held
+        c = cfg("A", 21, count=16 * CHUNK, seed=5)
+        stat(c)   # imports and caches outside the measurement
+        tracemalloc.start()
+        try:
+            stat(c)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * c.count * 21 * 16
 
     def test_rows_follow_chunk_order(self):
         # each chunk's rows are its own draw, whichever worker wrote them;
@@ -410,6 +545,7 @@ def test_xi_histogram():
 
 def test_cp_coordinate_range():
     g = sample_su(cfg("A", 4, count=256, seed=26))
-    mag, xi = cp_coordinate(g)
+    mag = montecarlo._SU_MAGNITUDE.fn(g)[:, 0]
+    xi = montecarlo._chart_angle(mag)
     assert np.all((mag >= 0) & (mag <= 1))
     assert np.all((xi >= 0) & (xi <= math.pi / 2))
