@@ -24,8 +24,8 @@ from .curvature import (LEVY_MIN_INDEX, curvature_report,
 from .montecarlo import (CHUNK, SamplerConfig, concentration_experiment,
                          xi_histogram)
 from .roots import Series, build_root_system, root_system_json
-from .volumes import (USP_DIMENSION_NOTE, closed_form_volume, group_volume,
-                      log_volume, ratio_exponent, ratio_scale)
+from .volumes import (USP_DIMENSION_NOTE, VolumeResult, closed_form_volume,
+                      group_volume, log_volume, ratio_exponent, ratio_scale)
 
 
 FORMATS = ("json", "csv", "text")
@@ -92,7 +92,8 @@ def cmd_volume(args) -> dict:
     s = _series(args)
     out = {}
     if args.log or (not args.exact and s.n > 30):
-        out["volume"] = {"group": s.group_name, "log_volume": log_volume(s)}
+        out["volume"] = VolumeResult(
+            s, args.gamma, log_volume(s, args.gamma)).to_json()
     else:
         res = group_volume(s, args.gamma)
         closed = closed_form_volume(s)

@@ -1,32 +1,25 @@
-"""Haar sampling on SU(n), SO(m), USp(2n) and concentration experiments.
+"""Haar sampling on SU(n), Spin(m), USp(2n) and concentration experiments.
 
-Sampling is Gaussian matrix -> orthonormalization -> phase/sign
-correction, which is exactly invariant.  Samples are produced in fixed
-chunks, each chunk driven by its own counter-keyed Philox stream, so
-the statistics are bit-identical for a given (seed, count) at any
-worker count.
+The concentration statistics read at most two columns of a Haar sample,
+so a sampler draws only those: k Gaussian columns per sample (k = 1 for
+SU and USp, 2 for Spin), orthonormalized by Gram-Schmidt.  For k < m
+the first k columns of a Haar matrix are uniform on the Stiefel
+manifold, the law of Gram-Schmidt applied to k i.i.d. Gaussian columns
+(Mezzadri, Notices AMS 2007), and the det phase or sign that makes a
+sample special leaves that law alone.  USp(2n) acts transitively on the
+unit sphere of C^{2n}, so its first column is drawn as SU(2n)'s.  The
+full-matrix samplers that check this law live beside the tests.
 
-A sampler given ``columns=k`` returns only the first k columns of each
-sample.  For SU and SO it draws only k Gaussian columns per sample and
-orthonormalizes them: the first k < m columns of a Haar matrix are
-uniform on the Stiefel manifold, the law of Gram-Schmidt applied to k
-i.i.d. Gaussian columns (Mezzadri, Notices AMS 2007).  This is exact in
-law but is not the full sampler's stream.  For USp the fill stops after
-column k - 1, so its columns are bit-equal to the full sample's.  The
-concentration statistics read at most two columns, so they take this
-route; the full matrices stay the reference.
-
-A sampler given a Reduction maps each chunk, as soon as it is drawn, to
-the float64 scalars its caller reads and returns only those, so the
-concentration statistics hold one or two scalars per sample and never a
-(count, m, k) array.  Each worker draws its chunks into one set of work
-arrays, kept for the whole draw.
-
-The result is allocated once and each chunk is copied into its slice as
-soon as it is drawn, so a draw costs its result plus one chunk's work
-arrays per worker.  A draw whose cost would exceed SAMPLE_BUDGET bytes
-is refused before any chunk is drawn; with a Reduction the result is
-the scalars and the statistics' arrays it declares.
+Each chunk is reduced, as soon as it is drawn, to the float64 scalars
+its statistic reads (SU |g_00|, Spin the first coordinates of its two
+base-sphere points, USp Re g_00), so a draw holds one or two scalars per
+sample and never a (count, m, k) array.  Chunks have a fixed size, each
+is driven by its own counter-keyed Philox stream and written into its
+rows of one preallocated result, so the statistics are bit-identical
+for a given (seed, count) at any worker count.  Each worker draws its
+chunks into one set of work arrays, kept for the whole draw.  A draw
+whose scalars, statistics and work arrays would exceed SAMPLE_BUDGET
+bytes is refused before any chunk is drawn.
 
 Band masses are I_x(1/2, m/2) (special.betainc_half); their second
 route, Gauss-Legendre quadrature of the band (special.gauss_legendre),
@@ -39,7 +32,7 @@ import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -50,9 +43,9 @@ CHUNK = 2048
 
 _RSQRT2 = 1.0 / math.sqrt(2.0)
 
-# Most bytes one draw may hold, its result and work arrays together:
-# 10^6 samples of SU(21) at one column (336 MB) run, and the
-# concentration statistics of SU(21) take up to 2.68 * 10^7 samples.
+# Most bytes one draw may hold, its scalars, statistics and work arrays
+# together: the concentration statistics of SU(21) take up to
+# 2.68 * 10^7 samples.
 SAMPLE_BUDGET = 2 * 2 ** 30
 
 # Bytes per sample the concentration statistics hold at their peak,
@@ -61,10 +54,12 @@ SAMPLE_BUDGET = 2 * 2 ** 30
 # count 10^5.
 _STATS_BYTES = 80
 
-# Work arrays one worker holds while it draws, in chunks of the sampled
-# array: tracemalloc measured peaks of up to 4.8 chunks for SU and SO
-# and 5.8 for USp, whose fill holds each column's partner beside it.
-_WORK_CHUNKS = 6
+# Work arrays one worker holds while it draws and reduces a chunk, in
+# chunks of its drawn columns (min(CHUNK, count) x m x k x itemsize):
+# tracemalloc measured peaks of up to 3.9 chunks at count >= CHUNK and
+# 4.3 at count 256 (SU(2)), above the draw's result; USp, drawn as
+# SU, peaks at 3.7 and 3.9.
+_WORK_CHUNKS = 5
 
 # Most threads one sample may use.  The draw stops gaining at the core
 # count (SU(21), 2 * 10^5 samples on 2 cores: 1.31 s at 1 worker, 1.05 s
@@ -158,12 +153,6 @@ def _map_chunks(cfg: SamplerConfig, fn: Callable, out: np.ndarray
 
 # -- samplers ---------------------------------------------------------
 
-def _check_columns(columns: Optional[int], limit: int) -> None:
-    if columns is not None and not (isinstance(columns, (int, np.integer))
-                                    and 1 <= columns <= limit):
-        raise ValueError(f"columns must lie in [1, {limit}], got {columns}")
-
-
 def _row_norms(v: np.ndarray, buffers: _Buffers) -> np.ndarray:
     """np.linalg.norm(v, axis=1) of a (size, m) array, in work buffers.
 
@@ -219,127 +208,42 @@ def _complex_gaussian(rng: np.random.Generator, shape: tuple,
     return z
 
 
-def _haar_unitary(rng: np.random.Generator, size: int, m: int,
-                  buffers: _Buffers) -> np.ndarray:
-    q, r = np.linalg.qr(_complex_gaussian(rng, (size, m, m), buffers))
-    d = np.einsum("sii->si", r)
-    q *= (d / np.abs(d))[:, None, :]
-    return q
-
+# Each chunk lives in `buffers` until the next chunk drawn with them.
 
 def haar_su_chunk(rng: np.random.Generator, size: int, m: int,
-                  columns: Optional[int] = None,
-                  buffers: Optional[_Buffers] = None) -> np.ndarray:
-    """(size, m, m) Haar SU(m) samples, or their first `columns` columns.
-
-    The column route draws only `columns` Gaussian columns and leaves out
-    the det phase: for k < m the first k columns of Haar U(m) and of Haar
-    SU(m) have the same law.  With `buffers` the result may live in them,
-    until the next chunk drawn with the same buffers.
-    """
-    _check_columns(columns, m - 1)
-    buffers = buffers or _Buffers()
-    if columns is not None:
-        return _gram_schmidt(
-            _complex_gaussian(rng, (size, m, columns), buffers), buffers)
-    q = _haar_unitary(rng, size, m, buffers)
-    det = np.linalg.det(q)
-    q *= (det ** (-1.0 / m))[:, None, None]
-    return q
+                  buffers: _Buffers) -> np.ndarray:
+    """(size, m, 1): the first column of `size` Haar SU(m) samples."""
+    return _gram_schmidt(_complex_gaussian(rng, (size, m, 1), buffers),
+                         buffers)
 
 
 def haar_so_chunk(rng: np.random.Generator, size: int, m: int,
-                  columns: Optional[int] = None,
-                  buffers: Optional[_Buffers] = None) -> np.ndarray:
-    """(size, m, m) Haar SO(m) samples, or their first `columns` columns.
-
-    The column route draws only `columns` Gaussian columns and leaves out
-    the det-sign fold: for k < m the first k columns of Haar O(m) and of
-    Haar SO(m) have the same law.  With `buffers` the result may live in
-    them, until the next chunk drawn with the same buffers.
-    """
-    _check_columns(columns, m - 1)
-    buffers = buffers or _Buffers()
-    if columns is not None:
-        return _gram_schmidt(_normal(rng, (size, m, columns), buffers),
-                             buffers)
-    q, r = np.linalg.qr(_normal(rng, (size, m, m), buffers))
-    d = np.einsum("sii->si", r)
-    q *= np.sign(d)[:, None, :]
-    # fold the det = -1 coset onto SO(m) with a fixed reflection
-    neg = np.linalg.det(q) < 0
-    q[neg, :, 0] *= -1.0
-    return q
-
-
-def _usp_partner(v: np.ndarray) -> np.ndarray:
-    """Quaternionic partner of complex columns (..., 2n)."""
-    n = v.shape[-1] // 2
-    out = np.empty_like(v)
-    out[..., :n] = -np.conj(v[..., n:])
-    out[..., n:] = np.conj(v[..., :n])
-    return out
+                  buffers: _Buffers) -> np.ndarray:
+    """(size, m, 2): the first two columns of `size` Haar SO(m) samples."""
+    return _gram_schmidt(_normal(rng, (size, m, 2), buffers), buffers)
 
 
 def haar_usp_chunk(rng: np.random.Generator, size: int, two_n: int,
-                   columns: Optional[int] = None,
-                   buffers: Optional[_Buffers] = None) -> np.ndarray:
-    """Quaternion Gram-Schmidt on Gaussian columns, in the 2n x 2n form.
+                   buffers: _Buffers) -> np.ndarray:
+    """(size, 2n, 1): the first column of `size` Haar USp(2n) samples.
 
-    With `columns` = k <= n the fill stops after column k - 1, and the
-    first k columns come out bit-equal to the full sample's.  With
-    `buffers` the result may live in them, until the next chunk drawn
-    with the same buffers.
+    USp(2n) acts transitively on the unit sphere of C^{2n}, so this
+    column is uniform on it, drawn as SU(2n)'s.
     """
-    n = two_n // 2
-    _check_columns(columns, n)
-    buffers = buffers or _Buffers()
-    k = n if columns is None else columns
-    # columns j < k, then their partners at j + k
-    g = buffers.get("usp", (size, two_n, 2 * k), complex)
-    for j in range(k):
-        v = _complex_gaussian(rng, (size, two_n), buffers)
-        for kk in range(2 * j):
-            w = g[:, :, _col_order(kk, k)]
-            v -= np.einsum("sa,sa->s", np.conj(w), v)[:, None] * w
-        v /= _row_norms(v, buffers)[:, None]
-        g[:, :, j] = v
-        # the column route returns no partners, and no later column
-        # reads the last one
-        if columns is None or j < k - 1:
-            g[:, :, j + k] = _usp_partner(v)
-    return g if columns is None else g[:, :, :k]
-
-
-def _col_order(kk: int, k: int) -> int:
-    # previously filled columns in fill order: j, then its partner j+k
-    return kk // 2 if kk % 2 == 0 else kk // 2 + k
-
-
-class Reduction(NamedTuple):
-    """A map of each drawn chunk to the float64 scalars a caller reads.
-
-    fn takes a (size, m, k) chunk and returns its (size, width) scalars.
-    A reduced draw is budgeted _STATS_BYTES per sample: the scalars and
-    the arrays the statistics build from them.
-    """
-    width: int
-    fn: Callable
+    return _gram_schmidt(_complex_gaussian(rng, (size, two_n, 1), buffers),
+                         buffers)
 
 
 def _check_sample_budget(count: int, rows: int, cols: int, itemsize: int,
-                         workers: int = 1,
-                         per_sample: Optional[int] = None) -> None:
+                         workers: int) -> None:
     """Refuse a draw whose result and work arrays exceed SAMPLE_BUDGET.
 
-    The result costs `per_sample` bytes a sample, by default one whole
-    rows x cols sample; each busy worker holds _WORK_CHUNKS chunks of
-    samples besides.
+    The result and the statistics built from it cost _STATS_BYTES a
+    sample; each busy worker holds _WORK_CHUNKS chunks of rows x cols
+    columns besides.
     """
-    if per_sample is None:
-        per_sample = rows * cols * itemsize
     busy = min(workers, -(-count // CHUNK))
-    need = (count * per_sample
+    need = (count * _STATS_BYTES
             + busy * _WORK_CHUNKS * min(CHUNK, count) * rows * cols * itemsize)
     if need > SAMPLE_BUDGET:
         raise ValueError(
@@ -347,48 +251,38 @@ def _check_sample_budget(count: int, rows: int, cols: int, itemsize: int,
             f"GiB, above the {SAMPLE_BUDGET / 2 ** 30:.0f} GiB sample budget")
 
 
-def _sample(cfg: SamplerConfig, rows: int, cols: int, dtype,
-            reduce: Optional[Reduction], fn: Callable) -> np.ndarray:
-    """(count, rows, cols) samples from fn(chunk_rng, size, buffers), chunk
-    by chunk, or with `reduce` their (count, reduce.width) scalars."""
+def _sample(cfg: SamplerConfig, rows: int, cols: int, dtype, width: int,
+            fn: Callable) -> np.ndarray:
+    """(count, width) scalars, fn(chunk_rng, size, buffers) chunk by chunk;
+    fn draws rows x cols columns of each sample into the buffers."""
     _check_sample_budget(cfg.count, rows, cols, np.dtype(dtype).itemsize,
-                         cfg.workers, None if reduce is None else _STATS_BYTES)
-    if reduce is None:
-        return _map_chunks(cfg, fn, np.empty((cfg.count, rows, cols), dtype))
-    return _map_chunks(cfg, lambda rng, size, buffers:
-                       reduce.fn(fn(rng, size, buffers)),
-                       np.empty((cfg.count, reduce.width)))
+                         cfg.workers)
+    return _map_chunks(cfg, fn, np.empty((cfg.count, width)))
 
 
 # The lambdas look haar_*_chunk up when called, so rebinding one in this
 # module (to trace or to fail it) reaches every sampler.
 
-def sample_su(cfg: SamplerConfig, columns: Optional[int] = None,
-              reduce: Optional[Reduction] = None) -> np.ndarray:
+def sample_su(cfg: SamplerConfig) -> np.ndarray:
+    """(count, 1): |g_00| of Haar SU(n) samples."""
     m = cfg.series.n
-    _check_columns(columns, m - 1)
-    return _sample(cfg, m, columns or m, complex, reduce,
-                   lambda rng, size, buffers:
-                   haar_su_chunk(rng, size, m, columns, buffers))
+    return _sample(cfg, m, 1, complex, 1, lambda rng, size, buffers:
+                   np.abs(haar_su_chunk(rng, size, m, buffers)[:, 0, :1]))
 
 
-def sample_so(cfg: SamplerConfig, columns: Optional[int] = None,
-              reduce: Optional[Reduction] = None) -> np.ndarray:
+def sample_so(cfg: SamplerConfig) -> np.ndarray:
+    """(count, 2): the _spin_coordinates of Haar SO(m) samples."""
     n = cfg.series.n
     m = 2 * n + 1 if cfg.series.tag == "B" else 2 * n
-    _check_columns(columns, m - 1)
-    return _sample(cfg, m, columns or m, float, reduce,
-                   lambda rng, size, buffers:
-                   haar_so_chunk(rng, size, m, columns, buffers))
+    return _sample(cfg, m, 2, float, 2, lambda rng, size, buffers:
+                   _spin_coordinates(haar_so_chunk(rng, size, m, buffers)))
 
 
-def sample_usp(cfg: SamplerConfig, columns: Optional[int] = None,
-               reduce: Optional[Reduction] = None) -> np.ndarray:
-    n = cfg.series.n
-    _check_columns(columns, n)
-    return _sample(cfg, 2 * n, columns or 2 * n, complex, reduce,
-                   lambda rng, size, buffers:
-                   haar_usp_chunk(rng, size, 2 * n, columns, buffers))
+def sample_usp(cfg: SamplerConfig) -> np.ndarray:
+    """(count, 1): Re g_00 of Haar USp(2n) samples."""
+    two_n = 2 * cfg.series.n
+    return _sample(cfg, two_n, 1, complex, 1, lambda rng, size, buffers:
+                   haar_usp_chunk(rng, size, two_n, buffers)[:, 0, :1].real)
 
 
 # -- chart coordinate and band statistics -----------------------------
@@ -501,13 +395,6 @@ def _spin_coordinates(g: np.ndarray) -> np.ndarray:
     return out
 
 
-# What each series' statistics read: SU |g_00|, Spin the first
-# coordinates of its two base-sphere points, USp Re g_00.
-_SU_MAGNITUDE = Reduction(1, lambda g: np.abs(g[:, 0, :1]))
-_SPIN_COORDINATES = Reduction(2, _spin_coordinates)
-_USP_COORDINATE = Reduction(1, lambda g: g[:, 0, :1].real)
-
-
 def concentration_experiment(cfg: SamplerConfig, r: float
                              ) -> ConcentrationReport:
     """Empirical band mass around the concentration locus vs closed form.
@@ -524,7 +411,7 @@ def concentration_experiment(cfg: SamplerConfig, r: float
     if series.tag == "A":
         # SU(n): distance of the fiber point to the hyperplane at infinity
         from .cpn import band_complement_mass  # keeps cpn off CLI start-up
-        mag = sample_su(cfg, columns=1, reduce=_SU_MAGNITUDE)[:, 0]
+        mag = sample_su(cfg)[:, 0]
         inside = math.pi / 2 - _chart_angle(mag) < r
         predicted = band_complement_mass(n - 1, r)
         base = f"CP^{n - 1} hyperplane at infinity"
@@ -533,7 +420,7 @@ def concentration_experiment(cfg: SamplerConfig, r: float
                              lambda s2: 1.0 - (1.0 - s2) ** (n - 1))
     elif series.tag in ("B", "D"):
         m = 2 * n + 1 if series.tag == "B" else 2 * n
-        coords = sample_so(cfg, columns=2, reduce=_SPIN_COORDINATES)
+        coords = sample_so(cfg)
         inside = ((_equator_distance(coords[:, 0]) < r)
                   & (_equator_distance(coords[:, 1]) < r))
         predicted = sphere_band_mass(m - 1, r) * sphere_band_mass(m - 2, r)
@@ -544,7 +431,7 @@ def concentration_experiment(cfg: SamplerConfig, r: float
                 "spheres and are unchanged under the double cover")
     else:  # C
         # first real coordinate of S^{4n-1}
-        coord = sample_usp(cfg, columns=1, reduce=_USP_COORDINATE)[:, 0]
+        coord = sample_usp(cfg)[:, 0]
         inside = _equator_distance(coord) < r
         predicted = sphere_band_mass(4 * n - 1, r)
         base = f"S^{4 * n - 1} equator"
@@ -566,6 +453,6 @@ def xi_histogram(cfg: SamplerConfig, bins: int = 200) -> dict:
     if not 1 <= bins <= HIST_MAX_BINS:
         raise ValueError(f"bins must lie in [1, {HIST_MAX_BINS}], "
                          f"not {bins}")
-    xi = _chart_angle(sample_su(cfg, columns=1, reduce=_SU_MAGNITUDE)[:, 0])
+    xi = _chart_angle(sample_su(cfg)[:, 0])
     counts, edges = np.histogram(xi, bins=bins, range=(0.0, math.pi / 2))
     return {"edges": edges.tolist(), "counts": counts.tolist()}

@@ -104,27 +104,33 @@ def closed_form_volume(series: Series) -> ExactScalar:
     return ExactScalar(Fraction(2 ** (n * n + 1), den), n * n, 1)
 
 
-def log_volume(series: Series) -> float:
-    """ln V via log-gamma; exact-path independent and overflow-free.
+def log_volume(series: Series, center_order: int = 1) -> float:
+    """ln(V / |Gamma|) via log-gamma; exact-path independent and
+    overflow-free.
 
-    Raises ValueError above n = LOG_VOLUME_MAX_RANK.
+    Raises ValueError above n = LOG_VOLUME_MAX_RANK, and for a |Gamma|
+    that is not a subgroup order of the center.
     """
+    _validate_gamma(series, center_order)
     n = series.n
     if n > LOG_VOLUME_MAX_RANK:
         raise ValueError(f"the log-gamma route runs to n = "
                          f"{LOG_VOLUME_MAX_RANK}, not {n}")
     if series.tag == "A":
-        return (0.5 * math.log(n) + (n * (n + 1) / 2 - 1) * LOG_2PI
-                - sum(math.lgamma(i + 1) for i in range(1, n)))
-    if series.tag == "B":
-        return ((n * (n + 2) + 1) * math.log(2)
-                + n * (n + 1) * math.log(math.pi)
-                - sum(math.lgamma(2 * i) for i in range(1, n + 1)))
-    if series.tag == "C":
-        return (n * n * math.log(2) + n * (n + 1) * math.log(math.pi)
-                - sum(math.lgamma(2 * i) for i in range(1, n + 1)))
-    return ((n * n + 1) * math.log(2) + n * n * math.log(math.pi)
-            - math.lgamma(n) - sum(math.lgamma(2 * i) for i in range(1, n)))
+        value = (0.5 * math.log(n) + (n * (n + 1) / 2 - 1) * LOG_2PI
+                 - sum(math.lgamma(i + 1) for i in range(1, n)))
+    elif series.tag == "B":
+        value = ((n * (n + 2) + 1) * math.log(2)
+                 + n * (n + 1) * math.log(math.pi)
+                 - sum(math.lgamma(2 * i) for i in range(1, n + 1)))
+    elif series.tag == "C":
+        value = (n * n * math.log(2) + n * (n + 1) * math.log(math.pi)
+                 - sum(math.lgamma(2 * i) for i in range(1, n + 1)))
+    else:
+        value = ((n * n + 1) * math.log(2) + n * n * math.log(math.pi)
+                 - math.lgamma(n)
+                 - sum(math.lgamma(2 * i) for i in range(1, n)))
+    return value - math.log(center_order)
 
 
 # Dimension jump to the previous group of the same series (next for A).

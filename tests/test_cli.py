@@ -20,6 +20,8 @@ import lievol.montecarlo
 import lievol.reproduce
 import lievol.roots
 from lievol.cli import FORMATS, build_parser, main
+from lievol.roots import Series
+from lievol.volumes import group_volume
 
 
 def run(capsys, *argv):
@@ -70,6 +72,19 @@ class TestSubcommands:
         code, out, _ = run(capsys, "volume", "--series", "su", "--n", "4",
                            "--exact", "--gamma", "2")
         assert json.loads(out)["volume"]["center_order"] == 2
+
+    @pytest.mark.parametrize("series,n,gamma", [("a", 6, 2), ("a", 6, 3),
+                                                ("a", 30, 5), ("b", 7, 2),
+                                                ("c", 9, 2), ("d", 5, 2),
+                                                ("d", 30, 4)])
+    def test_log_volume_divides_out_gamma(self, capsys, series, n, gamma):
+        code, out, _ = run(capsys, "volume", "--series", series, "--n",
+                           str(n), "--gamma", str(gamma), "--log")
+        assert code == 0
+        d = json.loads(out)["volume"]
+        want = group_volume(Series(series, n), gamma).log_value
+        assert d["center_order"] == gamma
+        assert d["log_volume"] == pytest.approx(want, rel=1e-12)
 
     def test_usp_note_present(self, capsys):
         _, out, _ = run(capsys, "volume", "--series", "usp", "--n", "2",
@@ -234,6 +249,14 @@ class TestExitCodes:
                            "--exact", "--gamma", "3")
         assert code == 1
         assert "error:" in err
+
+    @pytest.mark.parametrize("argv", [("--n", "6", "--gamma", "5", "--log"),
+                                      ("--n", "40", "--gamma", "3"),
+                                      ("--n", "40", "--gamma", "0")])
+    def test_bad_gamma_on_the_log_route_is_one(self, capsys, argv):
+        code, out, err = run(capsys, "volume", "--series", "a", *argv)
+        assert code == 1
+        assert "subgroup order" in err and out == ""
 
     def test_oversize_curvature_is_one(self, capsys, monkeypatch):
         # su(400) would need ~1 TiB for its basis, K and Ric alone:

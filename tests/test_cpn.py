@@ -215,7 +215,9 @@ class TestChartGenerators:
                 "fs_metric_from_potential", "fs_metric_affine",
                 "jacobi_residual", "two_plane_orbit_length",
                 "sphere_band_mass_quadrature", "symplectic_form",
-                "kolmogorov_pvalue")
+                "kolmogorov_pvalue", "Reduction", "_SU_MAGNITUDE",
+                "_SPIN_COORDINATES", "_USP_COORDINATE", "_check_columns",
+                "_haar_unitary", "_usp_partner", "_col_order")
         for mod in (lievol.cpn, lievol.curvature, lievol.montecarlo):
             assert not [name for name in gone if hasattr(mod, name)]
         assert not hasattr(AffineCoords, "from_z")

@@ -1,3 +1,4 @@
+import inspect
 import math
 import sys
 import tracemalloc
@@ -9,9 +10,8 @@ from scipy import stats
 from lievol import montecarlo
 from lievol.cpn import band_complement_mass
 from lievol.montecarlo import (CHUNK, ConcentrationReport, SamplerConfig,
-                               concentration_experiment, ks_test, sample_so,
-                               sample_su, sample_usp, sphere_band_mass,
-                               xi_histogram)
+                               concentration_experiment, ks_test,
+                               sphere_band_mass, xi_histogram)
 from lievol.roots import Series
 from lievol.special import gauss_legendre, kolmogorov_sf
 
@@ -42,6 +42,123 @@ def cp_coordinate(g):
 def cfg(tag, n, count=4096, seed=11, workers=1):
     return SamplerConfig(Series(tag, n), count=count, seed=seed,
                          workers=workers)
+
+
+# -- the full-matrix samplers -----------------------------------------
+# The second route of the program's column draw: whole Haar matrices,
+# chunk by chunk on the same Philox streams and worker map.
+
+def complex_gaussian(rng, shape):
+    """Standard complex Gaussians, the real parts drawn first."""
+    re = rng.standard_normal(shape)
+    return (re + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
+
+
+def full_su_chunk(rng, size, m):
+    """(size, m, m) Haar SU(m): QR of complex Gaussians, the phases of R's
+    diagonal moved into Q, then the det phase divided out."""
+    q, r = np.linalg.qr(complex_gaussian(rng, (size, m, m)))
+    d = np.einsum("sii->si", r)
+    q *= (d / np.abs(d))[:, None, :]
+    q *= (np.linalg.det(q) ** (-1.0 / m))[:, None, None]
+    return q
+
+
+def full_so_chunk(rng, size, m):
+    """(size, m, m) Haar SO(m): QR of real Gaussians, the signs of R's
+    diagonal moved into Q, the det = -1 coset folded onto SO(m) by a
+    fixed reflection."""
+    q, r = np.linalg.qr(rng.standard_normal((size, m, m)))
+    q *= np.sign(np.einsum("sii->si", r))[:, None, :]
+    q[np.linalg.det(q) < 0, :, 0] *= -1.0
+    return q
+
+
+def usp_partner(v):
+    """Quaternionic partner of complex columns (..., 2n)."""
+    n = v.shape[-1] // 2
+    out = np.empty_like(v)
+    out[..., :n] = -np.conj(v[..., n:])
+    out[..., n:] = np.conj(v[..., :n])
+    return out
+
+
+def full_usp_chunk(rng, size, two_n):
+    """(size, 2n, 2n) Haar USp(2n): quaternion Gram-Schmidt on complex
+    Gaussian columns j < n, each followed by its partner at j + n."""
+    n = two_n // 2
+    g = np.empty((size, two_n, two_n), complex)
+    for j in range(n):
+        v = complex_gaussian(rng, (size, two_n))
+        for i in range(j):
+            for w in (g[:, :, i], g[:, :, i + n]):
+                v -= np.einsum("sa,sa->s", np.conj(w), v)[:, None] * w
+        v /= np.linalg.norm(v, axis=1)[:, None]
+        g[:, :, j] = v
+        g[:, :, j + n] = usp_partner(v)
+    return g
+
+
+def matrix_size(tag, n):
+    return {"A": n, "B": 2 * n + 1, "C": 2 * n, "D": 2 * n}[tag]
+
+
+def full_sample(c, chunk, dtype):
+    """(count, m, m) samples of chunk(rng, size, m), chunk by chunk."""
+    m = matrix_size(c.series.tag, c.series.n)
+    return montecarlo._map_chunks(
+        c, lambda rng, size, buffers: chunk(rng, size, m),
+        np.empty((c.count, m, m), dtype))
+
+
+# The full samplers keep the names they had in the program, whose
+# sample_* now return the scalars the statistics read.
+
+def sample_su(c):
+    return full_sample(c, full_su_chunk, complex)
+
+
+def sample_so(c):
+    return full_sample(c, full_so_chunk, float)
+
+
+def sample_usp(c):
+    return full_sample(c, full_usp_chunk, complex)
+
+
+SAMPLERS = {"A": sample_su, "B": sample_so, "C": sample_usp, "D": sample_so}
+
+# The program's draw: its sampler, its chunk function, the columns k a
+# chunk holds and their dtype.
+COLUMN_DRAW = {"A": (montecarlo.sample_su, montecarlo.haar_su_chunk, 1,
+                     complex),
+               "B": (montecarlo.sample_so, montecarlo.haar_so_chunk, 2,
+                     float),
+               "C": (montecarlo.sample_usp, montecarlo.haar_usp_chunk, 1,
+                     complex),
+               "D": (montecarlo.sample_so, montecarlo.haar_so_chunk, 2,
+                     float)}
+
+
+def column_array(c):
+    """The (count, m, k) columns the program's draw reduces, built from
+    haar_*_chunk chunk by chunk."""
+    _, chunk, k, dtype = COLUMN_DRAW[c.series.tag]
+    m = matrix_size(c.series.tag, c.series.n)
+    out = np.empty((c.count, m, k), dtype)
+    for i, size in montecarlo._chunks(c.count):
+        out[i * CHUNK:i * CHUNK + size] = chunk(
+            montecarlo._chunk_rng(c.seed, i), size, m, montecarlo._Buffers())
+    return out
+
+
+def scalars_read(tag, g):
+    """The scalars the program's sample_* return, read off g's columns."""
+    if tag == "A":
+        return np.abs(g[:, 0, :1])
+    if tag == "C":
+        return g[:, 0, :1].real
+    return montecarlo._spin_coordinates(g)
 
 
 class TestSamplers:
@@ -94,40 +211,20 @@ class TestDeterminism:
         assert not np.allclose(a, b)
 
 
-SAMPLERS = {"A": sample_su, "B": sample_so, "C": sample_usp, "D": sample_so}
-COLUMNS = {"A": 1, "B": 2, "C": 1, "D": 2}
-
-
-def statistics_read(tag, g):
-    """The coordinates concentration_experiment reads off k columns."""
-    if tag == "A":
-        return [np.abs(g[:, 0, 0]) ** 2]
-    first = g[:, :, 0]
-    second = montecarlo._householder_reduce(g[:, :, 1], first)
-    return [first[:, 0], second[:, 0]]
-
-
 class TestColumnRoute:
-    """The k-column samplers: their own stream, the full route's law."""
+    """The program's k-column draw: its own stream, the full route's law."""
 
     @pytest.mark.parametrize("tag,n", [("A", 6), ("A", 21), ("B", 2),
                                        ("D", 4)])
     def test_stream_oracle(self, tag, n):
         # a column chunk is Gram-Schmidt of an explicit (size, m, k) draw
-        size, k = 3000, COLUMNS[tag]
+        _, chunk, k, _ = COLUMN_DRAW[tag]
+        size, m = 3000, matrix_size(tag, n)
         rng = montecarlo._chunk_rng(31, 0)
-        if tag == "A":
-            m = n
-            got = montecarlo.haar_su_chunk(montecarlo._chunk_rng(31, 0),
-                                           size, m, k)
-            re = rng.standard_normal((size, m, k))
-            im = rng.standard_normal((size, m, k))
-            z = (re + 1j * im) / math.sqrt(2.0)
-        else:
-            m = 2 * n + 1 if tag == "B" else 2 * n
-            got = montecarlo.haar_so_chunk(montecarlo._chunk_rng(31, 0),
-                                           size, m, k)
-            z = rng.standard_normal((size, m, k))
+        got = chunk(montecarlo._chunk_rng(31, 0), size, m,
+                    montecarlo._Buffers())
+        z = (complex_gaussian(rng, (size, m, k)) if tag == "A"
+             else rng.standard_normal((size, m, k)))
         assert got.shape == (size, m, k)
         assert got.tobytes() == montecarlo._gram_schmidt(
             z, montecarlo._Buffers()).tobytes()
@@ -137,39 +234,54 @@ class TestColumnRoute:
     @pytest.mark.parametrize("tag,n", [("A", 6), ("A", 21), ("B", 2),
                                        ("D", 4)])
     def test_marginals_match_full_route(self, tag, n):
-        # independent seeds: a two-sample test of the coordinates read
-        k = COLUMNS[tag]
-        cols = SAMPLERS[tag](cfg(tag, n, count=10000, seed=34), columns=k)
-        full = SAMPLERS[tag](cfg(tag, n, count=10000, seed=35))
-        for a, b in zip(statistics_read(tag, cols),
-                        statistics_read(tag, full[:, :, :k])):
+        # independent seeds: a two-sample test of each scalar read
+        got = COLUMN_DRAW[tag][0](cfg(tag, n, count=10000, seed=34))
+        full = scalars_read(tag, SAMPLERS[tag](cfg(tag, n, count=10000,
+                                                   seed=35)))
+        for a, b in zip(got.T, full.T):
             assert stats.ks_2samp(a, b).pvalue > 0.01
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_usp_columns_bit_equal(self, n):
+        # the quaternion fill's column 0 has no partner to project out
         c = cfg("C", n, count=3000, seed=32)
         full = sample_usp(c)
-        for k in range(1, n + 1):
-            cols = sample_usp(c, columns=k)
-            assert cols.tobytes() == full[:, :, :k].tobytes()
+        assert column_array(c).tobytes() == full[:, :, :1].tobytes()
+        assert montecarlo.sample_usp(c).tobytes() == \
+            full[:, 0, :1].real.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_usp_draw_is_the_su_column_draw(self, n):
+        # USp(2n) is transitive on the unit sphere of C^{2n}
+        for i in range(3):
+            usp, su = (chunk(montecarlo._chunk_rng(40, i), CHUNK, 2 * n,
+                             montecarlo._Buffers())
+                       for chunk in (montecarlo.haar_usp_chunk,
+                                     montecarlo.haar_su_chunk))
+            assert usp.tobytes() == su.tobytes()
+
+    def test_one_draw_route(self):
+        # no optional parameter selects another route
+        for sampler, chunk, _, _ in COLUMN_DRAW.values():
+            for f in (sampler, chunk):
+                params = inspect.signature(f).parameters.values()
+                assert all(p.default is p.empty for p in params), f
 
     @pytest.mark.parametrize("tag,n", [("A", 4), ("B", 2), ("C", 2)])
     def test_bit_identical_across_workers(self, tag, n):
+        sampler = COLUMN_DRAW[tag][0]
         count = CHUNK + 1000
-        k = COLUMNS[tag]
-        a = SAMPLERS[tag](cfg(tag, n, count=count, seed=3), columns=k)
-        b = SAMPLERS[tag](cfg(tag, n, count=count, seed=3, workers=4),
-                          columns=k)
+        a = sampler(cfg(tag, n, count=count, seed=3))
+        b = sampler(cfg(tag, n, count=count, seed=3, workers=4))
         assert a.tobytes() == b.tobytes()
 
     @staticmethod
     def _full_route_report(monkeypatch, c, r):
         # the same statistics read off the full matrices
-        for name in ("sample_su", "sample_so", "sample_usp"):
-            full = getattr(montecarlo, name)
-            monkeypatch.setattr(montecarlo, name,
-                                lambda cfg, columns=None, reduce=None,
-                                full=full: reduce.fn(full(cfg)))
+        for full in (sample_su, sample_so, sample_usp):
+            monkeypatch.setattr(montecarlo, full.__name__,
+                                lambda cfg, full=full:
+                                scalars_read(cfg.series.tag, full(cfg)))
         return concentration_experiment(c, r)
 
     @pytest.mark.parametrize("tag,n,r", [("C", 3, 0.5)])
@@ -191,23 +303,14 @@ class TestColumnRoute:
         gap = abs(got.empirical_mass - want.empirical_mass)
         assert gap < 4 * math.sqrt(2) * got.stderr
 
-    @pytest.mark.parametrize("sampler,tag,n,bad",
-                             [(sample_su, "A", 4, 0), (sample_su, "A", 4, 4),
-                              (sample_so, "B", 2, 5), (sample_so, "D", 4, -1),
-                              (sample_usp, "C", 2, 3),
-                              (sample_usp, "C", 2, 1.0)])
-    def test_out_of_range_columns(self, sampler, tag, n, bad):
-        with pytest.raises(ValueError):
-            sampler(cfg(tag, n, count=16), columns=bad)
-
 
 def column_array_report(c, r):
     """concentration_experiment's statistics read off whole (count, m, k)
     column arrays, as they were before each chunk was reduced."""
     series, n = c.series, c.series.n
+    g = column_array(c)
     note = ""
     if series.tag == "A":
-        g = sample_su(c, columns=1)
         _, xi = cp_coordinate(g)
         inside = math.pi / 2 - xi < r
         predicted = band_complement_mass(n - 1, r)
@@ -216,7 +319,6 @@ def column_array_report(c, r):
         stat, pval = ks_test(mag2, lambda s2: 1.0 - (1.0 - s2) ** (n - 1))
     elif series.tag in ("B", "D"):
         m = 2 * n + 1 if series.tag == "B" else 2 * n
-        g = sample_so(c, columns=2)
         first = g[:, :, 0]
         second = montecarlo._householder_reduce(g[:, :, 1], first)
         inside = ((montecarlo._equator_distance(first[:, 0]) < r)
@@ -229,7 +331,7 @@ def column_array_report(c, r):
         note = ("sampling on SO(m); band statistics live on the base "
                 "spheres and are unchanged under the double cover")
     else:
-        coord = sample_usp(c, columns=1)[:, 0, 0].real
+        coord = g[:, 0, 0].real
         inside = montecarlo._equator_distance(coord) < r
         predicted = sphere_band_mass(4 * n - 1, r)
         base = f"S^{4 * n - 1} equator"
@@ -276,8 +378,8 @@ class TestReducedRoute:
     @pytest.mark.parametrize("workers", [1, 3])
     def test_histogram_equals_the_column_array_histogram(self, workers):
         c = cfg("A", 7, count=2 * CHUNK + 77, seed=38, workers=workers)
-        _, xi = cp_coordinate(sample_su(cfg("A", 7, count=c.count, seed=38),
-                                        columns=1))
+        _, xi = cp_coordinate(column_array(cfg("A", 7, count=c.count,
+                                               seed=38)))
         counts, edges = np.histogram(xi, bins=60, range=(0.0, math.pi / 2))
         assert xi_histogram(c, bins=60) == {"edges": edges.tolist(),
                                             "counts": counts.tolist()}
@@ -305,8 +407,7 @@ class TestReducedRoute:
     def test_statistics_cap(self):
         # about 2.7 * 10^7 samples of SU(21) fit the budget
         def need(count):
-            montecarlo._check_sample_budget(count, 21, 1, 16, 1,
-                                            montecarlo._STATS_BYTES)
+            montecarlo._check_sample_budget(count, 21, 1, 16, 1)
 
         need(2 * 10 ** 7)
         with pytest.raises(ValueError, match="budget"):
@@ -315,23 +416,24 @@ class TestReducedRoute:
 
 class TestSampleBudget:
     def test_large_column_sample_fits(self):
-        # 10^6 samples of SU(21) at one column: 336 MB
-        montecarlo._check_sample_budget(10 ** 6, 21, 1, 16)
+        # 10^6 samples of SU(21): 80 MB of scalars and statistics
+        montecarlo._check_sample_budget(10 ** 6, 21, 1, 16, 1)
 
     @pytest.mark.parametrize("sampler,tag,n,columns,count",
-                             [(sample_su, "A", 21, 1, 10 ** 9),
-                              # full matrices count every column: 7 GB
-                              (sample_su, "A", 21, None, 10 ** 6),
-                              (sample_so, "B", 10, 2, 10 ** 9),
-                              (sample_usp, "C", 10, None, 10 ** 9)])
+                             [(montecarlo.sample_su, "A", 21, 1, 10 ** 9),
+                              (montecarlo.sample_so, "B", 10, 2, 10 ** 9),
+                              (montecarlo.sample_usp, "C", 10, 1, 10 ** 9)])
     def test_oversize_refused_before_drawing(self, monkeypatch, sampler, tag,
                                              n, columns, count):
         def no_chunk(*args):
             raise AssertionError("chunk drawn for an oversize request")
 
         monkeypatch.setattr(montecarlo, "_map_chunks", no_chunk)
-        with pytest.raises(ValueError, match="budget"):
-            sampler(cfg(tag, n, count=count), columns=columns)
+        m = matrix_size(tag, n)
+        # the refusal names the columns a sample would be drawn as
+        with pytest.raises(ValueError, match=f"of {m} x {columns} need .* "
+                                             f"budget"):
+            sampler(cfg(tag, n, count=count))
 
 
 @pytest.mark.parametrize("workers", [0, montecarlo.MAX_WORKERS + 1])
@@ -343,23 +445,24 @@ def test_worker_count_is_bounded(workers):
 
 class TestSampleMemory:
     @pytest.mark.parametrize("sampler,tag,n,columns",
-                             [(sample_su, "A", 6, 1),
-                              (sample_su, "A", 4, None),
-                              (sample_so, "B", 2, 2),
-                              (sample_usp, "C", 2, 1)])
+                             [(montecarlo.sample_su, "A", 6, 1),
+                              (montecarlo.sample_so, "B", 2, 2),
+                              (montecarlo.sample_usp, "C", 2, 1)])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_peak_is_the_result_plus_chunks(self, sampler, tag, n, columns,
                                             workers):
-        # 32 chunks: holding them all beside a concatenated copy would
-        # peak at twice the result
+        # 32 chunks: beside its scalars a draw holds each worker's work
+        # arrays, _WORK_CHUNKS chunks of columns at most, never all chunks
         c = cfg(tag, n, count=32 * CHUNK, seed=5, workers=workers)
+        itemsize = np.dtype(COLUMN_DRAW[tag][3]).itemsize
+        chunk = CHUNK * matrix_size(tag, n) * columns * itemsize
         tracemalloc.start()
         try:
-            g = sampler(c, columns=columns)
+            g = sampler(c)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * g.nbytes
+        assert peak < g.nbytes + workers * montecarlo._WORK_CHUNKS * chunk
 
     @pytest.mark.parametrize("stat", [
         lambda c: concentration_experiment(c, 0.2), xi_histogram])
@@ -382,13 +485,10 @@ class TestSampleMemory:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            g = sample_usp(c, columns=1)
+            g = montecarlo.sample_usp(c)
         finally:
             sys.setswitchinterval(interval)
-        for i, size in montecarlo._chunks(c.count):
-            want = montecarlo.haar_usp_chunk(montecarlo._chunk_rng(6, i),
-                                             size, 4, 1)
-            assert g[i * CHUNK:i * CHUNK + size].tobytes() == want.tobytes()
+        assert g.tobytes() == scalars_read("C", column_array(c)).tobytes()
 
 
 class TestInvariance:
@@ -544,8 +644,7 @@ def test_xi_histogram():
 
 
 def test_cp_coordinate_range():
-    g = sample_su(cfg("A", 4, count=256, seed=26))
-    mag = montecarlo._SU_MAGNITUDE.fn(g)[:, 0]
+    mag = montecarlo.sample_su(cfg("A", 4, count=256, seed=26))[:, 0]
     xi = montecarlo._chart_angle(mag)
     assert np.all((mag >= 0) & (mag <= 1))
     assert np.all((xi >= 0) & (xi <= math.pi / 2))

@@ -89,6 +89,8 @@ class TestCenterQuotient:
         with pytest.raises(ValueError):
             group_volume(Series("B", 3), 4)
         group_volume(Series("D", 5), 4)  # |Z(Spin(10))| = 4: fine
+        with pytest.raises(ValueError):
+            log_volume(Series("A", 4), 3)   # the log route checks it too
 
 
 def test_exact_rank_guard():
