@@ -77,6 +77,18 @@ def _flatten(obj, prefix=""):
     return out
 
 
+def _finite(text: str) -> float:
+    """A float option's value; nan and +-inf are usage errors, as JSON
+    has no token for them and a check against them passes vacuously."""
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return x
+
+
 def _series(args) -> Series:
     return Series(args.series, args.n)
 
@@ -234,16 +246,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("cpn", help="quotient-geometry checks")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("action", choices=("band-mass", "check-metric"))
-    sp.add_argument("--eps", type=float, default=0.3)
+    sp.add_argument("--eps", type=_finite, default=0.3)
     sp.add_argument("--points", type=int, default=100)
-    sp.add_argument("--tol", type=float, default=1e-8)
+    sp.add_argument("--tol", type=_finite, default=1e-8)
     add_common(sp, series=False)
     sp.set_defaults(func=cmd_cpn)
 
     sp = sub.add_parser("sample", help="Haar Monte Carlo band statistics")
     add_common(sp)
     sp.add_argument("--count", type=int, default=10_000)
-    sp.add_argument("--r", type=float, default=0.3)
+    sp.add_argument("--r", type=_finite, default=0.3)
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--hist", choices=("ksi",))
@@ -256,9 +268,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="first index (default: the family's smallest, "
                          "SU 2, SO 3, USp 2)")
     sp.add_argument("--stop", type=int, default=20)
-    sp.add_argument("--coroot-length", type=float)
+    sp.add_argument("--coroot-length", type=_finite)
     sp.add_argument("--rescale", choices=_RESCALE)
-    sp.add_argument("--floor", type=float, default=0.5)
+    sp.add_argument("--floor", type=_finite, default=0.5)
     add_common(sp, series=False)
     sp.set_defaults(func=cmd_levy)
 

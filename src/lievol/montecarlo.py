@@ -13,14 +13,19 @@ full-matrix samplers that check this law live beside the tests.
 Each chunk is reduced, as soon as it is drawn, to the float64 scalars
 its statistic reads (SU |g_00|, Spin the first coordinates of its two
 base-sphere points, USp Re g_00), so a draw holds one or two scalars per
-sample and never a (count, m, k) array.  Chunks have a fixed size, each
-is driven by its own counter-keyed Philox stream and written into its
-rows of one preallocated result, so the statistics are bit-identical
-for a given (seed, count) at any worker count.  Each worker draws its
-chunks into one set of work arrays, kept for the whole draw.  A draw
-whose scalars, statistics and work arrays would exceed SAMPLE_BUDGET
-bytes is refused before any chunk is drawn.
+sample and never a (count, m, k) array.  Spin's second base point is its
+second column reflected by the Householder map that takes the first to
+a multiple of e_0; the one coordinate read has a closed form.
+Chunks have a fixed size, each is driven by its own counter-keyed Philox
+stream and written into its rows of one preallocated result, so the
+statistics are bit-identical for a given (seed, count) at any worker
+count.  With w busy workers, worker j draws chunks j, j + w, ... into
+one set of work arrays, kept for the whole draw; the calling thread is
+worker 0.  A draw whose scalars, statistics and work arrays would exceed
+SAMPLE_BUDGET bytes is refused before any chunk is drawn.
 
+A sample lies in the band of half-width r around the concentration
+locus when each of its scalars has |x| < sin r, which is asin |x| < r.
 Band masses are I_x(1/2, m/2) (special.betainc_half); their second
 route, Gauss-Legendre quadrature of the band (special.gauss_legendre),
 lives beside the tests that use it.
@@ -29,7 +34,6 @@ lives beside the tests that use it.
 from __future__ import annotations
 
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
@@ -49,16 +53,16 @@ _RSQRT2 = 1.0 / math.sqrt(2.0)
 SAMPLE_BUDGET = 2 * 2 ** 30
 
 # Bytes per sample the concentration statistics hold at their peak,
-# their scalars included: tracemalloc measured 50 B for SU(6) and
-# SU(21), 65 B for Spin(5), USp(4) and USp(6), and 73 B for Spin(8), at
+# their scalars included: tracemalloc measured 49 B for SU(6) and
+# SU(21), 64 B for Spin(5), USp(4) and USp(6), and 72 B for Spin(8), at
 # count 10^5.
 _STATS_BYTES = 80
 
 # Work arrays one worker holds while it draws and reduces a chunk, in
 # chunks of its drawn columns (min(CHUNK, count) x m x k x itemsize):
-# tracemalloc measured peaks of up to 3.9 chunks at count >= CHUNK and
-# 4.3 at count 256 (SU(2)), above the draw's result; USp, drawn as
-# SU, peaks at 3.7 and 3.9.
+# tracemalloc measured peaks of up to 3.7 chunks at count >= CHUNK
+# (USp(4)) and 4.5 at count 256 (SU(2)), above the draw's result; Spin,
+# whose second coordinate has a closed form, peaks at 2.6-3.1 and 3.5.
 _WORK_CHUNKS = 5
 
 # Most threads one sample may use.  The draw stops gaining at the core
@@ -72,6 +76,10 @@ MAX_WORKERS = 64
 # 60 MiB, with 10^6 3.1 s and 280 MiB.
 HIST_MAX_BINS = 10 ** 5
 
+# Seeds lie in [0, SEED_LIMIT), and each is its own Philox key: no two
+# seeds share a stream.
+SEED_LIMIT = 2 ** 64
+
 
 @dataclass(frozen=True)
 class SamplerConfig:
@@ -81,6 +89,8 @@ class SamplerConfig:
     workers: int = 1
 
     def __post_init__(self):
+        if not 0 <= self.seed < SEED_LIMIT:
+            raise ValueError(f"seed must lie in [0, 2^64), got {self.seed}")
         if self.count < 1:
             raise ValueError("count must be >= 1")
         if not 1 <= self.workers <= MAX_WORKERS:
@@ -89,27 +99,18 @@ class SamplerConfig:
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=(seed & (2 ** 64 - 1)),
+    return np.random.Generator(np.random.Philox(key=seed,
                                                 counter=[0, 0, 0, chunk_index]))
-
-
-def _chunks(count: int):
-    start = 0
-    idx = 0
-    while start < count:
-        yield idx, min(CHUNK, count - start)
-        start += CHUNK
-        idx += 1
 
 
 class _Buffers:
     """Work arrays of one worker, kept for every chunk it draws.
 
-    A draw's first chunk is its largest, so a later chunk takes a leading
-    slice of each array, which stays C-contiguous.  Reuse matters: when
-    each chunk allocates and frees its own arrays of a few hundred KiB,
-    glibc trims the heap after every chunk and the next one faults its
-    pages in again.
+    A worker's first chunk is its largest, so a later chunk takes a
+    leading slice of each array, which stays C-contiguous.  Reuse
+    matters: when each chunk allocates and frees its own arrays of a few
+    hundred KiB, glibc trims the heap after every chunk and the next one
+    faults its pages in again.
     """
 
     def __init__(self):
@@ -127,27 +128,28 @@ def _map_chunks(cfg: SamplerConfig, fn: Callable, out: np.ndarray
                 ) -> np.ndarray:
     """Write fn(chunk_rng, size, buffers) of chunk i into its rows of `out`.
 
-    Each worker keeps one _Buffers for the whole draw, so beside `out`
-    only one chunk's work arrays per worker are alive; the rows a chunk
-    fills depend only on its index, whichever thread draws it.
+    Worker w draws chunks w, w + busy, ... into one _Buffers, so beside
+    `out` only one chunk's work arrays per worker are alive; the rows a
+    chunk fills depend only on its index, whichever worker draws it.
+    The calling thread is worker 0 and the pool runs the others, so a
+    one-worker draw starts no thread.
     """
-    local = threading.local()
+    chunks = -(-cfg.count // CHUNK)
+    busy = min(cfg.workers, chunks)
 
-    def fill(i: int, size: int) -> None:
-        buffers = getattr(local, "buffers", None)
-        if buffers is None:
-            buffers = local.buffers = _Buffers()
-        start = i * CHUNK
-        out[start:start + size] = fn(_chunk_rng(cfg.seed, i), size, buffers)
+    def worker(w: int) -> None:
+        buffers = _Buffers()
+        for i in range(w, chunks, busy):
+            start = i * CHUNK
+            size = min(CHUNK, cfg.count - start)
+            out[start:start + size] = fn(_chunk_rng(cfg.seed, i), size,
+                                         buffers)
 
-    if cfg.workers == 1:
-        for i, size in _chunks(cfg.count):
-            fill(i, size)
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            for fut in [pool.submit(fill, i, size)
-                        for i, size in _chunks(cfg.count)]:
-                fut.result()
+    with ThreadPoolExecutor(max_workers=max(1, busy - 1)) as pool:
+        others = [pool.submit(worker, w) for w in range(1, busy)]
+        worker(0)
+        for fut in others:
+            fut.result()
     return out
 
 
@@ -365,43 +367,29 @@ class ConcentrationReport:
         }
 
 
-def _householder_reduce(cols: np.ndarray, first: np.ndarray) -> np.ndarray:
-    """Map each `first` vector to e_1 and return the reduced second column.
-
-    cols: (s, m) second columns; first: (s, m) unit vectors.  Returns
-    (s, m-1) unit vectors, distributed uniformly and independently.
-    """
-    x = first.copy()
-    s, m = x.shape
-    e1 = np.zeros(m)
-    e1[0] = 1.0
-    sign = np.where(x[:, 0] >= 0, 1.0, -1.0)
-    u = x + sign[:, None] * e1[None, :]
-    u /= np.linalg.norm(u, axis=1)[:, None]
-    # H v = v - 2 u (u.v); H maps x to -sign*e1 (orthogonal, fixed rule)
-    v = cols - 2.0 * np.einsum("sa,sa->s", u, cols)[:, None] * u
-    return v[:, 1:]
-
-
-def _equator_distance(coord: np.ndarray) -> np.ndarray:
-    return np.arcsin(np.clip(np.abs(coord), 0.0, 1.0))
-
-
 def _spin_coordinates(g: np.ndarray) -> np.ndarray:
-    """first[:, 0] and the Householder-reduced second[:, 0] of each sample."""
+    """(size, 2): x_0 and (H y)_1 of each sample's first columns x, y.
+
+    Spin's base points are x on S^{m-1} and H y on S^{m-2}, where H is
+    the Householder reflection I - 2 u u^T, u = (x + s e_0) / |x + s e_0|
+    with s = +1 if x_0 >= 0 else -1, which maps x to -s e_0 (Golub & Van
+    Loan, Matrix Computations, 5.1): H y is orthogonal to e_0, so its
+    rows 1.. are the point.  As x is a unit vector orthogonal to y,
+    |x + s e_0|^2 = 2 (1 + |x_0|) and u.y = s y_0 / |x + s e_0|, so
+    (H y)_1 = y_1 - s x_1 y_0 / (1 + |x_0|).
+    """
+    x0, x1 = g[:, 0, 0], g[:, 1, 0]
+    y0, y1 = g[:, 0, 1], g[:, 1, 1]
+    s = np.where(x0 >= 0, 1.0, -1.0)
     out = np.empty((len(g), 2))
-    out[:, 0] = g[:, 0, 0]
-    out[:, 1] = _householder_reduce(g[:, :, 1], g[:, :, 0])[:, 0]
+    out[:, 0] = x0
+    out[:, 1] = y1 - s * x1 * y0 / (1.0 + np.abs(x0))
     return out
 
 
 def concentration_experiment(cfg: SamplerConfig, r: float
                              ) -> ConcentrationReport:
-    """Empirical band mass around the concentration locus vs closed form.
-
-    Each chunk is reduced to the scalars the statistics read as soon as
-    it is drawn, so no (count, m, k) sample array is held.
-    """
+    """Empirical band mass around the concentration locus vs closed form."""
     if not (0.0 < r < math.pi / 2):
         raise ValueError("r must lie in (0, pi/2)")
     series = cfg.series
@@ -409,35 +397,33 @@ def concentration_experiment(cfg: SamplerConfig, r: float
     note = ""
 
     if series.tag == "A":
-        # SU(n): distance of the fiber point to the hyperplane at infinity
+        # SU(n): distance of the fiber point to the hyperplane at
+        # infinity, pi/2 - xi = asin |g_00|
         from .cpn import band_complement_mass  # keeps cpn off CLI start-up
-        mag = sample_su(cfg)[:, 0]
-        inside = math.pi / 2 - _chart_angle(mag) < r
+        scalars = sample_su(cfg)
         predicted = band_complement_mass(n - 1, r)
         base = f"CP^{n - 1} hyperplane at infinity"
-        mag2 = np.sort(mag ** 2)
-        stat, pval = ks_test(mag2,
+        stat, pval = ks_test(np.sort(scalars[:, 0] ** 2),
                              lambda s2: 1.0 - (1.0 - s2) ** (n - 1))
     elif series.tag in ("B", "D"):
         m = 2 * n + 1 if series.tag == "B" else 2 * n
-        coords = sample_so(cfg)
-        inside = ((_equator_distance(coords[:, 0]) < r)
-                  & (_equator_distance(coords[:, 1]) < r))
+        scalars = sample_so(cfg)
         predicted = sphere_band_mass(m - 1, r) * sphere_band_mass(m - 2, r)
         base = f"S^{m - 1} x S^{m - 2} bi-equator"
-        samp = np.sort(np.abs(coords[:, 0]))
-        stat, pval = ks_test(samp, lambda t: _band_cdf(m - 1, t))
+        stat, pval = ks_test(np.sort(np.abs(scalars[:, 0])),
+                             lambda t: _band_cdf(m - 1, t))
         note = ("sampling on SO(m); band statistics live on the base "
                 "spheres and are unchanged under the double cover")
     else:  # C
         # first real coordinate of S^{4n-1}
-        coord = sample_usp(cfg)[:, 0]
-        inside = _equator_distance(coord) < r
+        scalars = sample_usp(cfg)
         predicted = sphere_band_mass(4 * n - 1, r)
         base = f"S^{4 * n - 1} equator"
-        samp = np.sort(np.abs(coord))
-        stat, pval = ks_test(samp, lambda t: _band_cdf(4 * n - 1, t))
+        stat, pval = ks_test(np.sort(np.abs(scalars[:, 0])),
+                             lambda t: _band_cdf(4 * n - 1, t))
 
+    # each scalar is a base point's distance to its equator, as a sine
+    inside = np.all(np.abs(scalars) < math.sin(r), axis=1)
     emp = float(np.mean(inside))
     stderr = math.sqrt(predicted * (1.0 - predicted) / cfg.count)
     z = (emp - predicted) / stderr if stderr > 0 else 0.0

@@ -19,7 +19,7 @@ from .cpn import (AffineCoords, QuotientCoords, angular_velocity_to_dz,
                   fs_metric_angular, macdonald_quotient, measure_density,
                   structure_equation_residual, vielbein_density)
 from .curvature import curvature_report
-from .montecarlo import SamplerConfig, concentration_experiment
+from .montecarlo import SEED_LIMIT, SamplerConfig, concentration_experiment
 from .roots import Series
 from .volumes import (closed_form_volume, group_volume, ratio_exponent,
                       ratio_scale)
@@ -252,7 +252,14 @@ def _pyify(obj):
 
 
 def run_all(seed: int = 42, quick: bool = False) -> dict:
-    """Full sweep; `quick` trims the Monte Carlo sample counts."""
+    """Full sweep; `quick` trims the Monte Carlo sample counts.
+
+    The criteria draw at seeds seed to seed + 3, so a seed whose largest
+    offset leaves [0, 2^64) is refused before the first criterion.
+    """
+    if not 0 <= seed <= SEED_LIMIT - 4:
+        raise ValueError(f"reproduce takes seeds in [0, 2^64 - 4], as its "
+                         f"draws use seed to seed + 3; got {seed}")
     count = 20_000 if quick else 100_000
     results = [
         criterion_exact_volumes(),

@@ -320,6 +320,62 @@ class TestExitCodes:
         assert code == 1
         assert "budget" in err and out == ""
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 64 + 42])
+    def test_seed_outside_the_stream_keys_is_one(self, capsys, monkeypatch,
+                                                 seed):
+        # no two seeds share a Philox key: one outside [0, 2^64) is
+        # refused before any chunk is drawn
+        def no_chunk(*args):
+            raise AssertionError("chunk drawn for a refused seed")
+
+        monkeypatch.setattr(lievol.montecarlo, "_map_chunks", no_chunk)
+        code, out, err = run(capsys, "sample", "--series", "su", "--n", "4",
+                             "--seed", str(seed))
+        assert code == 1
+        assert "seed must lie in" in err and out == ""
+
+    @pytest.mark.parametrize("seed,refused", [(-5, True), (-1, True),
+                                              (2 ** 64 - 3, True),
+                                              (2 ** 64, True),
+                                              (0, False),
+                                              (2 ** 64 - 4, False)])
+    def test_reproduce_seed_range(self, capsys, monkeypatch, seed, refused):
+        # the sweep draws at seed to seed + 3: a seed that leaves
+        # [0, 2^64) there is refused before criterion 1 runs
+        ran = []
+        for name in dir(lievol.reproduce):
+            if name.startswith("criterion_"):
+                monkeypatch.setattr(lievol.reproduce, name,
+                                    lambda name=name, **kwargs:
+                                    ran.append(name)
+                                    or {"id": len(ran), "name": name,
+                                        "passed": True, "runtime_s": 0.0})
+        code, out, err = run(capsys, "reproduce", "--seed", str(seed),
+                             "--quick")
+        if refused:
+            assert code == 1 and not ran
+            assert "seeds in [0, 2^64 - 4]" in err and out == ""
+        else:
+            assert code == 0 and len(ran) == 8
+
+    @pytest.mark.parametrize("argv", [
+        ("cpn", "check-metric", "--n", "2", "--points", "3", "--tol", "inf"),
+        ("cpn", "band-mass", "--n", "3", "--eps", "nan"),
+        ("sample", "--series", "su", "--n", "4", "--seed", "1",
+         "--r=-inf"),
+        ("levy", "--family", "su", "--stop", "4", "--coroot-length", "nan"),
+        ("levy", "--family", "su", "--stop", "4", "--floor", "inf"),
+        ("levy", "--family", "su", "--stop", "4", "--rescale", "log",
+         "--floor", "1e999"),
+        ("cpn", "band-mass", "--n", "3", "--eps", "x")])
+    def test_non_finite_float_is_two(self, capsys, argv):
+        # JSON has no token for nan or inf, and --tol inf passed vacuously
+        with pytest.raises(SystemExit) as ex:
+            main(list(argv))
+        assert ex.value.code == 2
+        out = capsys.readouterr()
+        assert "not a finite number" in out.err and out.out == ""
+
     def test_unwritable_output_is_one_before_any_work(self, capsys,
                                                       monkeypatch, tmp_path):
         import lievol.reproduce

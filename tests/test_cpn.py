@@ -217,7 +217,8 @@ class TestChartGenerators:
                 "sphere_band_mass_quadrature", "symplectic_form",
                 "kolmogorov_pvalue", "Reduction", "_SU_MAGNITUDE",
                 "_SPIN_COORDINATES", "_USP_COORDINATE", "_check_columns",
-                "_haar_unitary", "_usp_partner", "_col_order")
+                "_haar_unitary", "_usp_partner", "_col_order",
+                "_householder_reduce", "_equator_distance", "_chunks")
         for mod in (lievol.cpn, lievol.curvature, lievol.montecarlo):
             assert not [name for name in gone if hasattr(mod, name)]
         assert not hasattr(AffineCoords, "from_z")

@@ -1,13 +1,14 @@
 import inspect
 import math
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from lievol import montecarlo
+from lievol import montecarlo, reproduce
 from lievol.cpn import band_complement_mass
 from lievol.montecarlo import (CHUNK, ConcentrationReport, SamplerConfig,
                                concentration_experiment, ks_test,
@@ -37,6 +38,38 @@ def cp_coordinate(g):
     """(|zeta_0|, xi) of the fiber point: first column as homogeneous rep."""
     mag = np.abs(g[..., 0, 0])
     return mag, np.arccos(np.clip(mag, 0.0, 1.0))
+
+
+def chunks(count):
+    """(index, size) of each chunk of a count-sample draw."""
+    start = 0
+    idx = 0
+    while start < count:
+        yield idx, min(CHUNK, count - start)
+        start += CHUNK
+        idx += 1
+
+
+def householder_reduce(cols, first):
+    """Map each `first` vector to e_1 and return the reduced second column.
+
+    cols: (s, m) second columns; first: (s, m) unit vectors.  Returns
+    (s, m-1) unit vectors, distributed uniformly and independently.
+    """
+    x = first.copy()
+    s, m = x.shape
+    e1 = np.zeros(m)
+    e1[0] = 1.0
+    sign = np.where(x[:, 0] >= 0, 1.0, -1.0)
+    u = x + sign[:, None] * e1[None, :]
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    # H v = v - 2 u (u.v); H maps x to -sign*e1 (orthogonal, fixed rule)
+    v = cols - 2.0 * np.einsum("sa,sa->s", u, cols)[:, None] * u
+    return v[:, 1:]
+
+
+def equator_distance(coord):
+    return np.arcsin(np.clip(np.abs(coord), 0.0, 1.0))
 
 
 def cfg(tag, n, count=4096, seed=11, workers=1):
@@ -146,7 +179,7 @@ def column_array(c):
     _, chunk, k, dtype = COLUMN_DRAW[c.series.tag]
     m = matrix_size(c.series.tag, c.series.n)
     out = np.empty((c.count, m, k), dtype)
-    for i, size in montecarlo._chunks(c.count):
+    for i, size in chunks(c.count):
         out[i * CHUNK:i * CHUNK + size] = chunk(
             montecarlo._chunk_rng(c.seed, i), size, m, montecarlo._Buffers())
     return out
@@ -193,6 +226,11 @@ class TestSamplers:
             SamplerConfig(Series("A", 3), count=0, seed=1)
         with pytest.raises(ValueError):
             SamplerConfig(Series("A", 3), count=10, seed=1, workers=0)
+        # each seed in [0, 2^64) is its own Philox key
+        for seed in (-1, 2 ** 64, 2 ** 64 + 1):
+            with pytest.raises(ValueError, match="seed"):
+                SamplerConfig(Series("A", 3), count=10, seed=seed)
+        SamplerConfig(Series("A", 3), count=10, seed=2 ** 64 - 1)
 
 
 class TestDeterminism:
@@ -320,9 +358,9 @@ def column_array_report(c, r):
     elif series.tag in ("B", "D"):
         m = 2 * n + 1 if series.tag == "B" else 2 * n
         first = g[:, :, 0]
-        second = montecarlo._householder_reduce(g[:, :, 1], first)
-        inside = ((montecarlo._equator_distance(first[:, 0]) < r)
-                  & (montecarlo._equator_distance(second[:, 0]) < r))
+        second = householder_reduce(g[:, :, 1], first)
+        inside = ((equator_distance(first[:, 0]) < r)
+                  & (equator_distance(second[:, 0]) < r))
         predicted = sphere_band_mass(m - 1, r) * sphere_band_mass(m - 2, r)
         base = f"S^{m - 1} x S^{m - 2} bi-equator"
         samp = np.sort(np.abs(first[:, 0]))
@@ -332,7 +370,7 @@ def column_array_report(c, r):
                 "spheres and are unchanged under the double cover")
     else:
         coord = g[:, 0, 0].real
-        inside = montecarlo._equator_distance(coord) < r
+        inside = equator_distance(coord) < r
         predicted = sphere_band_mass(4 * n - 1, r)
         base = f"S^{4 * n - 1} equator"
         samp = np.sort(np.abs(coord))
@@ -412,6 +450,83 @@ class TestReducedRoute:
         need(2 * 10 ** 7)
         with pytest.raises(ValueError, match="budget"):
             need(3 * 10 ** 7)
+
+
+class TestSpinClosedForm:
+    """_spin_coordinates against the whole Householder reflection."""
+
+    @pytest.mark.parametrize("tag,n", [("B", 2), ("D", 4), ("B", 10),
+                                       ("D", 32)])
+    def test_closed_form_is_the_reflection(self, tag, n):
+        m = matrix_size(tag, n)
+        for seed in (42, 43, 44):
+            for i in range(3):
+                g = montecarlo.haar_so_chunk(montecarlo._chunk_rng(seed, i),
+                                             CHUNK, m, montecarlo._Buffers())
+                got = montecarlo._spin_coordinates(g)
+                want = householder_reduce(g[:, :, 1], g[:, :, 0])[:, 0]
+                assert got[:, 0].tobytes() == g[:, 0, 0].tobytes()
+                assert np.max(np.abs(got[:, 1] - want)) < 1e-14
+                for r in (0.2, 0.5, 1.0):
+                    assert np.array_equal(equator_distance(got[:, 1]) < r,
+                                          equator_distance(want) < r)
+
+
+def arcsin_verdicts(tag, scalars, r):
+    """The band test through the angles: pi/2 - xi for SU, arcsin |x|
+    of each coordinate for Spin and USp."""
+    if tag == "A":
+        _, xi = cp_coordinate(scalars[:, :, None])
+        return math.pi / 2 - xi < r
+    return np.all(equator_distance(scalars) < r, axis=1)
+
+
+class TestBandThreshold:
+    @pytest.mark.parametrize("seed", [42, 43])
+    def test_threshold_is_the_arcsin_test(self, monkeypatch, seed):
+        # every draw and radius of criteria 5 and 6 at the quick count:
+        # the same verdict per sample, so the same reported band mass
+        draws = []
+        for name in ("sample_su", "sample_so", "sample_usp"):
+            def recorded(c, f=getattr(montecarlo, name)):
+                draws.append((c.series.tag, f(c)))
+                return draws[-1][1]
+            monkeypatch.setattr(montecarlo, name, recorded)
+        reports = []
+        monkeypatch.setattr(reproduce, "concentration_experiment",
+                            lambda c, r: reports.append(
+                                concentration_experiment(c, r))
+                            or reports[-1])
+        reproduce.criterion_su_concentration(count=20_000, seed=seed)
+        reproduce.criterion_product_factorization(count=20_000,
+                                                  seed=seed + 1)
+        assert len(draws) == len(reports) == 19
+        for (tag, scalars), rep in zip(draws, reports):
+            want = arcsin_verdicts(tag, scalars, rep.r)
+            inside = np.all(np.abs(scalars) < math.sin(rep.r), axis=1)
+            assert np.array_equal(inside, want)
+            assert rep.empirical_mass == float(np.mean(want))
+
+
+class TestWorkerThreads:
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_calling_thread_is_worker_zero(self, monkeypatch, workers):
+        # a one-worker draw starts no thread; w workers start at most w - 1
+        started = []
+        start = threading.Thread.start
+
+        def recorded(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recorded)
+        c = cfg("A", 4, count=3 * CHUNK, seed=3, workers=workers)
+        got = montecarlo.sample_su(c)
+        monkeypatch.undo()
+        assert (len(started) == 0) == (workers == 1)
+        assert len(started) <= workers - 1
+        assert got.tobytes() == montecarlo.sample_su(
+            cfg("A", 4, count=c.count, seed=3)).tobytes()
 
 
 class TestSampleBudget:
