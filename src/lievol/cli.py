@@ -41,10 +41,16 @@ _RESCALE = {"log": math.log, "sqrt": math.sqrt, "linear": float,
 def _provenance(args) -> dict:
     cfg = {k: v for k, v in vars(args).items()
            if k not in ("func",) and v is not None}
-    # Monte Carlo output is bit-reproducible only per LAPACK kernel
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    build = np.show_config(mode="dicts")
+    blas = build["Build Dependencies"]["blas"]
+    # Monte Carlo draws call no BLAS or LAPACK: their bits depend on the
+    # SIMD kernels numpy dispatches to (a fused complex multiply-add
+    # rounds differently from re^2 + im^2 in the last bit)
+    simd = build["SIMD Extensions"]
     return {"artifact_version": __version__, "config": cfg,
             "numpy": np.__version__,
+            "numpy_simd": {"baseline": simd["baseline"],
+                           "found": simd["found"]},
             "blas": f"{blas.get('name')} {blas.get('version')}",
             "montecarlo_chunk": CHUNK}
 

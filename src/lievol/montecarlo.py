@@ -2,13 +2,15 @@
 
 The concentration statistics read at most two columns of a Haar sample,
 so a sampler draws only those: k Gaussian columns per sample (k = 1 for
-SU and USp, 2 for Spin), orthonormalized by Gram-Schmidt.  For k < m
-the first k columns of a Haar matrix are uniform on the Stiefel
-manifold, the law of Gram-Schmidt applied to k i.i.d. Gaussian columns
-(Mezzadri, Notices AMS 2007), and the det phase or sign that makes a
-sample special leaves that law alone.  USp(2n) acts transitively on the
-unit sphere of C^{2n}, so its first column is drawn as SU(2n)'s.  The
-full-matrix samplers that check this law live beside the tests.
+SU and USp, 2 for Spin), orthonormalized by Gram-Schmidt; SU and USp
+read only g_00, so their chunks divide that one entry by its column's
+norm.  For k < m the first k columns of a Haar matrix are uniform on
+the Stiefel manifold, the law of Gram-Schmidt applied to k i.i.d.
+Gaussian columns (Mezzadri, Notices AMS 2007), and the det phase or
+sign that makes a sample special leaves that law alone.  USp(2n) acts
+transitively on the unit sphere of C^{2n}, so its first column is drawn
+as SU(2n)'s.  The full-matrix samplers that check this law live beside
+the tests.
 
 Each chunk is reduced, as soon as it is drawn, to the float64 scalars
 its statistic reads (SU |g_00|, Spin the first coordinates of its two
@@ -23,6 +25,12 @@ count.  With w busy workers, worker j draws chunks j, j + w, ... into
 one set of work arrays, kept for the whole draw; the calling thread is
 worker 0.  A draw whose scalars, statistics and work arrays would exceed
 SAMPLE_BUDGET bytes is refused before any chunk is drawn.
+
+The samplers keep their last draw: a call with an equal SamplerConfig
+(series, count, seed and workers) returns the same read-only scalars
+and draws nothing, so criterion 5's two radii and `sample --hist ksi`
+score one draw each.  A call with another config drops the held draw
+before it draws.
 
 A sample lies in the band of half-width r around the concentration
 locus when each of its scalars has |x| < sin r, which is asin |x| < r.
@@ -60,9 +68,10 @@ _STATS_BYTES = 80
 
 # Work arrays one worker holds while it draws and reduces a chunk, in
 # chunks of its drawn columns (min(CHUNK, count) x m x k x itemsize):
-# tracemalloc measured peaks of up to 3.7 chunks at count >= CHUNK
-# (USp(4)) and 4.5 at count 256 (SU(2)), above the draw's result; Spin,
-# whose second coordinate has a closed form, peaks at 2.6-3.1 and 3.5.
+# above the draw's result, tracemalloc measured peaks of 2.6-3.8 chunks
+# at count 32 * CHUNK and 2.7-4.3 at count 256, the most for SU(2),
+# whose per-sample arrays weigh most beside its short column (SU(2),
+# SU(6), SU(21), USp(4), USp(6), Spin(5), Spin(8), Spin(21), Spin(64)).
 _WORK_CHUNKS = 5
 
 # Most threads one sample may use.  The draw stops gaining at the core
@@ -159,7 +168,9 @@ def _row_norms(v: np.ndarray, buffers: _Buffers) -> np.ndarray:
     """np.linalg.norm(v, axis=1) of a (size, m) array, in work buffers.
 
     The same conj, multiply, .real, add.reduce and sqrt sequence as
-    numpy's, so the norms are bit-equal to it.
+    numpy's, so the norms are bit-equal to it.  re^2 + im^2 is not:
+    numpy's SIMD complex multiply fuses a multiply-add, which rounds
+    once where the real products round twice.
     """
     if np.iscomplexobj(v):
         sq = buffers.get("norm_sq", v.shape, v.dtype)
@@ -210,13 +221,15 @@ def _complex_gaussian(rng: np.random.Generator, shape: tuple,
     return z
 
 
-# Each chunk lives in `buffers` until the next chunk drawn with them.
+# A Spin chunk lives in `buffers` until the next chunk drawn with them.
+# An SU or USp chunk divides only the entry g_00 by its column's norm:
+# the same bits as the whole column's divide.
 
 def haar_su_chunk(rng: np.random.Generator, size: int, m: int,
                   buffers: _Buffers) -> np.ndarray:
-    """(size, m, 1): the first column of `size` Haar SU(m) samples."""
-    return _gram_schmidt(_complex_gaussian(rng, (size, m, 1), buffers),
-                         buffers)
+    """(size,): the entry g_00 of `size` Haar SU(m) samples."""
+    z = _complex_gaussian(rng, (size, m), buffers)
+    return z[:, 0] / _row_norms(z, buffers)
 
 
 def haar_so_chunk(rng: np.random.Generator, size: int, m: int,
@@ -227,13 +240,13 @@ def haar_so_chunk(rng: np.random.Generator, size: int, m: int,
 
 def haar_usp_chunk(rng: np.random.Generator, size: int, two_n: int,
                    buffers: _Buffers) -> np.ndarray:
-    """(size, 2n, 1): the first column of `size` Haar USp(2n) samples.
+    """(size,): the entry g_00 of `size` Haar USp(2n) samples.
 
-    USp(2n) acts transitively on the unit sphere of C^{2n}, so this
+    USp(2n) acts transitively on the unit sphere of C^{2n}, so the first
     column is uniform on it, drawn as SU(2n)'s.
     """
-    return _gram_schmidt(_complex_gaussian(rng, (size, two_n, 1), buffers),
-                         buffers)
+    z = _complex_gaussian(rng, (size, two_n), buffers)
+    return z[:, 0] / _row_norms(z, buffers)
 
 
 def _check_sample_budget(count: int, rows: int, cols: int, itemsize: int,
@@ -253,13 +266,30 @@ def _check_sample_budget(count: int, rows: int, cols: int, itemsize: int,
             f"GiB, above the {SAMPLE_BUDGET / 2 ** 30:.0f} GiB sample budget")
 
 
+# The last draw, as (cfg, scalars): criterion 5 scores two radii on one
+# SU sample, and `sample --hist ksi` reads one sample twice.  The tuple
+# is replaced in one statement, so a thread never sees a config paired
+# with another config's scalars.
+_held = None
+
+
 def _sample(cfg: SamplerConfig, rows: int, cols: int, dtype, width: int,
             fn: Callable) -> np.ndarray:
-    """(count, width) scalars, fn(chunk_rng, size, buffers) chunk by chunk;
-    fn draws rows x cols columns of each sample into the buffers."""
+    """(count, width) read-only scalars, fn(chunk_rng, size, buffers)
+    chunk by chunk; fn draws rows x cols columns of each sample into the
+    buffers.  A call with the config of the last draw returns its
+    scalars and draws nothing."""
+    global _held
+    held = _held
+    if held is not None and held[0] == cfg:
+        return held[1]
+    _held = None   # so that a draw's peak never holds the last one
     _check_sample_budget(cfg.count, rows, cols, np.dtype(dtype).itemsize,
                          cfg.workers)
-    return _map_chunks(cfg, fn, np.empty((cfg.count, width)))
+    scalars = _map_chunks(cfg, fn, np.empty((cfg.count, width)))
+    scalars.flags.writeable = False
+    _held = (cfg, scalars)
+    return scalars
 
 
 # The lambdas look haar_*_chunk up when called, so rebinding one in this
@@ -269,7 +299,7 @@ def sample_su(cfg: SamplerConfig) -> np.ndarray:
     """(count, 1): |g_00| of Haar SU(n) samples."""
     m = cfg.series.n
     return _sample(cfg, m, 1, complex, 1, lambda rng, size, buffers:
-                   np.abs(haar_su_chunk(rng, size, m, buffers)[:, 0, :1]))
+                   np.abs(haar_su_chunk(rng, size, m, buffers))[:, None])
 
 
 def sample_so(cfg: SamplerConfig) -> np.ndarray:
@@ -284,7 +314,7 @@ def sample_usp(cfg: SamplerConfig) -> np.ndarray:
     """(count, 1): Re g_00 of Haar USp(2n) samples."""
     two_n = 2 * cfg.series.n
     return _sample(cfg, two_n, 1, complex, 1, lambda rng, size, buffers:
-                   haar_usp_chunk(rng, size, two_n, buffers)[:, 0, :1].real)
+                   haar_usp_chunk(rng, size, two_n, buffers).real[:, None])
 
 
 # -- chart coordinate and band statistics -----------------------------

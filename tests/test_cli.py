@@ -163,6 +163,25 @@ class TestSubcommands:
         d = json.loads(out)
         assert d["report"]["count"] == 2048
         assert abs(d["report"]["z_score"]) < 5.0
+        # the draw's bits depend on numpy's SIMD dispatch
+        simd = d["provenance"]["numpy_simd"]
+        assert set(simd) == {"baseline", "found"}
+        assert all(isinstance(v, list) for v in simd.values())
+
+    def test_histogram_and_report_share_one_draw(self, capsys, monkeypatch):
+        # xi_histogram and concentration_experiment read one SU sample
+        sizes = []
+        chunk = lievol.montecarlo.haar_su_chunk
+        monkeypatch.setattr(lievol.montecarlo, "haar_su_chunk",
+                            lambda *args: sizes.append(args[1])
+                            or chunk(*args))
+        lievol.montecarlo._held = None
+        code, out, err = run(capsys, "sample", "--series", "a", "--n", "6",
+                             "--count", "5000", "--seed", "1", "--hist",
+                             "ksi")
+        assert code == 0, err
+        assert sizes == [2048, 2048, 904]   # one draw's three chunks
+        assert sum(json.loads(out)["histogram"]["counts"]) == 5000
 
     def test_reproduce_quick(self, tmp_path, capsys):
         # the sweep the benchmark times, with the acceptance seed
@@ -232,6 +251,7 @@ class TestDeterminism:
         args = ("sample", "--series", "su", "--n", "5", "--count", "4096",
                 "--r", "0.3", "--seed", "42")
         _, out1, _ = run(capsys, *args)
+        lievol.montecarlo._held = None   # a second draw, not the held one
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
 
@@ -680,8 +700,11 @@ class TestImportPath:
             env=env, capture_output=True, text=True, timeout=300)
         assert res.returncode == 0, res.stderr
         loaded, metadata = json.loads(res.stdout.splitlines()[-1])
-        # the provenance block reads no package metadata
+        # the provenance block, SIMD extensions included, reads no
+        # package metadata
         assert not metadata
+        assert "numpy_simd" in json.loads(
+            (tmp_path / "r.json").read_text())["provenance"]
         # only the bare package's own modules, private ones and the
         # version: no special, integrate, stats, optimize, sparse, linalg
         public = {m.split(".")[1] for m in loaded} - {"version"}

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import math
 import sys
@@ -75,6 +76,12 @@ def equator_distance(coord):
 def cfg(tag, n, count=4096, seed=11, workers=1):
     return SamplerConfig(Series(tag, n), count=count, seed=seed,
                          workers=workers)
+
+
+@pytest.fixture(autouse=True)
+def no_held_draw():
+    # each test makes its own draws: none is held from an earlier test
+    montecarlo._held = None
 
 
 # -- the full-matrix samplers -----------------------------------------
@@ -161,8 +168,8 @@ def sample_usp(c):
 
 SAMPLERS = {"A": sample_su, "B": sample_so, "C": sample_usp, "D": sample_so}
 
-# The program's draw: its sampler, its chunk function, the columns k a
-# chunk holds and their dtype.
+# The program's draw: its sampler, its chunk function, the columns k it
+# draws per sample and their dtype.
 COLUMN_DRAW = {"A": (montecarlo.sample_su, montecarlo.haar_su_chunk, 1,
                      complex),
                "B": (montecarlo.sample_so, montecarlo.haar_so_chunk, 2,
@@ -173,16 +180,23 @@ COLUMN_DRAW = {"A": (montecarlo.sample_su, montecarlo.haar_su_chunk, 1,
                      float)}
 
 
+def gaussian_columns(tag, rng, size, m):
+    """(size, m, k): Gram-Schmidt of an explicit Gaussian draw of the
+    k columns the program's chunk draws on the stream `rng`."""
+    k = COLUMN_DRAW[tag][2]
+    z = (rng.standard_normal((size, m, k)) if tag in "BD"
+         else complex_gaussian(rng, (size, m, k)))
+    return montecarlo._gram_schmidt(z, montecarlo._Buffers())
+
+
 def column_array(c):
-    """The (count, m, k) columns the program's draw reduces, built from
-    haar_*_chunk chunk by chunk."""
-    _, chunk, k, dtype = COLUMN_DRAW[c.series.tag]
-    m = matrix_size(c.series.tag, c.series.n)
-    out = np.empty((c.count, m, k), dtype)
-    for i, size in chunks(c.count):
-        out[i * CHUNK:i * CHUNK + size] = chunk(
-            montecarlo._chunk_rng(c.seed, i), size, m, montecarlo._Buffers())
-    return out
+    """The (count, m, k) columns the program's draw reduces, chunk by
+    chunk on its streams."""
+    tag = c.series.tag
+    m = matrix_size(tag, c.series.n)
+    return np.concatenate([
+        gaussian_columns(tag, montecarlo._chunk_rng(c.seed, i), size, m)
+        for i, size in chunks(c.count)])
 
 
 def scalars_read(tag, g):
@@ -255,19 +269,19 @@ class TestColumnRoute:
     @pytest.mark.parametrize("tag,n", [("A", 6), ("A", 21), ("B", 2),
                                        ("D", 4)])
     def test_stream_oracle(self, tag, n):
-        # a column chunk is Gram-Schmidt of an explicit (size, m, k) draw
+        # a Spin chunk is Gram-Schmidt of an explicit (size, m, 2) draw,
+        # an SU chunk the entry g_00 of that of a (size, m, 1) draw
         _, chunk, k, _ = COLUMN_DRAW[tag]
         size, m = 3000, matrix_size(tag, n)
-        rng = montecarlo._chunk_rng(31, 0)
         got = chunk(montecarlo._chunk_rng(31, 0), size, m,
                     montecarlo._Buffers())
-        z = (complex_gaussian(rng, (size, m, k)) if tag == "A"
-             else rng.standard_normal((size, m, k)))
-        assert got.shape == (size, m, k)
-        assert got.tobytes() == montecarlo._gram_schmidt(
-            z, montecarlo._Buffers()).tobytes()
-        gram = np.conj(got).transpose(0, 2, 1) @ got
+        want = gaussian_columns(tag, montecarlo._chunk_rng(31, 0), size, m)
+        gram = np.conj(want).transpose(0, 2, 1) @ want
         assert np.max(np.abs(gram - np.eye(k))) < 1e-12
+        if tag == "A":
+            want = want[:, 0, 0]
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("tag,n", [("A", 6), ("A", 21), ("B", 2),
                                        ("D", 4)])
@@ -296,7 +310,9 @@ class TestColumnRoute:
                              montecarlo._Buffers())
                        for chunk in (montecarlo.haar_usp_chunk,
                                      montecarlo.haar_su_chunk))
-            assert usp.tobytes() == su.tobytes()
+            column = gaussian_columns("A", montecarlo._chunk_rng(40, i),
+                                      CHUNK, 2 * n)
+            assert usp.tobytes() == su.tobytes() == column[:, 0, 0].tobytes()
 
     def test_one_draw_route(self):
         # no optional parameter selects another route
@@ -523,10 +539,87 @@ class TestWorkerThreads:
         c = cfg("A", 4, count=3 * CHUNK, seed=3, workers=workers)
         got = montecarlo.sample_su(c)
         monkeypatch.undo()
+        montecarlo._held = None   # compare with a second draw
         assert (len(started) == 0) == (workers == 1)
         assert len(started) <= workers - 1
         assert got.tobytes() == montecarlo.sample_su(
             cfg("A", 4, count=c.count, seed=3)).tobytes()
+
+
+class TestHeldDraw:
+    """_sample keeps its last draw: an equal config draws nothing."""
+
+    @staticmethod
+    def _sweep(monkeypatch, seed, fresh):
+        # the reports of criteria 5 and 6 at the quick count, and the
+        # draws they made; fresh drops the held draw before every report
+        draws, reports = [], []
+        map_chunks = montecarlo._map_chunks
+        monkeypatch.setattr(montecarlo, "_map_chunks",
+                            lambda *args: draws.append(args[0])
+                            or map_chunks(*args))
+
+        def experiment(c, r):
+            if fresh:
+                montecarlo._held = None
+            reports.append(concentration_experiment(c, r))
+            return reports[-1]
+
+        monkeypatch.setattr(reproduce, "concentration_experiment",
+                            experiment)
+        reproduce.criterion_su_concentration(count=20_000, seed=seed)
+        reproduce.criterion_product_factorization(count=20_000,
+                                                  seed=seed + 1)
+        monkeypatch.undo()
+        return reports, draws
+
+    @pytest.mark.parametrize("seed", [42, 43])
+    def test_reports_equal_fresh_draws(self, monkeypatch, seed):
+        held, held_draws = self._sweep(monkeypatch, seed, fresh=False)
+        fresh, fresh_draws = self._sweep(monkeypatch, seed, fresh=True)
+        assert len(held) == 19 and held == fresh
+        # r = 0.2 and r = 0.4 score one sample of each SU(n)
+        assert len(fresh_draws) == 19
+        assert len(held_draws) == 16 == len(set(held_draws))
+
+    @pytest.mark.parametrize("sampler,tag,n",
+                             [(montecarlo.sample_su, "A", 4),
+                              (montecarlo.sample_so, "B", 2),
+                              (montecarlo.sample_usp, "C", 2)])
+    def test_held_scalars_are_read_only(self, sampler, tag, n):
+        g = sampler(cfg(tag, n, count=100))
+        assert not g.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            g[0, 0] = 0.0
+        assert sampler(cfg(tag, n, count=100)) is g
+
+    @pytest.mark.parametrize("change", [{"workers": 3}, {"seed": 4},
+                                        {"count": 3 * CHUNK - 1},
+                                        {"series": Series("A", 5)}])
+    def test_any_other_config_draws_again(self, monkeypatch, change):
+        # workers too: a three-worker call must run its own threads
+        c = cfg("A", 4, count=3 * CHUNK, seed=3)
+        held = montecarlo.sample_su(c)
+        draws = []
+        map_chunks = montecarlo._map_chunks
+        monkeypatch.setattr(montecarlo, "_map_chunks",
+                            lambda *args: draws.append(args[0])
+                            or map_chunks(*args))
+        other = dataclasses.replace(c, **change)
+        got = montecarlo.sample_su(other)
+        assert draws == [other] and got is not held
+        assert montecarlo._held[0] == other and montecarlo._held[1] is got
+
+    def test_new_config_drops_the_held_draw_first(self, monkeypatch):
+        # a draw's peak never includes the last draw
+        montecarlo.sample_su(cfg("A", 4, count=100))
+        seen = []
+        for name in ("_check_sample_budget", "_map_chunks"):
+            monkeypatch.setattr(montecarlo, name,
+                                lambda *args, f=getattr(montecarlo, name):
+                                seen.append(montecarlo._held) or f(*args))
+        montecarlo.sample_su(cfg("A", 4, count=100, seed=12))
+        assert seen == [None, None]
 
 
 class TestSampleBudget:
@@ -585,6 +678,7 @@ class TestSampleMemory:
         # a quarter of the (count, 21, 1) complex array once held
         c = cfg("A", 21, count=16 * CHUNK, seed=5)
         stat(c)   # imports and caches outside the measurement
+        montecarlo._held = None   # so that the measured call draws
         tracemalloc.start()
         try:
             stat(c)
