@@ -147,7 +147,7 @@ def cmd_curvature(args) -> dict:
 
 def cmd_cpn(args) -> dict:
     from .cpn import band_mass, band_complement_mass
-    from .reproduce import _STRUCTURE_TOL, criterion_geometry, _pyify
+    from .reproduce import _STRUCTURE_TOL, criterion_geometry
     out = {}
     if args.action == "band-mass":
         out["band_mass"] = {
@@ -156,7 +156,7 @@ def cmd_cpn(args) -> dict:
             "neighbourhood_measure": band_complement_mass(args.n, args.eps),
         }
     else:  # check-metric
-        res = _pyify(criterion_geometry(points=args.points, ns=(args.n,)))
+        res = criterion_geometry(points=args.points, ns=(args.n,))
         # relative: the densities shrink fast with n, and an absolute
         # bound passed a vielbein off by 1e-6 of itself from n = 5 on
         ok = bool(res["vielbein_density_rel_dev"] < args.tol

@@ -185,7 +185,7 @@ def vielbein(c: QuotientCoords) -> np.ndarray:
 
 def vielbein_density(c: QuotientCoords) -> float:
     """|det| of the vielbein; the chart density of the invariant measure."""
-    return abs(np.linalg.det(vielbein(c)))
+    return float(abs(np.linalg.det(vielbein(c))))
 
 
 def measure_density(c: QuotientCoords) -> float:
@@ -222,7 +222,7 @@ def macdonald_quotient(n: int) -> float:
 
     v_top = closed_form_volume(Series("A", n + 1))
     if n == 1:
-        v_sub = ExactScalar.one()
+        v_sub = ExactScalar(1)
     else:
         v_sub = closed_form_volume(Series("A", n))
     return (v_top / v_sub).to_float() / (2.0 * math.pi * U_FIBER_CONSTANT)
@@ -248,7 +248,7 @@ def fs_metric_affine_on_velocity(z: np.ndarray, dz: np.ndarray) -> float:
     z = np.asarray(z, dtype=complex)
     dz = np.asarray(dz, dtype=complex)
     w = 1.0 + float(np.vdot(z, z).real)
-    return float(np.vdot(dz, dz).real) / w - abs(np.vdot(z, dz)) ** 2 / (w * w)
+    return float(np.vdot(dz, dz).real / w - abs(np.vdot(z, dz)) ** 2 / (w * w))
 
 
 def angular_velocity_to_dz(a: AffineCoords, d_xi: float,

@@ -4,15 +4,16 @@ Every basis satisfies -1/2 Tr(T_i T_j) = delta_ij in the defining
 representation and is stored as the nonzero entries of its matrices.
 Structure constants are computed numerically from those nonzeros, as
 two index joins (pair products, then triple traces), and kept in
-coordinate form: under 0.3% of c_ijk are nonzero.  The printed
-commutator tables of the construction then serve as test oracles
-rather than inputs, as does the Jacobi residual, which lives beside the
-tests that use it.  The Killing form (checked against the trace-form
+coordinate form: under 0.3% of c_ijk are nonzero.  That is the only
+form src keeps: the dense views, the dense Riemann tensor and the
+Jacobi residual live beside the tests that use them, and the printed
+commutator tables of the construction serve there as oracles rather
+than inputs.  The Killing form (checked against the trace-form
 identity K = -2 kappa I), the Ricci tensor (checked against -K/4) and
-chi follow by the same sparse contraction, with K computed once per
-report.  Inputs whose chain would allocate more than
-DENSE_BUDGET are refused.  The Levy-family bound sequences close the
-module.
+chi follow by the same sparse contraction; K is computed once per
+report and passed to the other two.  Inputs whose chain would allocate
+more than DENSE_BUDGET are refused.  The Levy-family bound sequences
+close the module.
 """
 
 from __future__ import annotations
@@ -28,8 +29,7 @@ ZERO_CUTOFF = 1e-12
 # Tolerance of the chain's identity checks and of a report's chi match.
 _IDENTITY_TOL = 1e-9
 
-# Largest allocation of one curvature chain (check_dense_budget), and of
-# a dense structure or Riemann tensor built on demand.
+# Largest allocation of one curvature chain (check_dense_budget).
 DENSE_BUDGET = 2 * 2 ** 30
 
 # Basis size of each algebra at matrix size m (usp: m = 2n).
@@ -61,13 +61,6 @@ class LieAlgebraBasis:
     index: np.ndarray = field(repr=False)  # (nnz, 3) (e, row, col), sorted
     value: np.ndarray = field(repr=False)  # (nnz,) complex T_e[row, col]
     labels: tuple = ()
-
-    @property
-    def elements(self) -> np.ndarray:
-        """Dense (d, m, m) complex stack, built on demand (16 d m^2 bytes)."""
-        return _dense_view(f"dense basis for dim {self.dim}",
-                           (self.dim,) + (self.matrix_dim,) * 2,
-                           self.index, self.value)
 
 
 def _basis(algebra: str, m: int, elements: list) -> LieAlgebraBasis:
@@ -140,22 +133,6 @@ def build_basis(algebra: str, matrix_dim: int) -> LieAlgebraBasis:
     return builders[algebra](matrix_dim)
 
 
-def _check_budget(what: str, need: int) -> None:
-    if need > DENSE_BUDGET:
-        raise ValueError(
-            f"{what} need {need / 2 ** 30:.1f} GiB, above the "
-            f"{DENSE_BUDGET / 2 ** 30:.0f} GiB budget")
-
-
-def _dense_view(what: str, shape: tuple, index: np.ndarray,
-                value: np.ndarray) -> np.ndarray:
-    """The dense array with `value` at the COO rows `index`, in budget."""
-    _check_budget(what, value.itemsize * math.prod(shape))
-    out = np.zeros(shape, dtype=value.dtype)
-    out[tuple(index.T)] = value
-    return out
-
-
 def _match(left: np.ndarray, right: np.ndarray):
     """Every index pair (l, r) with left[l] == right[r], l ascending."""
     order = np.argsort(right, kind="stable")
@@ -206,17 +183,6 @@ class StructureTensor:
     index: np.ndarray = field(repr=False)  # (nnz, 3) rows (i, j, k), sorted
     value: np.ndarray = field(repr=False)  # (nnz,) c_ijk
 
-    @property
-    def entries(self) -> dict:
-        return {tuple(t): x for t, x in zip(self.index.tolist(),
-                                            self.value.tolist())}
-
-    @property
-    def array(self) -> np.ndarray:
-        """Dense (d, d, d) c[i, j, k], built on demand (8 d^3 bytes)."""
-        return _dense_view(f"dense structure tensor for dim {self.dim}",
-                           (self.dim,) * 3, self.index, self.value)
-
 
 def check_dense_budget(dim: int, joins: int = 0) -> None:
     """Refuse a curvature chain that would allocate above DENSE_BUDGET.
@@ -226,8 +192,12 @@ def check_dense_budget(dim: int, joins: int = 0) -> None:
     structure_constants.  Without `joins` this is the lower bound that
     curvature_report checks before it builds the basis.
     """
-    _check_budget(f"curvature chain for dim {dim} would",
-                  24 * dim ** 2 + _JOIN_BYTES * joins)
+    need = 24 * dim ** 2 + _JOIN_BYTES * joins
+    if need > DENSE_BUDGET:
+        raise ValueError(
+            f"curvature chain for dim {dim} would need "
+            f"{need / 2 ** 30:.1f} GiB, above the "
+            f"{DENSE_BUDGET / 2 ** 30:.0f} GiB budget")
 
 
 def structure_constants(basis: LieAlgebraBasis) -> StructureTensor:
@@ -305,12 +275,8 @@ class ChiValues(NamedTuple):
     chi_prime: float  # K = -chi_prime * I
 
 
-def chi_coefficient(st: StructureTensor, *,
-                    K: Optional[np.ndarray] = None) -> ChiValues:
-    """Both normalisation constants of the (scalar) Killing matrix.
-
-    K is the Killing form of st; it is computed when not given.
-    """
+def chi_coefficient(st: StructureTensor, K: np.ndarray) -> ChiValues:
+    """Both normalisation constants of the (scalar) Killing matrix K of st."""
     d = st.dim
     first = st.index[:, 0] == 0
     _, j, k = st.index[first].T
@@ -318,8 +284,6 @@ def chi_coefficient(st: StructureTensor, *,
     # Tr(ad_1^2) = sum_{j,k} c_1jk c_1kj, with (ad_i)_kj = c_ij^k
     li, ri = _match(k * d + j, j * d + k)
     chi = float(-0.5 * np.sum(v[li] * v[ri]))
-    if K is None:
-        K = killing_form(st)
     diag = np.diagonal(K)
     off = np.abs(K)
     np.fill_diagonal(off, 0.0)
@@ -328,31 +292,14 @@ def chi_coefficient(st: StructureTensor, *,
     return ChiValues(chi=chi, chi_prime=float(-np.mean(diag)))
 
 
-def riemann_tensor(st: StructureTensor) -> np.ndarray:
-    """R^k_jlm = 1/4 sum_s c_lm^s c_js^k (dense; small dims only).
-
-    The (d, d, d, d) result takes 8 d^4 bytes; above DENSE_BUDGET (su(12)
-    already needs 3.1 GiB) it is refused with ValueError.
-    """
-    _check_budget(f"dense Riemann tensor for dim {st.dim}", 8 * st.dim ** 4)
-    c = st.array
-    return 0.25 * np.einsum("lms,jsk->kjlm", c, c)
-
-
-def ricci_tensor(st: StructureTensor, *,
-                 K: Optional[np.ndarray] = None) -> np.ndarray:
-    """Ricci by contraction, verified equal to -K/4.
-
-    K is the Killing form of st; it is computed when not given.
-    """
+def ricci_tensor(st: StructureTensor, K: np.ndarray) -> np.ndarray:
+    """Ricci by contraction, verified equal to -K/4 (K the Killing form)."""
     d = st.dim
     i, j, k = st.index.T
     # ric_ab = 1/4 sum_{k,s} c_kbs c_ask: entry (k, b, s) meets (a, s, k)
     li, ri = _match(k * d + i, j * d + k)
     keys, vals = _summed(i[ri] * d + j[li], st.value[li] * st.value[ri])
     ric = _dense(d, keys, 0.25 * vals)
-    if K is None:
-        K = killing_form(st)
     diff = 0.25 * K
     diff += ric
     dev = float(np.max(np.abs(diff, out=diff)))

@@ -70,14 +70,6 @@ class ExactScalar:
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def one() -> "ExactScalar":
-        return ExactScalar(Fraction(1))
-
-    @staticmethod
-    def from_rational(q) -> "ExactScalar":
-        return ExactScalar(Fraction(q))
-
-    @staticmethod
     def sqrt_rational(q) -> "ExactScalar":
         """Exact square root of a positive rational."""
         q = Fraction(q)

@@ -273,12 +273,12 @@ def _check_sample_budget(count: int, rows: int, cols: int, itemsize: int,
 _held = None
 
 
-def _sample(cfg: SamplerConfig, rows: int, cols: int, dtype, width: int,
+def _sample(cfg: SamplerConfig, rows: int, cols: int, dtype,
             fn: Callable) -> np.ndarray:
-    """(count, width) read-only scalars, fn(chunk_rng, size, buffers)
+    """(count, cols) read-only scalars, fn(chunk_rng, size, buffers)
     chunk by chunk; fn draws rows x cols columns of each sample into the
-    buffers.  A call with the config of the last draw returns its
-    scalars and draws nothing."""
+    buffers and reduces each column to one scalar.  A call with the
+    config of the last draw returns its scalars and draws nothing."""
     global _held
     held = _held
     if held is not None and held[0] == cfg:
@@ -286,7 +286,7 @@ def _sample(cfg: SamplerConfig, rows: int, cols: int, dtype, width: int,
     _held = None   # so that a draw's peak never holds the last one
     _check_sample_budget(cfg.count, rows, cols, np.dtype(dtype).itemsize,
                          cfg.workers)
-    scalars = _map_chunks(cfg, fn, np.empty((cfg.count, width)))
+    scalars = _map_chunks(cfg, fn, np.empty((cfg.count, cols)))
     scalars.flags.writeable = False
     _held = (cfg, scalars)
     return scalars
@@ -298,7 +298,7 @@ def _sample(cfg: SamplerConfig, rows: int, cols: int, dtype, width: int,
 def sample_su(cfg: SamplerConfig) -> np.ndarray:
     """(count, 1): |g_00| of Haar SU(n) samples."""
     m = cfg.series.n
-    return _sample(cfg, m, 1, complex, 1, lambda rng, size, buffers:
+    return _sample(cfg, m, 1, complex, lambda rng, size, buffers:
                    np.abs(haar_su_chunk(rng, size, m, buffers))[:, None])
 
 
@@ -306,14 +306,14 @@ def sample_so(cfg: SamplerConfig) -> np.ndarray:
     """(count, 2): the _spin_coordinates of Haar SO(m) samples."""
     n = cfg.series.n
     m = 2 * n + 1 if cfg.series.tag == "B" else 2 * n
-    return _sample(cfg, m, 2, float, 2, lambda rng, size, buffers:
+    return _sample(cfg, m, 2, float, lambda rng, size, buffers:
                    _spin_coordinates(haar_so_chunk(rng, size, m, buffers)))
 
 
 def sample_usp(cfg: SamplerConfig) -> np.ndarray:
     """(count, 1): Re g_00 of Haar USp(2n) samples."""
     two_n = 2 * cfg.series.n
-    return _sample(cfg, two_n, 1, complex, 1, lambda rng, size, buffers:
+    return _sample(cfg, two_n, 1, complex, lambda rng, size, buffers:
                    haar_usp_chunk(rng, size, two_n, buffers).real[:, None])
 
 

@@ -236,21 +236,6 @@ def criterion_calibration() -> dict:
             "rows": rows}
 
 
-def _pyify(obj):
-    """Convert numpy scalars to builtins so reports serialize cleanly."""
-    if isinstance(obj, dict):
-        return {k: _pyify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_pyify(v) for v in obj]
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    return obj
-
-
 def run_all(seed: int = 42, quick: bool = False) -> dict:
     """Full sweep; `quick` trims the Monte Carlo sample counts.
 
@@ -271,7 +256,6 @@ def run_all(seed: int = 42, quick: bool = False) -> dict:
         criterion_geometry(seed=seed + 2),
         criterion_calibration(),
     ]
-    results = [_pyify(r) for r in results]
     return {
         "artifact_version": __version__,
         "seed": seed,

@@ -215,8 +215,8 @@ def coroot_norm_product(rs: RootSystem) -> ExactScalar:
     There are at most two coroot lengths, so this is prod norm**count.
     """
     lengths = Counter(dot(cv, cv) for cv in rs.coroots)
-    return ExactScalar.from_rational(
-        math.prod(norm ** count for norm, count in lengths.items()))
+    return ExactScalar(math.prod(norm ** count
+                                 for norm, count in lengths.items()))
 
 
 def _dense(dim: int, rec: Record) -> list[int]:

@@ -79,7 +79,7 @@ def group_volume(series: Series, center_order: int = 1) -> VolumeResult:
     for d in rs.degrees:
         vol = vol * sphere_volume(d)
     vol = vol * coroot_norm_product(rs)
-    vol = vol * ExactScalar.from_rational(Fraction(1, center_order))
+    vol = vol * ExactScalar(Fraction(1, center_order))
     return VolumeResult(series=series, center_order=center_order,
                         log_value=vol.log(), exact=vol)
 

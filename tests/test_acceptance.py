@@ -9,11 +9,22 @@ with a KS majority at p > 0.01, 1e-8 / 1e-4 for the geometry
 cross-checks, and 1e-6 relative for the calibration closure.
 """
 
+import json
+
 import pytest
 
 from lievol import reproduce
 
 SEED = 42
+
+
+def _builtin(obj) -> bool:
+    """True when obj holds only builtin containers and scalars."""
+    if isinstance(obj, dict):
+        return all(_builtin(v) for v in obj.values())
+    if isinstance(obj, (list, tuple)):
+        return all(_builtin(v) for v in obj)
+    return type(obj) in (str, int, float, bool, type(None))
 
 
 def _announce(capsys, result):
@@ -39,3 +50,7 @@ def test_criterion(fn, kwargs, capsys):
     result = fn(**kwargs)
     _announce(capsys, result)
     assert result["passed"], result
+    # the report serializes as returned; a numpy float64 would pass
+    # json.dumps as a float subclass, so the types are checked too
+    json.dumps(result)
+    assert _builtin(result), result

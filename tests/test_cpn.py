@@ -206,10 +206,18 @@ class TestChartGenerators:
             assert np.max(np.abs(maurer_cartan(c) - j)) <= 1e-13
 
     def test_second_routes_ship_with_the_tests(self):
-        # the oracles live in the tests; the deleted helpers stay gone
+        # the oracles and dense views live in the tests; the deleted
+        # helpers stay gone.  With no dense view of the basis in src, the
+        # curvature chain has nothing to build a dense stack from.
+        import inspect
+
         import lievol.cpn
         import lievol.curvature
         import lievol.montecarlo
+        import lievol.reproduce
+        from lievol.curvature import (LieAlgebraBasis, StructureTensor,
+                                      chi_coefficient, ricci_tensor)
+        from lievol.exact import ExactScalar
 
         gone = ("gellmann_basis", "maurer_cartan_fd", "kahler_potential",
                 "fs_metric_from_potential", "fs_metric_affine",
@@ -218,10 +226,20 @@ class TestChartGenerators:
                 "kolmogorov_pvalue", "Reduction", "_SU_MAGNITUDE",
                 "_SPIN_COORDINATES", "_USP_COORDINATE", "_check_columns",
                 "_haar_unitary", "_usp_partner", "_col_order",
-                "_householder_reduce", "_equator_distance", "_chunks")
-        for mod in (lievol.cpn, lievol.curvature, lievol.montecarlo):
+                "_householder_reduce", "_equator_distance", "_chunks",
+                "riemann_tensor", "_dense_view", "_pyify")
+        for mod in (lievol.cpn, lievol.curvature, lievol.montecarlo,
+                    lievol.reproduce):
             assert not [name for name in gone if hasattr(mod, name)]
-        assert not hasattr(AffineCoords, "from_z")
+        for cls, names in ((AffineCoords, ("from_z",)),
+                           (LieAlgebraBasis, ("elements",)),
+                           (StructureTensor, ("array", "entries")),
+                           (ExactScalar, ("one", "from_rational"))):
+            assert not [name for name in names if hasattr(cls, name)]
+        # the Killing form is passed down, never recomputed
+        for fn in (ricci_tensor, chi_coefficient):
+            assert (inspect.signature(fn).parameters["K"].default
+                    is inspect.Parameter.empty)
 
 
 class TestQuotientPoint:

@@ -5,18 +5,31 @@ import numpy as np
 import pytest
 
 from lievol.curvature import (ALGEBRA_DIM, CLAIMED_CHI, LieAlgebraBasis,
-                              TRACE_FORM_INDEX, StructureTensor, _match,
-                              _summed, build_basis, check_dense_budget,
-                              check_orthonormal, chi_coefficient,
-                              curvature_report, killing_form,
-                              rescaled_levy_check, ricci_bound_sequence,
-                              ricci_tensor, riemann_tensor, so_basis,
+                              StructureTensor, _match, _summed, build_basis,
+                              check_dense_budget, check_orthonormal,
+                              chi_coefficient, curvature_report,
+                              killing_form, rescaled_levy_check,
+                              ricci_bound_sequence, ricci_tensor, so_basis,
                               structure_constants, su_basis, usp_basis)
 
 # every size the dense route below runs in well under a second
 TIER1_SIZES = ([("su", m) for m in range(2, 13)]
                + [("so", m) for m in range(3, 17)]
                + [("usp", m) for m in range(4, 17, 2)])
+
+
+def dense(coo, shape):
+    """The dense array of `shape` with coo.value at the COO rows coo.index:
+    the (d, m, m) basis stack, or the (d, d, d) c[i, j, k]."""
+    out = np.zeros(shape, dtype=coo.value.dtype)
+    out[tuple(coo.index.T)] = coo.value
+    return out
+
+
+def riemann_tensor(st):
+    """R^k_jlm = 1/4 sum_s c_lm^s c_js^k, dense (8 d^4 bytes)."""
+    c = dense(st, (st.dim,) * 3)
+    return 0.25 * np.einsum("lms,jsk->kjlm", c, c)
 
 
 def dense_structure_constants(basis):
@@ -27,7 +40,7 @@ def dense_structure_constants(basis):
     transposed basis; c_ijk = -1/2 Re(t_ijk - t_jik).
     """
     d, m = basis.dim, basis.matrix_dim
-    B = basis.elements
+    B = dense(basis, (d, m, m))
     # pairs[i, a, j, c] = (T_i T_j)[a, c]
     pairs = B.reshape(d * m, m) @ B.transpose(1, 0, 2).reshape(m, d * m)
     pairs = pairs.reshape(d, m, d, m).transpose(0, 2, 1, 3).reshape(d * d,
@@ -93,13 +106,14 @@ class TestBases:
     @pytest.mark.parametrize("alg,m", TIER1_SIZES)
     def test_coo_is_the_nonzeros_of_the_dense_view(self, alg, m):
         b = build_basis(alg, m)
-        T = b.elements
+        T = dense(b, (b.dim, m, m))
         assert np.array_equal(np.stack(np.nonzero(T)), b.index.T)
         assert np.array_equal(T[tuple(b.index.T)], b.value)
 
     def test_antihermitian_traceless(self):
         for alg, m in (("su", 5), ("usp", 6)):
-            for T in build_basis(alg, m).elements:
+            b = build_basis(alg, m)
+            for T in dense(b, (b.dim, m, m)):
                 assert np.max(np.abs(T + T.conj().T)) < 1e-14
                 assert abs(np.trace(T)) < 1e-14
 
@@ -120,9 +134,9 @@ class TestStructureConstants:
     def test_su2_table(self):
         st = structure_constants(su_basis(2))
         # [H, S] = 2A, [H, A] = -2S, [S, A] = 2H in this normalisation
-        assert st.entries == {(0, 1, 2): -2.0, (0, 2, 1): 2.0,
-                              (1, 0, 2): 2.0, (1, 2, 0): -2.0,
-                              (2, 0, 1): -2.0, (2, 1, 0): 2.0}
+        assert st.index.tolist() == [[0, 1, 2], [0, 2, 1], [1, 0, 2],
+                                     [1, 2, 0], [2, 0, 1], [2, 1, 0]]
+        assert st.value.tolist() == [-2.0, 2.0, 2.0, -2.0, -2.0, 2.0]
 
     def test_su3_spot(self):
         b = su_basis(3)
@@ -130,18 +144,20 @@ class TestStructureConstants:
         i = b.labels.index("A_1,2")
         j = b.labels.index("A_1,3")
         k = b.labels.index("A_2,3")
-        assert st.array[i, j, k] == pytest.approx(-1.0, abs=1e-12)
+        assert dense(st, (st.dim,) * 3)[i, j, k] == pytest.approx(-1.0,
+                                                                   abs=1e-12)
 
     def test_usp4_spot(self):
         b = usp_basis(4)
         st = structure_constants(b)
-        assert st.array[b.labels.index("H_1"), b.labels.index("T_1"),
-                        b.labels.index("U_1")] == pytest.approx(-2.0,
-                                                                abs=1e-12)
+        c = dense(st, (st.dim,) * 3)
+        assert c[b.labels.index("H_1"), b.labels.index("T_1"),
+                 b.labels.index("U_1")] == pytest.approx(-2.0, abs=1e-12)
 
     @pytest.mark.parametrize("alg,m", [("su", 4), ("so", 6), ("usp", 6)])
     def test_totally_antisymmetric(self, alg, m):
-        c = structure_constants(build_basis(alg, m)).array
+        st = structure_constants(build_basis(alg, m))
+        c = dense(st, (st.dim,) * 3)
         assert np.max(np.abs(c + c.transpose(1, 0, 2))) < 1e-12
         assert np.max(np.abs(c + c.transpose(0, 2, 1))) < 1e-12
 
@@ -149,8 +165,8 @@ class TestStructureConstants:
     def test_per_triple_oracle(self, alg, m):
         # a second route, one commutator trace per index triple
         b = build_basis(alg, m)
-        c = structure_constants(b).array
-        T = b.elements
+        c = dense(structure_constants(b), (b.dim,) * 3)
+        T = dense(b, (b.dim, m, m))
         want = np.array([[[-0.5 * np.trace((Ti @ Tj - Tj @ Ti) @ Tk).real
                            for Tk in T] for Tj in T] for Ti in T])
         assert np.max(np.abs(c - want)) < 1e-13
@@ -166,7 +182,7 @@ class TestDenseOracle:
     def test_sparse_chain_matches_dense(self, alg, m):
         b = build_basis(alg, m)
         st = structure_constants(b)
-        c = st.array
+        c = dense(st, (st.dim,) * 3)
         want = dense_structure_constants(b)
         assert np.array_equal(c != 0, want != 0)
         assert np.max(np.abs(c - want)) < 1e-12
@@ -174,7 +190,7 @@ class TestDenseOracle:
         assert np.max(np.abs(
             K - np.tensordot(want, want, axes=([1, 2], [2, 1])))) < 1e-12
         ric = 0.25 * np.tensordot(want, want, axes=([0, 2], [2, 1])).T
-        assert np.max(np.abs(ricci_tensor(st, K=K) - ric)) < 1e-12
+        assert np.max(np.abs(ricci_tensor(st, K) - ric)) < 1e-12
 
     def test_coo_rows_are_sorted_and_distinct(self):
         st = structure_constants(usp_basis(8))
@@ -185,21 +201,19 @@ class TestDenseOracle:
 
 
 class TestPastTheDenseSizes:
-    # the dense route refused these (su(32) needed 34 GiB)
+    # sizes the dense route cannot reach: su(32)'s dense chain needed
+    # 34 GiB, and its (d, d, d) tensor alone 8 GiB
     @pytest.mark.parametrize("alg,m,chi_prime", [
         ("su", 32, 4 * 32), ("so", 48, 2 * (48 - 2)),
         ("usp", 48, 2 * (48 + 2))])
     def test_chain_runs(self, alg, m, chi_prime):
         st = structure_constants(build_basis(alg, m))
         K = killing_form(st)
-        ric = ricci_tensor(st, K=K)
-        assert chi_coefficient(st, K=K).chi_prime == pytest.approx(
+        ric = ricci_tensor(st, K)
+        assert chi_coefficient(st, K).chi_prime == pytest.approx(
             chi_prime, abs=1e-9)
         assert np.max(np.abs(ric + 0.25 * K)) < 1e-10
         assert jacobi_residual(st) < 1e-10
-        # the dense (d, d, d) tensor would take 8-11 GiB
-        with pytest.raises(ValueError, match="budget"):
-            st.array
 
 
 class TestKillingAndChi:
@@ -214,21 +228,24 @@ class TestKillingAndChi:
     @pytest.mark.parametrize("m,chi", [(3, 1.0), (5, 3.0), (8, 6.0),
                                        (12, 10.0), (16, 14.0)])
     def test_chi_so(self, m, chi):
-        cv = chi_coefficient(structure_constants(so_basis(m)))
+        st = structure_constants(so_basis(m))
+        cv = chi_coefficient(st, killing_form(st))
         assert cv.chi == pytest.approx(chi, abs=1e-10)
         assert cv.chi_prime == pytest.approx(2 * chi, abs=1e-10)
 
     @pytest.mark.parametrize("m,chi", [(4, 6.0), (6, 8.0), (10, 12.0),
                                        (16, 18.0)])
     def test_chi_usp(self, m, chi):
-        cv = chi_coefficient(structure_constants(usp_basis(m)))
+        st = structure_constants(usp_basis(m))
+        cv = chi_coefficient(st, killing_form(st))
         assert cv.chi == pytest.approx(chi, abs=1e-10)
 
     @pytest.mark.parametrize("m", [*range(2, 9), 12])
     def test_chi_su_adjoint_trace(self, m):
         # the adjoint-trace value is 2m; it disagrees with the tabulated
         # m + 2 for m > 2, and the report records both
-        cv = chi_coefficient(structure_constants(su_basis(m)))
+        st = structure_constants(su_basis(m))
+        cv = chi_coefficient(st, killing_form(st))
         assert cv.chi == pytest.approx(2.0 * m, abs=1e-10)
         assert cv.chi_prime == pytest.approx(2 * cv.chi, abs=1e-10)
 
@@ -247,24 +264,19 @@ class TestRiemannRicci:
         R = riemann_tensor(structure_constants(su_basis(3)))
         assert np.max(np.abs(R + R.transpose(0, 1, 3, 2))) < 1e-12
 
-    def test_riemann_oversize_refused(self):
-        # su(12): the dense (143,)*4 tensor would take 3.1 GiB
-        with pytest.raises(ValueError, match="budget"):
-            riemann_tensor(structure_constants(su_basis(12)))
-
     @pytest.mark.parametrize("alg,m", [("su", 4), ("so", 6), ("usp", 6),
                                        ("su", 12), ("so", 16),
                                        ("usp", 16)])
     def test_ricci_is_minus_quarter_killing(self, alg, m):
         st = structure_constants(build_basis(alg, m))
-        ric = ricci_tensor(st)
-        assert np.max(np.abs(ric + 0.25 * killing_form(st))) < 1e-10
+        K = killing_form(st)
+        assert np.max(np.abs(ricci_tensor(st, K) + 0.25 * K)) < 1e-10
 
     def test_so6_usp4_ricci_values(self):
-        ric = ricci_tensor(structure_constants(so_basis(6)))
-        assert np.max(np.abs(ric - 2 * np.eye(15))) < 1e-10
-        ric = ricci_tensor(structure_constants(usp_basis(4)))
-        assert np.max(np.abs(ric - 3 * np.eye(10))) < 1e-10
+        for basis, value in ((so_basis(6), 2), (usp_basis(4), 3)):
+            st = structure_constants(basis)
+            ric = ricci_tensor(st, killing_form(st))
+            assert np.max(np.abs(ric - value * np.eye(st.dim))) < 1e-10
 
     @pytest.mark.parametrize("alg,m", TIER1_SIZES)
     def test_lower_bound_is_the_least_eigenvalue(self, alg, m):
@@ -285,15 +297,6 @@ class TestRiemannRicci:
         assert bound == 0.75
         assert bound < np.min(np.linalg.eigvalsh(ric))
 
-    @pytest.mark.parametrize("alg,m", [("su", 5), ("so", 7), ("usp", 8)])
-    def test_report_reads_no_dense_basis(self, monkeypatch, alg, m):
-        def no_dense(self):
-            raise AssertionError("dense basis built")
-
-        monkeypatch.setattr(LieAlgebraBasis, "elements", property(no_dense))
-        assert curvature_report(alg, m).chi_prime == pytest.approx(
-            2 * TRACE_FORM_INDEX[alg](m), abs=1e-9)
-
     def test_report(self):
         rep = curvature_report("so", 6)
         assert rep.dim == 15
@@ -304,12 +307,6 @@ class TestRiemannRicci:
 
 
 class TestKillingPassedDown:
-    def test_same_as_computed(self):
-        st = structure_constants(usp_basis(6))
-        K = killing_form(st)
-        assert np.array_equal(ricci_tensor(st, K=K), ricci_tensor(st))
-        assert chi_coefficient(st, K=K) == chi_coefficient(st)
-
     @pytest.mark.parametrize("alg,m", [("su", 5), ("so", 7), ("usp", 8)])
     def test_one_flipped_entry_is_caught(self, alg, m):
         st = structure_constants(build_basis(alg, m))
