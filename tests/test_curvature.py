@@ -4,8 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lievol.curvature import (ALGEBRA_DIM, CLAIMED_CHI, LieAlgebraBasis,
-                              StructureTensor, _match, _summed, build_basis,
+from lievol.curvature import (ALGEBRA_DIM, CLAIMED_CHI, TRACE_FORM_INDEX,
+                              LieAlgebraBasis, StructureTensor, _match,
+                              _summed, build_basis,
                               check_dense_budget, check_orthonormal,
                               chi_coefficient, curvature_report,
                               killing_form, rescaled_levy_check,
@@ -296,6 +297,18 @@ class TestRiemannRicci:
         bound = curvature_report("su", 2).ricci_lower_bound
         assert bound == 0.75
         assert bound < np.min(np.linalg.eigvalsh(ric))
+
+    @pytest.mark.parametrize("alg,m", [("su", 5), ("so", 7), ("usp", 8)])
+    def test_report_reads_no_dense_basis(self, monkeypatch, alg, m):
+        # the basis has no dense view; one put back and read on the
+        # report's path fails this
+        def no_dense(self):
+            raise AssertionError("dense basis built")
+
+        monkeypatch.setattr(LieAlgebraBasis, "elements", property(no_dense),
+                            raising=False)
+        assert curvature_report(alg, m).chi_prime == pytest.approx(
+            2 * TRACE_FORM_INDEX[alg](m), abs=1e-9)
 
     def test_report(self):
         rep = curvature_report("so", 6)
