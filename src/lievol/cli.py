@@ -234,8 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp)
     sp.add_argument("--gamma", type=int, default=1,
                     help="order of the central subgroup quotiented out")
-    sp.add_argument("--exact", action="store_true")
-    sp.add_argument("--log", action="store_true")
+    route = sp.add_mutually_exclusive_group()
+    route.add_argument("--exact", action="store_true")
+    route.add_argument("--log", action="store_true")
     sp.set_defaults(func=cmd_volume)
 
     sp = sub.add_parser("ratio", help="volume-ratio exponent")

@@ -1,18 +1,24 @@
 """Exact scalars of the form q * pi^k * sqrt(s).
 
 q is an arbitrary-precision rational, k a non-negative integer power of pi
-and s a positive square-free integer radicand.  This class is closed under
-multiplication and division, which is all the volume formulas need; there
-is deliberately no addition, so every value has a unique normal form.
+and s a positive square-free integer radicand.  Values are built by the
+constructor alone, and the class is closed under multiplication and
+division, which is all the volume formulas need; there is deliberately no
+addition, so every value has a unique normal form.  `to_float` rounds the
+exact value once, so `decimal` is right to all of its 15 digits.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 from fractions import Fraction
 from functools import cached_property
+
+# pi to 50 digits, for to_float's 40-digit context.
+_PI = Decimal("3.1415926535897932384626433832795028841971693993751")
 
 
 def _digits(n: int) -> str:
@@ -67,18 +73,6 @@ class ExactScalar:
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "s", s)
 
-    # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def sqrt_rational(q) -> "ExactScalar":
-        """Exact square root of a positive rational."""
-        q = Fraction(q)
-        if q <= 0:
-            raise ValueError("sqrt of non-positive rational")
-        # sqrt(p/r) = sqrt(p*r)/r
-        return ExactScalar(Fraction(1, q.denominator), 0,
-                           q.numerator * q.denominator)
-
     # -- arithmetic ---------------------------------------------------
 
     def __mul__(self, other: "ExactScalar") -> "ExactScalar":
@@ -102,7 +96,18 @@ class ExactScalar:
     # -- conversions --------------------------------------------------
 
     def to_float(self) -> float:
-        return float(self.q) * math.pi ** self.k * math.sqrt(self.s)
+        """The value rounded once to the nearest float; OverflowError
+        outside the normal float range, zero aside."""
+        num, den = self.q.numerator, self.q.denominator
+        # q to ~128 bits by integer shifts, the product in 40 digits
+        shift = 128 - num.bit_length() + den.bit_length()
+        m = (num << shift) // den if shift >= 0 else num // (den << -shift)
+        with localcontext(prec=40, Emax=MAX_EMAX, Emin=MIN_EMIN):
+            x = float(Decimal(m) * _PI ** self.k * Decimal(self.s).sqrt()
+                      * Decimal(2) ** -shift)
+        if num and not sys.float_info.min <= abs(x) <= sys.float_info.max:
+            raise OverflowError("value outside the normal float range")
+        return x
 
     def log(self) -> float:
         """Natural log, safe for rationals far beyond float range."""
@@ -123,11 +128,6 @@ class ExactScalar:
         num, den = self._q_digits
         return {"q": f"{num}/{den}", "pi_pow": self.k, "sqrt": self.s}
 
-    @staticmethod
-    def from_json(d: dict) -> "ExactScalar":
-        num, den = (int(Decimal(x)) for x in d["q"].split("/"))
-        return ExactScalar(Fraction(num, den), d["pi_pow"], d["sqrt"])
-
     def __str__(self) -> str:
         num, den = self._q_digits
         parts = [num if self.q.denominator == 1 else f"{num}/{den}"]
@@ -140,6 +140,6 @@ class ExactScalar:
         return " * ".join(parts)
 
     def decimal(self) -> str:
-        """Decimal rendering to 15 significant digits."""
+        """to_float rendered to 15 significant digits."""
         return f"{self.to_float():.15g}"
 

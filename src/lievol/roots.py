@@ -23,12 +23,11 @@ from .exact import ExactScalar
 
 _MIN_RANK = {"A": 2, "B": 2, "C": 2, "D": 4}
 
-# Largest n with exact root data.  The root data is O(n^2) records and
-# no longer sets the limit (D260: 0.14 s of a 0.46 s group_volume); the
-# ~4 * 10^5-bit result does.  `volume --series d --n N --exact` takes
-# 1.7 s at N = 260 and 2.1 s at 270 on a 2-core host (B and C alike, A
-# 0.6 s), most of it turning the pipeline and closed-form values into
-# decimal digits (0.9 s, quadratic) and their big-rational products.
+# Largest n with exact root data.  The ~4 * 10^5-bit result sets the
+# limit more than the O(n^2) root records do.  `volume --series d --n 260
+# --exact` takes 1.2-1.4 s on a 2-core host: rendering the digits 0.34 s
+# (quadratic), the factorial products of the two routes 0.30 s, the
+# 135k `dot` calls of root enumeration 0.19 s and Fraction gcds 0.14 s.
 MAX_EXACT_RANK = 260
 
 # CLI / report aliases for each series tag.
@@ -206,7 +205,7 @@ def torus_volume(rs: RootSystem) -> ExactScalar:
         a1, a2 = dot(l1, l1), dot(l2, l2)
         b1, b2 = dot(path[-1], l1), dot(path[-1], l2)
         det = a1 * a2 * f - (b1 * b1 * a2 + b2 * b2 * a1) * f1
-    return ExactScalar.sqrt_rational(det)
+    return ExactScalar(1, 0, det)
 
 
 def coroot_norm_product(rs: RootSystem) -> ExactScalar:

@@ -1,9 +1,10 @@
 """Riemannian volumes of the classical compact groups.
 
-Two independent evaluation routes are provided and compared in tests:
-the torus-times-spheres-times-coroot-norms pipeline built from the root
-data, and the four per-series closed forms.  A log-gamma route covers
-ranks where the exact value overflows doubles.
+Two independent evaluation routes are compared in tests: the
+torus-times-spheres-times-coroot-norms pipeline built from the root data,
+and Macdonald's closed forms, one record (a, k, s, f) per series with
+V = 2^a pi^k sqrt(s) / prod_{i in f} i!.  The log route is that record
+evaluated in logs, for ranks where the exact value overflows doubles.
 """
 
 from __future__ import annotations
@@ -11,12 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Optional
 
 from .exact import ExactScalar
 from .roots import Series, build_root_system, coroot_norm_product, torus_volume
-
-LOG_2PI = math.log(2 * math.pi)
 
 # Largest n of the log-gamma route, which sums O(n) lgamma terms:
 # `volume --log` at n = 10^6 takes 0.5 s, at 10^7 2.6 s; `ratio` reads
@@ -54,13 +54,6 @@ class VolumeResult:
         return out
 
 
-def sphere_volume(d: int) -> ExactScalar:
-    """Volume of the unit odd sphere S^{2d-1}: 2 pi^d / (d-1)!."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    return ExactScalar(Fraction(2, math.factorial(d - 1)), d, 1)
-
-
 def _validate_gamma(series: Series, center_order: int) -> None:
     if center_order < 1 or _CENTER_ORDER[series.tag](series.n) % center_order:
         raise ValueError(
@@ -75,33 +68,35 @@ def group_volume(series: Series, center_order: int = 1) -> VolumeResult:
     """
     _validate_gamma(series, center_order)
     rs = build_root_system(series)
-    vol = torus_volume(rs)
-    for d in rs.degrees:
-        vol = vol * sphere_volume(d)
-    vol = vol * coroot_norm_product(rs)
-    vol = vol * ExactScalar(Fraction(1, center_order))
+    # the spheres S^{2d-1}, 2 pi^d / (d-1)! each, and 1/|Gamma| as one factor
+    spheres = ExactScalar(
+        Fraction(2 ** len(rs.degrees), center_order * math.prod(
+            math.factorial(d - 1) for d in rs.degrees)),
+        sum(rs.degrees))
+    vol = torus_volume(rs) * coroot_norm_product(rs) * spheres
     return VolumeResult(series=series, center_order=center_order,
                         log_value=vol.log(), exact=vol)
 
 
-def closed_form_volume(series: Series) -> ExactScalar:
-    """The per-series closed forms, as an independent route."""
+def _closed_form(series: Series) -> tuple:
+    """Macdonald's closed form as (a, k, s, f), V = 2^a pi^k sqrt(s) /
+    prod_{i in f} i!.  f is lazy, so the log route holds no list."""
     n = series.n
     if series.tag == "A":
         e = n * (n + 1) // 2 - 1
-        den = math.prod(math.factorial(i) for i in range(1, n))
-        return ExactScalar(Fraction(2 ** e, den), e, n)
+        return e, e, n, range(1, n)
     if series.tag == "B":
-        den = math.prod(math.factorial(2 * i - 1) for i in range(1, n + 1))
-        return ExactScalar(Fraction(2 ** (n * (n + 2) + 1), den),
-                           n * (n + 1), 1)
+        return n * (n + 2) + 1, n * (n + 1), 1, range(1, 2 * n, 2)
     if series.tag == "C":
-        den = math.prod(math.factorial(2 * i - 1) for i in range(1, n + 1))
-        return ExactScalar(Fraction(2 ** (n * n), den), n * (n + 1), 1)
-    # D
-    den = math.factorial(n - 1) * math.prod(
-        math.factorial(2 * i - 1) for i in range(1, n))
-    return ExactScalar(Fraction(2 ** (n * n + 1), den), n * n, 1)
+        return n * n, n * (n + 1), 1, range(1, 2 * n, 2)
+    return n * n + 1, n * n, 1, chain((n - 1,), range(1, 2 * n - 2, 2))
+
+
+def closed_form_volume(series: Series) -> ExactScalar:
+    """The per-series closed forms, as an independent route."""
+    a, k, s, f = _closed_form(series)
+    return ExactScalar(Fraction(2 ** a, math.prod(map(math.factorial, f))),
+                       k, s)
 
 
 def log_volume(series: Series, center_order: int = 1) -> float:
@@ -116,46 +111,30 @@ def log_volume(series: Series, center_order: int = 1) -> float:
     if n > LOG_VOLUME_MAX_RANK:
         raise ValueError(f"the log-gamma route runs to n = "
                          f"{LOG_VOLUME_MAX_RANK}, not {n}")
-    if series.tag == "A":
-        value = (0.5 * math.log(n) + (n * (n + 1) / 2 - 1) * LOG_2PI
-                 - sum(math.lgamma(i + 1) for i in range(1, n)))
-    elif series.tag == "B":
-        value = ((n * (n + 2) + 1) * math.log(2)
-                 + n * (n + 1) * math.log(math.pi)
-                 - sum(math.lgamma(2 * i) for i in range(1, n + 1)))
-    elif series.tag == "C":
-        value = (n * n * math.log(2) + n * (n + 1) * math.log(math.pi)
-                 - sum(math.lgamma(2 * i) for i in range(1, n + 1)))
-    else:
-        value = ((n * n + 1) * math.log(2) + n * n * math.log(math.pi)
-                 - math.lgamma(n)
-                 - sum(math.lgamma(2 * i) for i in range(1, n)))
+    a, k, s, f = _closed_form(series)
+    value = (a * math.log(2) + k * math.log(math.pi) + 0.5 * math.log(s)
+             - sum(math.lgamma(i + 1) for i in f))
     return value - math.log(center_order)
 
 
-# Dimension jump to the previous group of the same series (next for A).
-def _dim_step(series: Series) -> int:
-    n = series.n
-    return {"A": 2 * n + 1, "B": 4 * n - 1,
-            "C": 4 * n - 1, "D": 4 * n - 3}[series.tag]
-
-
 def ratio_exponent(series: Series) -> float:
-    """(V_next / V_n)^(1/ddim), evaluated in log space.
+    """(V_big / V_small)^(1/ddim), evaluated in log space.
 
-    For the A series this is SU(n+1)/SU(n); for B, C, D it is the step
-    down one rank, matching the dimension differences 2n+1, 4n-1, 4n-1,
-    4n-3.  The value tends to sqrt(2 pi e / n-scale), the sphere-like
-    behaviour that signals concentration.
+    big/small is SU(n+1)/SU(n) for A and the step down one rank for B, C,
+    D; ddim is their dimension difference.  The value tends to sqrt(2 pi
+    e / n-scale), the sphere-like behaviour that signals concentration.
     """
     n, tag = series.n, series.tag
     if tag == "A":
-        other = Series("A", n + 1)
-        dlog = log_volume(other) - log_volume(series)
+        big, small = Series(tag, n + 1), series
     else:
-        other = Series(tag, n - 1)  # raises if n-1 below series minimum
-        dlog = log_volume(series) - log_volume(other)
-    return math.exp(dlog / _dim_step(series))
+        try:
+            big, small = series, Series(tag, n - 1)
+        except ValueError:
+            raise ValueError(f"the ratio of {series.group_name} steps below "
+                             f"series {tag}; it takes n >= {n + 1}") from None
+    dlog = log_volume(big) - log_volume(small)
+    return math.exp(dlog / (big.group_dim - small.group_dim))
 
 
 def ratio_scale(series: Series) -> int:

@@ -278,6 +278,28 @@ class TestExitCodes:
         assert code == 1
         assert "subgroup order" in err and out == ""
 
+    def test_exact_and_log_is_two(self, capsys):
+        # one route per run: --exact was dropped without a word beside
+        # --log
+        with pytest.raises(SystemExit) as ex:
+            main(["volume", "--series", "a", "--n", "4", "--exact", "--log"])
+        assert ex.value.code == 2
+        out = capsys.readouterr()
+        assert "not allowed with" in out.err and out.out == ""
+
+    @pytest.mark.parametrize("series,n,group,least", [
+        ("b", 2, "Spin(5)", 3), ("c", 2, "USp(4)", 3),
+        ("d", 4, "Spin(8)", 5)])
+    def test_ratio_at_the_bottom_is_one(self, capsys, series, n, group,
+                                        least):
+        # the error names the group asked for and the smallest n, not the
+        # rank below that the ratio steps to
+        code, out, err = run(capsys, "ratio", "--series", series,
+                             "--n", str(n))
+        assert code == 1 and out == ""
+        assert group in err and f"n >= {least}" in err
+        assert f"got {n - 1}" not in err
+
     def test_oversize_curvature_is_one(self, capsys, monkeypatch):
         # su(400) would need ~1 TiB for its basis, K and Ric alone:
         # refused before any basis matrix is built

@@ -215,6 +215,7 @@ class TestChartGenerators:
         import lievol.curvature
         import lievol.montecarlo
         import lievol.reproduce
+        import lievol.volumes
         from lievol.curvature import (LieAlgebraBasis, StructureTensor,
                                       chi_coefficient, ricci_tensor)
         from lievol.exact import ExactScalar
@@ -227,14 +228,16 @@ class TestChartGenerators:
                 "_SPIN_COORDINATES", "_USP_COORDINATE", "_check_columns",
                 "_haar_unitary", "_usp_partner", "_col_order",
                 "_householder_reduce", "_equator_distance", "_chunks",
-                "riemann_tensor", "_dense_view", "_pyify")
-        for mod in (lievol.cpn, lievol.curvature, lievol.montecarlo,
-                    lievol.reproduce):
+                "riemann_tensor", "_dense_view", "_pyify", "sphere_volume",
+                "_dim_step", "LOG_2PI")
+        for mod in (lievol, lievol.cpn, lievol.curvature, lievol.montecarlo,
+                    lievol.reproduce, lievol.volumes):
             assert not [name for name in gone if hasattr(mod, name)]
         for cls, names in ((AffineCoords, ("from_z",)),
                            (LieAlgebraBasis, ("elements",)),
                            (StructureTensor, ("array", "entries")),
-                           (ExactScalar, ("one", "from_rational"))):
+                           (ExactScalar, ("one", "from_rational",
+                                          "sqrt_rational", "from_json"))):
             assert not [name for name in names if hasattr(cls, name)]
         # the Killing form is passed down, never recomputed
         for fn in (ricci_tensor, chi_coefficient):

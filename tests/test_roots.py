@@ -206,7 +206,7 @@ class TestTorusVolume:
               for a in dense_roots(tag, n)[0]]
         gram = [[dense_dot(u, v) for v in cr] for u in cr]
         assert torus_volume(build_root_system(Series(tag, n))) == \
-            ExactScalar.sqrt_rational(det_bareiss(gram))
+            ExactScalar(1, 0, det_bareiss(gram))
 
     @pytest.mark.parametrize("tag,n", [("A", 5), ("B", 4), ("C", 4), ("D", 5)])
     def test_gram_positive_definite(self, tag, n):

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,26 +8,11 @@ from lievol.exact import ExactScalar
 from lievol.roots import MAX_EXACT_RANK, Series
 from lievol.volumes import (LOG_VOLUME_MAX_RANK, closed_form_volume,
                             group_volume, log_volume, ratio_exponent,
-                            ratio_scale, sphere_volume)
+                            ratio_scale)
 
 
 def ES(q, k=0, s=1):
     return ExactScalar(Fraction(q), k, s)
-
-
-class TestSphereVolume:
-    def test_circle(self):
-        assert sphere_volume(1) == ES(2, 1)  # S^1 -> 2 pi
-
-    def test_s3(self):
-        assert sphere_volume(2) == ES(2, 2)  # 2 pi^2
-
-    def test_s7(self):
-        assert sphere_volume(4) == ES(Fraction(2, 6), 4)  # pi^4 / 3
-
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            sphere_volume(0)
 
 
 class TestFrozenValues:
@@ -69,11 +55,33 @@ class TestPipelineVsClosedForm:
         s = Series(tag, n)
         assert group_volume(s).exact == closed_form_volume(s)
 
-    @pytest.mark.parametrize("tag,n", [("A", 7), ("B", 6), ("C", 6), ("D", 6)])
+    @pytest.mark.parametrize("tag,n", [(t, n) for t in "ABCD"
+                                       for n in range(4 if t == "D" else 2,
+                                                      61)])
     def test_log_route_agrees(self, tag, n):
+        # both routes read one closed-form record, one in exact
+        # arithmetic and one in logs
         s = Series(tag, n)
         lv = log_volume(s)
-        assert abs(lv - closed_form_volume(s).log()) < 1e-10 * abs(lv)
+        assert abs(lv - closed_form_volume(s).log()) < 1e-12 * abs(lv)
+
+    @pytest.mark.parametrize("tag", "ABCD")
+    def test_decimal_correctly_rounded(self, tag):
+        # every n <= 60 against 80-digit mpmath: in the normal float range
+        # the 15 digits are those of the correctly rounded value, outside
+        # it the field is left out
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 80
+        for n in range(4 if tag == "D" else 2, 61):
+            d = group_volume(Series(tag, n)).to_json()
+            e = d["exact"]
+            num, den = (int(x) for x in e["q"].split("/"))
+            want = (mpmath.mpf(num) / den * mpmath.pi ** e["pi_pow"]
+                    * mpmath.sqrt(e["sqrt"]))
+            if sys.float_info.min <= want <= sys.float_info.max:
+                assert d["decimal"] == f"{float(want):.15g}", (tag, n)
+            else:
+                assert "decimal" not in d, (tag, n)
 
 
 class TestCenterQuotient:
@@ -116,6 +124,20 @@ class TestRatioExponent:
              / closed_form_volume(Series("B", 2)))
         want = q.to_float() ** (1 / 11)
         assert abs(ratio_exponent(Series("B", 3)) - want) < 1e-12
+
+    @pytest.mark.parametrize("tag,n", [(t, n) for t in "ABCD"
+                                       for n in range(5 if t == "D" else 3,
+                                                      9)])
+    def test_matches_exact_quotient(self, tag, n):
+        # the float root of the exact quotient, over the dimension step
+        # written out per series
+        big, small = ((Series(tag, n + 1), Series(tag, n)) if tag == "A"
+                      else (Series(tag, n), Series(tag, n - 1)))
+        step = {"A": 2 * n + 1, "B": 4 * n - 1, "C": 4 * n - 1,
+                "D": 4 * n - 3}[tag]
+        q = closed_form_volume(big) / closed_form_volume(small)
+        want = q.to_float() ** (1 / step)
+        assert abs(ratio_exponent(Series(tag, n)) - want) < 1e-12 * want
 
     def test_scales(self):
         assert ratio_scale(Series("A", 7)) == 7
