@@ -33,6 +33,12 @@ FORMATS = ("json", "csv", "text")
 # Most indices one levy run lists: 10^5 take ~1 s and ~140 MiB as text.
 LEVY_MAX_TERMS = 100_000
 
+# Most vector entries one roots listing writes (group_dim * n: every
+# simple root, positive root and coroot in Z^n).  Text, the costliest
+# format, peaks at ~315 B per entry: A181, B144 and D144 (5.9-6.0 M
+# entries) took 1.84-1.85 GiB and 11-12 s on a 2-core host.
+ROOTS_MAX_ENTRIES = 6_000_000
+
 # The scale sequences c_n of `levy --rescale`, by name.
 _RESCALE = {"log": math.log, "sqrt": math.sqrt, "linear": float,
             "const": lambda n: 1.0}
@@ -103,7 +109,12 @@ def _series(args) -> Series:
 # Each returns its report; main adds the provenance block.
 
 def cmd_roots(args) -> dict:
-    return {"roots": root_system_json(build_root_system(_series(args)))}
+    s = _series(args)
+    entries = s.group_dim * s.n
+    if entries > ROOTS_MAX_ENTRIES:
+        raise ValueError(f"roots lists at most {ROOTS_MAX_ENTRIES} vector "
+                         f"entries, not {entries} for {s.group_name}")
+    return {"roots": root_system_json(build_root_system(s))}
 
 
 def cmd_volume(args) -> dict:
@@ -133,13 +144,7 @@ def cmd_ratio(args) -> dict:
 
 
 def cmd_curvature(args) -> dict:
-    rep = curvature_report(args.series, args.n)
-    out = {"curvature": rep.to_json()}
-    out["chi_table"] = {
-        "claimed": rep.claimed_chi,
-        "adjoint_trace_oracle": rep.chi,
-        "killing_scalar": rep.chi_prime,
-    }
+    out = {"curvature": curvature_report(args.series, args.n).to_json()}
     if args.series == "usp":
         out["note"] = USP_DIMENSION_NOTE
     return out
@@ -304,8 +309,7 @@ def main(argv=None) -> int:
                 print(text)
             else:
                 out.write(text)
-    except (ValueError, ArithmeticError, OverflowError, ZeroDivisionError,
-            OSError, np.linalg.LinAlgError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -8,9 +8,9 @@ plane.  The coset directions of the U(n) quotient are the off-diagonal
 entries of row and column n.
 
 No factor is built as a matrix.  `_chart_factors` lists each as a record
-(the diagonal of T_a, or the plane index a of P_a), and both h and
-h^-1 dh apply the factors as row operations: a phase per row for T_a, a
-cos/sin mix of rows 0 and a for P_a.
+(the diagonal of T_a, or the plane index a of P_a), and h^-1 dh applies
+the factors as row operations: a phase per row for T_a, a cos/sin mix
+of rows 0 and a for P_a.
 
 The tests hold the second routes: the Gell-Mann generators, the
 finite-difference Maurer-Cartan form and the Kaehler-potential Hessian.
@@ -103,14 +103,6 @@ def _apply(angle: float, M, rows: np.ndarray) -> None:
         rows[0] = row0
     else:  # T_a is diagonal: one phase per row
         rows[:len(M)] *= np.exp(1j * (angle * M))[:, None]
-
-
-def quotient_point(c: QuotientCoords) -> np.ndarray:
-    """The SU(n+1) representative h of the chart point."""
-    h = np.eye(c.n + 1, dtype=complex)
-    for angle, M in reversed(_chart_factors(c)):
-        _apply(angle, M, h)
-    return h
 
 
 def maurer_cartan(c: QuotientCoords) -> np.ndarray:

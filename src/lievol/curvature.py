@@ -2,18 +2,17 @@
 
 Every basis satisfies -1/2 Tr(T_i T_j) = delta_ij in the defining
 representation and is stored as the nonzero entries of its matrices.
-Structure constants are computed numerically from those nonzeros, as
-two index joins (pair products, then triple traces), and kept in
-coordinate form: under 0.3% of c_ijk are nonzero.  That is the only
-form src keeps: the dense views, the dense Riemann tensor and the
-Jacobi residual live beside the tests that use them, and the printed
-commutator tables of the construction serve there as oracles rather
-than inputs.  The Killing form (checked against the trace-form
-identity K = -2 kappa I), the Ricci tensor (checked against -K/4) and
-chi follow by the same sparse contraction; K is computed once per
-report and passed to the other two.  Inputs whose chain would allocate
-more than DENSE_BUDGET are refused.  The Levy-family bound sequences
-close the module.
+Structure constants are computed from those nonzeros by two index joins
+(pair products, then triple traces); the Killing form K (checked
+against the trace-form identity K = -2 kappa I), the Ricci tensor
+(checked against -K/4) and chi follow by the same sparse contraction,
+with K computed once per report and passed to the other two.  Every
+tensor stays in coordinate form (under 0.3% of c_ijk are nonzero, ~2d
+of the d^2 entries of K and Ric), so no (d, d) array is built; dense
+views, the Riemann tensor and the Jacobi residual live in the tests.
+Inputs whose joins, the largest allocation, would exceed
+CURVATURE_BUDGET are refused.  The Levy-family bound sequences close
+the module.
 """
 
 from __future__ import annotations
@@ -29,17 +28,17 @@ ZERO_CUTOFF = 1e-12
 # Tolerance of the chain's identity checks and of a report's chi match.
 _IDENTITY_TOL = 1e-9
 
-# Largest allocation of one curvature chain (check_dense_budget).
-DENSE_BUDGET = 2 * 2 ** 30
+# Largest allocation of one curvature chain (check_curvature_budget).
+CURVATURE_BUDGET = 2 * 2 ** 30
 
 # Basis size of each algebra at matrix size m (usp: m = 2n).
 ALGEBRA_DIM = {"su": lambda m: m * m - 1, "so": lambda m: m * (m - 1) // 2,
                "usp": lambda m: m * (m + 1) // 2}
 
-# chi values claimed for the classical algebras; the su value disagrees
-# with the brute-force adjoint trace (see chi_comparison).
+# chi values claimed for the classical algebras (m the matrix size); the
+# su value disagrees with the adjoint trace, and reports record both.
 CLAIMED_CHI = {"su": lambda m: m + 2, "so": lambda m: m - 2,
-               "usp": lambda m: m + 2}  # m = matrix size (usp: m = 2n)
+               "usp": lambda m: m + 2}
 
 # Killing form over the trace form, B(X, Y) = kappa Tr(XY) (Bourbaki,
 # Lie Groups ch. VIII); with -1/2 Tr(T_i T_j) = delta_ij, K = -2 kappa I.
@@ -150,14 +149,22 @@ def _summed(keys: np.ndarray, values: np.ndarray):
     return uniq, np.bincount(inverse, weights=values, minlength=uniq.size)
 
 
+def _split(d: int, keys: np.ndarray, values: np.ndarray):
+    """The diagonal (absent entries 0) and the off-diagonal rows and
+    values of the (d, d) M with `values` at flat `keys`."""
+    row = keys // d
+    on = keys % d == row
+    diag = np.zeros(d)
+    diag[row[on]] = values[on]
+    return diag, row[~on], values[~on]
+
+
 def _scalar_deviation(d: int, keys: np.ndarray, values: np.ndarray,
                       scalar: float) -> float:
     """Max |M - scalar I| of the (d, d) M with `values` at flat `keys`."""
-    diag = keys // d == keys % d
-    dev = float(np.max(np.abs(values - scalar * diag), initial=0.0))
-    if np.count_nonzero(diag) < d:      # a zero diagonal entry
-        dev = max(dev, abs(scalar))
-    return dev
+    diag, _, off = _split(d, keys, values)
+    return float(max(np.max(np.abs(diag - scalar)),
+                     np.max(np.abs(off), initial=0.0)))
 
 
 def check_orthonormal(basis: LieAlgebraBasis) -> float:
@@ -184,20 +191,15 @@ class StructureTensor:
     value: np.ndarray = field(repr=False)  # (nnz,) c_ijk
 
 
-def check_dense_budget(dim: int, joins: int = 0) -> None:
-    """Refuse a curvature chain that would allocate above DENSE_BUDGET.
-
-    With d = dim the chain holds the dense (d, d) K and Ric with one
-    (d, d) work array, and `joins` index-join matches in
-    structure_constants.  Without `joins` this is the lower bound that
-    curvature_report checks before it builds the basis.
-    """
-    need = 24 * dim ** 2 + _JOIN_BYTES * joins
-    if need > DENSE_BUDGET:
+def check_curvature_budget(dim: int, joins: int) -> None:
+    """Refuse a chain whose `joins` index-join matches (_JOIN_BYTES each;
+    all else is O(nnz)) would allocate above CURVATURE_BUDGET."""
+    need = _JOIN_BYTES * joins
+    if need > CURVATURE_BUDGET:
         raise ValueError(
             f"curvature chain for dim {dim} would need "
             f"{need / 2 ** 30:.1f} GiB, above the "
-            f"{DENSE_BUDGET / 2 ** 30:.0f} GiB budget")
+            f"{CURVATURE_BUDGET / 2 ** 30:.0f} GiB budget")
 
 
 def structure_constants(basis: LieAlgebraBasis) -> StructureTensor:
@@ -216,8 +218,8 @@ def structure_constants(basis: LieAlgebraBasis) -> StructureTensor:
     # sum_b (column count)(row count) matches, the second one match per
     # closed path a -> b -> c -> a, Tr(L^3)
     L = np.bincount(pos, minlength=m * m).reshape(m, m)
-    check_dense_budget(d, int(L.sum(0) @ L.sum(1))
-                       + int(np.trace(L @ L @ L)))
+    check_curvature_budget(d, int(L.sum(0) @ L.sum(1))
+                           + int(np.trace(L @ L @ L)))
     check_orthonormal(basis)
     # (T_i T_j)[a, c] terms T_i[a, b] T_j[b, c]; i = j cancels in c_ijk
     pl, pr = _match(c, r)
@@ -244,14 +246,9 @@ def structure_constants(basis: LieAlgebraBasis) -> StructureTensor:
                            index=index, value=vals)
 
 
-def _dense(d: int, keys: np.ndarray, values: np.ndarray) -> np.ndarray:
-    out = np.zeros((d, d))
-    out.flat[keys] = values
-    return out
-
-
-def killing_form(st: StructureTensor) -> np.ndarray:
-    """K_ab = sum_{k,l} c_akl c_blk, checked against -2 kappa I.
+def killing_form(st: StructureTensor) -> tuple:
+    """K_ab = sum_{k,l} c_akl c_blk as (flat keys a d + b, ascending,
+    values), checked against -2 kappa I: every K_aa is present.
 
     kappa is the trace-form index of the algebra (TRACE_FORM_INDEX); an
     entry off by more than _IDENTITY_TOL raises ArithmeticError.
@@ -267,7 +264,7 @@ def killing_form(st: StructureTensor) -> np.ndarray:
         raise ArithmeticError(
             f"Killing form deviates from the trace-form value "
             f"{want:g} I by {dev:.2e}")
-    return _dense(d, keys, vals)
+    return keys, vals
 
 
 class ChiValues(NamedTuple):
@@ -275,8 +272,8 @@ class ChiValues(NamedTuple):
     chi_prime: float  # K = -chi_prime * I
 
 
-def chi_coefficient(st: StructureTensor, K: np.ndarray) -> ChiValues:
-    """Both normalisation constants of the (scalar) Killing matrix K of st."""
+def chi_coefficient(st: StructureTensor, K: tuple) -> ChiValues:
+    """chi and chi' of st, K its scalar Killing form (flat keys, values)."""
     d = st.dim
     first = st.index[:, 0] == 0
     _, j, k = st.index[first].T
@@ -284,29 +281,28 @@ def chi_coefficient(st: StructureTensor, K: np.ndarray) -> ChiValues:
     # Tr(ad_1^2) = sum_{j,k} c_1jk c_1kj, with (ad_i)_kj = c_ij^k
     li, ri = _match(k * d + j, j * d + k)
     chi = float(-0.5 * np.sum(v[li] * v[ri]))
-    diag = np.diagonal(K)
-    off = np.abs(K)
-    np.fill_diagonal(off, 0.0)
-    if np.max(off) > _IDENTITY_TOL or np.ptp(diag) > _IDENTITY_TOL:
+    diag, _, off = _split(d, *K)
+    if max(np.max(np.abs(off), initial=0.0), np.ptp(diag)) > _IDENTITY_TOL:
         raise ArithmeticError("Killing matrix is not scalar")
     return ChiValues(chi=chi, chi_prime=float(-np.mean(diag)))
 
 
-def ricci_tensor(st: StructureTensor, K: np.ndarray) -> np.ndarray:
-    """Ricci by contraction, verified equal to -K/4 (K the Killing form)."""
+def ricci_tensor(st: StructureTensor, K: tuple) -> tuple:
+    """Ric as (flat keys, values, max |Ric + K/4|), by contraction and
+    checked against -K/4 (K the Killing form; an absent key is a zero)."""
     d = st.dim
     i, j, k = st.index.T
     # ric_ab = 1/4 sum_{k,s} c_kbs c_ask: entry (k, b, s) meets (a, s, k)
     li, ri = _match(k * d + i, j * d + k)
     keys, vals = _summed(i[ri] * d + j[li], st.value[li] * st.value[ri])
-    ric = _dense(d, keys, 0.25 * vals)
-    diff = 0.25 * K
-    diff += ric
-    dev = float(np.max(np.abs(diff, out=diff)))
+    vals *= 0.25
+    _, diff = _summed(np.concatenate([keys, K[0]]),
+                      np.concatenate([vals, 0.25 * K[1]]))
+    dev = float(np.max(np.abs(diff), initial=0.0))
     if dev > _IDENTITY_TOL:
         raise ArithmeticError(
             f"Ricci contraction vs -K/4 mismatch {dev:.2e}")
-    return ric
+    return keys, vals, dev
 
 
 @dataclass(frozen=True)
@@ -314,8 +310,9 @@ class CurvatureReport:
     algebra: str
     matrix_dim: int
     dim: int
-    killing_matrix: np.ndarray = field(repr=False)
-    ricci_matrix: np.ndarray = field(repr=False)
+    killing: tuple = field(repr=False)  # K as (flat keys, values)
+    ricci: tuple = field(repr=False)    # Ric as (flat keys, values)
+    ricci_killing_dev: float            # max |Ric + K/4|
     chi: float
     chi_prime: float
     claimed_chi: float
@@ -332,35 +329,40 @@ class CurvatureReport:
             "chi_matches_claimed": bool(
                 abs(self.chi - self.claimed_chi) < _IDENTITY_TOL),
             "ricci_lower_bound": self.ricci_lower_bound,
-            "killing_diagonal": float(self.killing_matrix[0, 0]),
+            "killing_diagonal": float(self.killing[1][0]),
         }
 
 
 def curvature_report(algebra: str, matrix_dim: int) -> CurvatureReport:
     """Killing, Ricci and chi of one algebra, from one structure tensor.
 
-    The budget's lower bound (K, Ric and their work array) is checked
-    before the basis is built, so an oversize request allocates nothing;
-    structure_constants checks the join sizes before it joins.  The
-    Ricci lower bound is Gershgorin's, min_i (Ric_ii - sum_{j != i}
-    |Ric_ij|), at most the smallest eigenvalue of Ric.
+    The budget is first checked against 4 d^2 // m, a lower bound on the
+    first join of structure_constants, so an oversize request builds no
+    basis.  With L[a, b] the number of basis entries at (a, b), that
+    join has sum_b c_b r_b matches (column and row sums of L).  Every
+    builder emits each off-diagonal position with its mirror, so L is
+    symmetric and, by Cauchy-Schwarz, sum_b c_b^2 >= nnz^2 / m; every
+    element has two or more nonzeros, so nnz >= 2 d.  (For so(m) the
+    bound is the join, m (m - 1)^2.)  The Ricci lower bound is
+    Gershgorin's, min_i (Ric_ii - sum_{j != i} |Ric_ij|), at most the
+    smallest eigenvalue of Ric.
     """
     if algebra in ALGEBRA_DIM:
-        check_dense_budget(ALGEBRA_DIM[algebra](matrix_dim))
+        d = ALGEBRA_DIM[algebra](matrix_dim)
+        check_curvature_budget(d, 4 * d * d // matrix_dim)
     basis = build_basis(algebra, matrix_dim)
     st = structure_constants(basis)
     K = killing_form(st)
-    ric = ricci_tensor(st, K=K)
+    keys, vals, dev = ricci_tensor(st, K=K)
     chi = chi_coefficient(st, K=K)
-    off = np.abs(ric)
-    np.fill_diagonal(off, 0.0)
+    diag, row, off = _split(basis.dim, keys, vals)
+    off = np.bincount(row, weights=np.abs(off), minlength=basis.dim)
     return CurvatureReport(
         algebra=algebra, matrix_dim=matrix_dim, dim=basis.dim,
-        killing_matrix=K, ricci_matrix=ric,
+        killing=K, ricci=(keys, vals), ricci_killing_dev=dev,
         chi=chi.chi, chi_prime=chi.chi_prime,
         claimed_chi=float(CLAIMED_CHI[algebra](matrix_dim)),
-        ricci_lower_bound=float(np.min(np.diagonal(ric)
-                                       - off.sum(axis=1))))
+        ricci_lower_bound=float(np.min(diag - off)))
 
 
 # -- Levy-family bound sequences -------------------------------------
@@ -403,9 +405,7 @@ def rescaled_levy_check(r_seq: Sequence[float], c_seq: Sequence[float],
         raise ValueError("sequences must have equal length")
     if floor <= 0:
         raise ValueError("floor must be positive")
-    tail_ok = len(r_seq) > 0 and r_seq[-1] >= floor
-    # require an all->=floor suffix, i.e. only finitely many exceptions
-    bounded = tail_ok
+    bounded = len(r_seq) > 0 and r_seq[-1] >= floor
     diverging = (len(c_seq) > 1
                  and c_seq[-1] > max(c_seq[:-1]) + 1e-12)
     scaled = [c * r for c, r in zip(c_seq, r_seq)]

@@ -91,8 +91,7 @@ def criterion_curvature() -> dict:
              + [("usp", m) for m in range(4, 13, 2)])
     for alg, m in cases:
         rep = curvature_report(alg, m)  # raises if Ric != -K/4 or routes split
-        dev = float(np.max(np.abs(rep.ricci_matrix
-                                  + 0.25 * rep.killing_matrix)))
+        dev = rep.ricci_killing_dev
         entry = {"algebra": alg, "m": m, "ric_vs_killing_dev": dev,
                  "chi": rep.chi, "chi_claimed": rep.claimed_chi}
         if alg in ("so", "usp"):

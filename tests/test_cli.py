@@ -9,11 +9,13 @@ import tempfile
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as hs
 
 import lievol
+import lievol.cli
 import lievol.cpn
 import lievol.curvature
 import lievol.montecarlo
@@ -100,7 +102,8 @@ class TestSubcommands:
         code, out, _ = run(capsys, "curvature", "--series", "so", "--n", "6")
         d = json.loads(out)
         assert d["curvature"]["ricci_lower_bound"] == pytest.approx(2.0)
-        assert d["chi_table"]["claimed"] == 4.0
+        assert d["curvature"]["chi_claimed"] == 4.0
+        assert "chi_table" not in d
 
     def test_cpn_band_mass(self, capsys):
         code, out, _ = run(capsys, "cpn", "band-mass", "--n", "10",
@@ -313,6 +316,36 @@ class TestExitCodes:
                            "--n", "400")
         assert code == 1
         assert "budget" in err
+
+    @pytest.mark.parametrize("series,largest", [("a", 181), ("b", 144),
+                                                ("c", 144), ("d", 144)])
+    def test_oversize_roots_listing_is_one(self, capsys, monkeypatch,
+                                           series, largest):
+        # one past the largest admitted n is refused before any root is
+        # built (D260's listing as text would need ~11 GiB)
+        def builder(*args):
+            raise LookupError("root builder reached")
+
+        monkeypatch.setattr(lievol.cli, "build_root_system", builder)
+        with pytest.raises(LookupError):
+            main(["roots", "--series", series, "--n", str(largest)])
+        code, out, err = run(capsys, "roots", "--series", series,
+                             "--n", str(largest + 1))
+        assert code == 1 and out == ""
+        assert str(lievol.cli.ROOTS_MAX_ENTRIES) in err
+
+    @pytest.mark.parametrize("exc", [OverflowError, ZeroDivisionError,
+                                     np.linalg.LinAlgError])
+    def test_error_in_a_subcommand_is_one(self, capsys, monkeypatch, exc):
+        # each subclasses ArithmeticError or ValueError
+        def fail(*args):
+            raise exc("raised in a subcommand")
+
+        monkeypatch.setattr(lievol.cli, "curvature_report", fail)
+        code, out, err = run(capsys, "curvature", "--series", "so",
+                             "--n", "4")
+        assert code == 1 and out == ""
+        assert "raised in a subcommand" in err and "Traceback" not in err
 
     def test_oversize_exact_volume_is_one(self, capsys, monkeypatch):
         # the exact volume of SU(5000) would have ~10^8 bits: refused

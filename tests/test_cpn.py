@@ -8,7 +8,7 @@ from lievol.cpn import (AffineCoords, QuotientCoords, _chart_factors,
                         band_complement_mass, band_mass, chart_volume,
                         fs_metric_affine_on_velocity, fs_metric_angular,
                         macdonald_quotient, maurer_cartan, measure_density,
-                        quotient_point, structure_equation_residual,
+                        structure_equation_residual,
                         theta_periods, vielbein, vielbein_density)
 from lievol.reproduce import GEOMETRY_MAX_N
 
@@ -49,9 +49,10 @@ def gellmann_basis(m):
 
 
 def maurer_cartan_fd(c, step=1e-6):
-    """Central finite-difference oracle for the Maurer-Cartan components."""
+    """Central finite-difference oracle for the Maurer-Cartan components,
+    differentiating dense_chart's h."""
     n = c.n
-    inv = quotient_point(c).conj().T
+    inv = dense_chart(c)[0].conj().T
     out = []
     coords = list(c.thetas) + list(c.phis)
     for idx in range(2 * n):
@@ -59,8 +60,8 @@ def maurer_cartan_fd(c, step=1e-6):
         dn = coords.copy()
         up[idx] += step
         dn[idx] -= step
-        hp = quotient_point(QuotientCoords(tuple(up[:n]), tuple(up[n:])))
-        hm = quotient_point(QuotientCoords(tuple(dn[:n]), tuple(dn[n:])))
+        hp = dense_chart(QuotientCoords(tuple(up[:n]), tuple(up[n:])))[0]
+        hm = dense_chart(QuotientCoords(tuple(dn[:n]), tuple(dn[n:])))[0]
         out.append(inv @ (hp - hm) / (2 * step))
     return np.array(out)
 
@@ -120,9 +121,8 @@ def gellmann_generators(n):
 def dense_chart(c):
     """Second route: h and h^-1 dh from eigh exponentials and dense products.
 
-    Independent of the chart's factor records, so that it catches a wrong
-    factor, which maurer_cartan_fd (it differentiates quotient_point)
-    cannot.
+    Independent of the chart's factor records, so that it, and
+    maurer_cartan_fd, which differentiates its h, catch a wrong factor.
     """
     gens = gellmann_generators(c.n)
     angles = [x for pair in zip(c.thetas, c.phis) for x in pair]
@@ -201,8 +201,7 @@ class TestChartGenerators:
         rng = np.random.default_rng(100 + n)
         for _ in range(3):
             c = random_coords(n, hi=2 * math.pi, rng=rng)
-            h, j = dense_chart(c)
-            assert np.max(np.abs(quotient_point(c) - h)) <= 1e-14
+            _, j = dense_chart(c)
             assert np.max(np.abs(maurer_cartan(c) - j)) <= 1e-13
 
     def test_second_routes_ship_with_the_tests(self):
@@ -229,7 +228,8 @@ class TestChartGenerators:
                 "_haar_unitary", "_usp_partner", "_col_order",
                 "_householder_reduce", "_equator_distance", "_chunks",
                 "riemann_tensor", "_dense_view", "_pyify", "sphere_volume",
-                "_dim_step", "LOG_2PI")
+                "_dim_step", "LOG_2PI", "quotient_point", "_dense",
+                "DENSE_BUDGET", "check_dense_budget")
         for mod in (lievol, lievol.cpn, lievol.curvature, lievol.montecarlo,
                     lievol.reproduce, lievol.volumes):
             assert not [name for name in gone if hasattr(mod, name)]
@@ -246,21 +246,22 @@ class TestChartGenerators:
 
 
 class TestQuotientPoint:
+    # the chart point h of the test route, which maurer_cartan_fd reads
     def test_identity_at_origin(self):
         c = QuotientCoords((0.0, 0.0), (0.0, 0.0))
-        assert np.allclose(quotient_point(c), np.eye(3))
+        assert np.allclose(dense_chart(c)[0], np.eye(3))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_special_unitary(self, n):
         c = random_coords(n)
-        h = quotient_point(c)
+        h = dense_chart(c)[0]
         assert np.allclose(h @ h.conj().T, np.eye(n + 1), atol=1e-12)
         assert abs(np.linalg.det(h) - 1.0) < 1e-12
 
     def test_n1_phi_rotation(self):
         # at theta = 0 the n = 1 chart is a lambda_2 rotation
         phi = 0.7
-        h = quotient_point(QuotientCoords((0.0,), (phi,)))
+        h = dense_chart(QuotientCoords((0.0,), (phi,)))[0]
         want = np.array([[math.cos(phi), math.sin(phi)],
                          [-math.sin(phi), math.cos(phi)]])
         assert np.allclose(h, want, atol=1e-13)

@@ -7,7 +7,7 @@ import pytest
 from lievol.curvature import (ALGEBRA_DIM, CLAIMED_CHI, TRACE_FORM_INDEX,
                               LieAlgebraBasis, StructureTensor, _match,
                               _summed, build_basis,
-                              check_dense_budget, check_orthonormal,
+                              check_curvature_budget, check_orthonormal,
                               chi_coefficient, curvature_report,
                               killing_form, rescaled_levy_check,
                               ricci_bound_sequence, ricci_tensor, so_basis,
@@ -20,11 +20,24 @@ TIER1_SIZES = ([("su", m) for m in range(2, 13)]
 
 
 def dense(coo, shape):
-    """The dense array of `shape` with coo.value at the COO rows coo.index:
-    the (d, m, m) basis stack, or the (d, d, d) c[i, j, k]."""
-    out = np.zeros(shape, dtype=coo.value.dtype)
-    out[tuple(coo.index.T)] = coo.value
+    """The dense array of `shape` with coo.value at the COO rows coo.index
+    (the (d, m, m) basis stack, or the (d, d, d) c[i, j, k]), or with the
+    values at the flat keys of a (keys, values, ...) tuple (K or Ric)."""
+    if isinstance(coo, tuple):
+        index, value = np.unravel_index(coo[0], shape), coo[1]
+    else:
+        index, value = tuple(coo.index.T), coo.value
+    out = np.zeros(shape, dtype=value.dtype)
+    out[index] = value
     return out
+
+
+def killing_ricci(alg, m):
+    """The structure tensor, and K and Ric as dense (d, d) arrays."""
+    st = structure_constants(build_basis(alg, m))
+    K = killing_form(st)
+    return st, dense(K, (st.dim,) * 2), dense(ricci_tensor(st, K),
+                                              (st.dim,) * 2)
 
 
 def riemann_tensor(st):
@@ -188,10 +201,11 @@ class TestDenseOracle:
         assert np.array_equal(c != 0, want != 0)
         assert np.max(np.abs(c - want)) < 1e-12
         K = killing_form(st)
-        assert np.max(np.abs(
-            K - np.tensordot(want, want, axes=([1, 2], [2, 1])))) < 1e-12
+        assert np.max(np.abs(dense(K, (st.dim,) * 2) - np.tensordot(
+            want, want, axes=([1, 2], [2, 1])))) < 1e-12
         ric = 0.25 * np.tensordot(want, want, axes=([0, 2], [2, 1])).T
-        assert np.max(np.abs(ricci_tensor(st, K) - ric)) < 1e-12
+        assert np.max(np.abs(dense(ricci_tensor(st, K), (st.dim,) * 2)
+                             - ric)) < 1e-12
 
     def test_coo_rows_are_sorted_and_distinct(self):
         st = structure_constants(usp_basis(8))
@@ -210,20 +224,20 @@ class TestPastTheDenseSizes:
     def test_chain_runs(self, alg, m, chi_prime):
         st = structure_constants(build_basis(alg, m))
         K = killing_form(st)
-        ric = ricci_tensor(st, K)
+        ric = dense(ricci_tensor(st, K), (st.dim,) * 2)
         assert chi_coefficient(st, K).chi_prime == pytest.approx(
             chi_prime, abs=1e-9)
-        assert np.max(np.abs(ric + 0.25 * K)) < 1e-10
+        assert np.max(np.abs(ric + 0.25 * dense(K, ric.shape))) < 1e-10
         assert jacobi_residual(st) < 1e-10
 
 
 class TestKillingAndChi:
     def test_so5_killing(self):
-        K = killing_form(structure_constants(so_basis(5)))
+        K = killing_ricci("so", 5)[1]
         assert np.max(np.abs(K + 6 * np.eye(10))) < 1e-10
 
     def test_usp4_killing(self):
-        K = killing_form(structure_constants(usp_basis(4)))
+        K = killing_ricci("usp", 4)[1]
         assert np.max(np.abs(K + 12 * np.eye(10))) < 1e-10
 
     @pytest.mark.parametrize("m,chi", [(3, 1.0), (5, 3.0), (8, 6.0),
@@ -269,21 +283,19 @@ class TestRiemannRicci:
                                        ("su", 12), ("so", 16),
                                        ("usp", 16)])
     def test_ricci_is_minus_quarter_killing(self, alg, m):
-        st = structure_constants(build_basis(alg, m))
-        K = killing_form(st)
-        assert np.max(np.abs(ricci_tensor(st, K) + 0.25 * K)) < 1e-10
+        _, K, ric = killing_ricci(alg, m)
+        assert np.max(np.abs(ric + 0.25 * K)) < 1e-10
 
     def test_so6_usp4_ricci_values(self):
-        for basis, value in ((so_basis(6), 2), (usp_basis(4), 3)):
-            st = structure_constants(basis)
-            ric = ricci_tensor(st, killing_form(st))
+        for alg, m, value in (("so", 6, 2), ("usp", 4, 3)):
+            st, _, ric = killing_ricci(alg, m)
             assert np.max(np.abs(ric - value * np.eye(st.dim))) < 1e-10
 
     @pytest.mark.parametrize("alg,m", TIER1_SIZES)
     def test_lower_bound_is_the_least_eigenvalue(self, alg, m):
         # Gershgorin's bound against the dense eigenvalue route
         rep = curvature_report(alg, m)
-        least = np.min(np.linalg.eigvalsh(rep.ricci_matrix))
+        least = np.min(np.linalg.eigvalsh(dense(rep.ricci, (rep.dim,) * 2)))
         assert abs(rep.ricci_lower_bound - least) < 1e-12
 
     def test_lower_bound_of_a_non_scalar_ricci(self, monkeypatch):
@@ -292,8 +304,9 @@ class TestRiemannRicci:
         import lievol.curvature
         ric = np.array([[2.0, 0.5, 0.0], [0.5, 3.0, -0.25],
                         [0.0, -0.25, 1.0]])
+        keys = np.flatnonzero(ric)
         monkeypatch.setattr(lievol.curvature, "ricci_tensor",
-                            lambda st, K: ric)
+                            lambda st, K: (keys, ric.flat[keys], 0.0))
         bound = curvature_report("su", 2).ricci_lower_bound
         assert bound == 0.75
         assert bound < np.min(np.linalg.eigvalsh(ric))
@@ -332,44 +345,99 @@ class TestKillingPassedDown:
 
     def test_wrong_killing_is_caught(self):
         st = structure_constants(so_basis(5))
-        K = killing_form(st)
-        with pytest.raises(ArithmeticError):
-            ricci_tensor(st, K=2 * K)
-        K[0, 1] = K[1, 0] = 1.0
-        with pytest.raises(ArithmeticError):
-            chi_coefficient(st, K=K)
+        keys, vals = killing_form(st)
+        with pytest.raises(ArithmeticError, match="-K/4"):
+            ricci_tensor(st, K=(keys, 2 * vals))
+        # K + 1.0 at (0, 1) and (1, 0)
+        off = _summed(np.concatenate([keys, [1, st.dim]]),
+                      np.concatenate([vals, [1.0, 1.0]]))
+        with pytest.raises(ArithmeticError, match="not scalar"):
+            chi_coefficient(st, K=off)
+
+
+class Joined(Exception):
+    pass
+
+
+def no_join(monkeypatch):
+    """Make the first index join raise Joined: a request that gets this
+    far was admitted by the budget."""
+    import lievol.curvature
+
+    def joined(*args):
+        raise Joined
+
+    monkeypatch.setattr(lievol.curvature, "_match", joined)
+
+
+def first_join(alg, m):
+    """Matches of structure_constants' first join, from the basis."""
+    b = build_basis(alg, m)
+    L = np.bincount(b.index[:, 1] * m + b.index[:, 2],
+                    minlength=m * m).reshape(m, m)
+    return int(L.sum(0) @ L.sum(1))
 
 
 class TestDenseBudget:
+    # the budget counts index-join matches; no (d, d) array is built
     def test_su16_fits(self):
-        check_dense_budget(ALGEBRA_DIM["su"](16))
+        d = ALGEBRA_DIM["su"](16)
+        check_curvature_budget(d, first_join("su", 16))
 
-    @pytest.mark.parametrize("alg,m", [("su", 20), ("so", 30), ("usp", 30)])
-    def test_admitted_past_the_dense_chain(self, alg, m):
-        check_dense_budget(ALGEBRA_DIM[alg](m))
+    @pytest.mark.parametrize("alg,m", [("su", 20), ("so", 30), ("usp", 30),
+                                       ("su", 81), ("so", 224),
+                                       ("usp", 122)])
+    def test_admitted_past_the_dense_chain(self, monkeypatch, alg, m):
+        # up to the largest admitted size of each algebra
+        no_join(monkeypatch)
+        with pytest.raises(Joined):
+            curvature_report(alg, m)
 
-    @pytest.mark.parametrize("alg,m", [("su", 100), ("so", 139),
-                                       ("usp", 138)])
-    def test_oversize_refused(self, alg, m):
+    @pytest.mark.parametrize("alg,m", [("su", 82), ("so", 225),
+                                       ("usp", 124)])
+    def test_oversize_refused(self, monkeypatch, alg, m):
+        # the smallest refused sizes, refused before any join
+        no_join(monkeypatch)
         with pytest.raises(ValueError, match="budget"):
-            check_dense_budget(ALGEBRA_DIM[alg](m))
+            curvature_report(alg, m)
+
+    @pytest.mark.parametrize("alg", ["su", "so", "usp"])
+    def test_far_oversize_refused_before_the_basis(self, monkeypatch, alg):
+        import lievol.curvature
+
+        def no_basis(*args):
+            raise AssertionError("basis built for an oversize request")
+
+        monkeypatch.setattr(lievol.curvature, "build_basis", no_basis)
+        with pytest.raises(ValueError, match="budget"):
+            curvature_report(alg, 10 ** 4)
+
+    @pytest.mark.parametrize("alg,m", TIER1_SIZES)
+    def test_precheck_bounds_the_first_join(self, alg, m):
+        # 4 d^2 // m <= sum_b c_b r_b, equal for so(m)
+        d = ALGEBRA_DIM[alg](m)
+        assert 4 * d * d // m <= first_join(alg, m)
+        if alg == "so":
+            assert 4 * d * d // m == first_join(alg, m) == m * (m - 1) ** 2
 
     def test_entry_points_check(self, monkeypatch):
         import lievol.curvature
-        monkeypatch.setattr(lievol.curvature, "DENSE_BUDGET", 1000)
+        monkeypatch.setattr(lievol.curvature, "CURVATURE_BUDGET", 1000)
         with pytest.raises(ValueError, match="budget"):
             structure_constants(su_basis(3))
         with pytest.raises(ValueError, match="budget"):
             curvature_report("su", 3)
 
     def test_join_sizes_are_checked_before_joining(self, monkeypatch):
-        # su(12): K and Ric fit in 1 MiB, the joins do not
+        # su(12): the bound checked before the basis fits in 1 MiB, the
+        # joins do not
         import lievol.curvature
-        basis = su_basis(12)
-        monkeypatch.setattr(lievol.curvature, "DENSE_BUDGET", 2 ** 20)
-        check_dense_budget(basis.dim)
+        monkeypatch.setattr(lievol.curvature, "CURVATURE_BUDGET", 2 ** 20)
+        d = ALGEBRA_DIM["su"](12)
+        check_curvature_budget(d, 4 * d * d // 12)
+        no_join(monkeypatch)
         with pytest.raises(ValueError, match="budget"):
-            structure_constants(basis)
+            curvature_report("su", 12)
 
     @pytest.mark.parametrize("alg,m", [("su", 16), ("so", 32), ("usp", 20)])
     def test_count_bounds_the_measured_peak(self, monkeypatch, alg, m):
@@ -381,11 +449,22 @@ class TestDenseBudget:
         finally:
             tracemalloc.stop()
         # the count is an upper bound, and not a loose one
-        monkeypatch.setattr(lievol.curvature, "DENSE_BUDGET", peak)
+        monkeypatch.setattr(lievol.curvature, "CURVATURE_BUDGET", peak)
         with pytest.raises(ValueError, match="budget"):
             curvature_report(alg, m)
-        monkeypatch.setattr(lievol.curvature, "DENSE_BUDGET", 2 * peak)
+        monkeypatch.setattr(lievol.curvature, "CURVATURE_BUDGET", 2 * peak)
         curvature_report(alg, m)
+
+    def test_no_dense_square_array(self):
+        # so(96): one (d, d) float64 array, 166 MB, is more than the
+        # chain's whole traced peak
+        tracemalloc.start()
+        try:
+            rep = curvature_report("so", 96)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * rep.dim ** 2
 
 
 class TestLevySequences:
