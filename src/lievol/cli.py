@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import io
 import json
 import math
 import sys
@@ -25,19 +24,22 @@ from .montecarlo import (CHUNK, SamplerConfig, concentration_experiment,
                          xi_histogram)
 from .roots import Series, build_root_system, root_system_json
 from .volumes import (USP_DIMENSION_NOTE, VolumeResult, closed_form_volume,
-                      group_volume, log_volume, ratio_exponent, ratio_scale)
+                      group_volume, log_volume, ratio_asymptote,
+                      ratio_exponent)
 
 
 FORMATS = ("json", "csv", "text")
 
-# Most indices one levy run lists: 10^5 take ~1 s and ~140 MiB as text.
+# Most indices one levy run lists: 10^5 take 0.5-1 s and ~45 MiB in
+# any format, 10^6 4-9 s and 183 MiB.
 LEVY_MAX_TERMS = 100_000
 
 # Most vector entries one roots listing writes (group_dim * n: every
-# simple root, positive root and coroot in Z^n).  Text, the costliest
-# format, peaks at ~315 B per entry: A181, B144 and D144 (5.9-6.0 M
-# entries) took 1.84-1.85 GiB and 11-12 s on a 2-core host.
-ROOTS_MAX_ENTRIES = 6_000_000
+# simple root, positive root and coroot in Z^n).  The report object sets
+# the peak, ~72 B per entry in every format: A228, B181, C181 and D181
+# (11.8-11.9 M entries) peak at 857-871 MiB, in 8 s as JSON and 19-29 s
+# as text or CSV on a 2-core host.
+ROOTS_MAX_ENTRIES = 12_000_000
 
 # The scale sequences c_n of `levy --rescale`, by name.
 _RESCALE = {"log": math.log, "sqrt": math.sqrt, "linear": float,
@@ -45,8 +47,9 @@ _RESCALE = {"log": math.log, "sqrt": math.sqrt, "linear": float,
 
 
 def _provenance(args) -> dict:
+    # not where the report goes: --output writes the bytes stdout shows
     cfg = {k: v for k, v in vars(args).items()
-           if k not in ("func",) and v is not None}
+           if k not in ("func", "output") and v is not None}
     build = np.show_config(mode="dicts")
     blas = build["Build Dependencies"]["blas"]
     # Monte Carlo draws call no BLAS or LAPACK: their bits depend on the
@@ -61,32 +64,29 @@ def _provenance(args) -> dict:
             "montecarlo_chunk": CHUNK}
 
 
-def _render(payload: dict, fmt: str) -> str:
+def _write(report: dict, fmt: str, out) -> None:
+    """Write the report to out, each piece as it is rendered."""
     if fmt == "json":
-        return json.dumps(payload, indent=2, sort_keys=True)
-    if fmt == "csv":
-        flat = _flatten(payload)
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["key", "value"])
-        for k, v in flat:
-            w.writerow([k, v])
-        return buf.getvalue().rstrip("\n")
-    lines = [f"{k} = {v}" for k, v in _flatten(payload)]
-    return "\n".join(lines)
+        json.dump(report, out, indent=2, sort_keys=True)
+        out.write("\n")
+    elif fmt == "csv":
+        w = csv.writer(out)
+        w.writerow(("key", "value"))
+        w.writerows(_flatten(report))
+    else:
+        out.writelines(f"{k} = {v}\n" for k, v in _flatten(report))
 
 
 def _flatten(obj, prefix=""):
-    out = []
+    """(dotted key, leaf) pairs of a report, in sorted key order."""
     if isinstance(obj, dict):
         for k in sorted(obj):
-            out += _flatten(obj[k], f"{prefix}{k}." if prefix else f"{k}.")
+            yield from _flatten(obj[k], f"{prefix}{k}.")
     elif isinstance(obj, (list, tuple)):
         for i, v in enumerate(obj):
-            out += _flatten(v, f"{prefix}{i}.")
+            yield from _flatten(v, f"{prefix}{i}.")
     else:
-        out.append((prefix.rstrip("."), obj))
-    return out
+        yield prefix.rstrip("."), obj
 
 
 def _finite(text: str) -> float:
@@ -138,7 +138,7 @@ def cmd_volume(args) -> dict:
 def cmd_ratio(args) -> dict:
     s = _series(args)
     val = ratio_exponent(s)
-    asym = math.sqrt(2 * math.pi * math.e / ratio_scale(s))
+    asym = ratio_asymptote(s)
     return {"ratio": {"group": s.group_name, "ratio_exponent": val,
                       "sphere_asymptote": asym, "quotient": val / asym}}
 
@@ -301,14 +301,10 @@ def main(argv=None) -> int:
     try:
         # opened first, so that a bad path fails before the work
         with (open(args.output, "w") if args.output
-              else contextlib.nullcontext()) as out:
+              else contextlib.nullcontext(sys.stdout)) as out:
             report = args.func(args)
             report["provenance"] = _provenance(args)
-            text = _render(report, args.format)
-            if out is None:
-                print(text)
-            else:
-                out.write(text)
+            _write(report, args.format, out)
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -377,6 +377,9 @@ def ricci_bound_sequence(family: str, n_range: Sequence[int],
     For SU an explicit coroot length replaces the standard value 2 via
     R_i = (i+2)/|coroot|^2.
     """
+    if coroot_length is not None and not coroot_length > 0:
+        raise ValueError(f"the coroot length must be positive, "
+                         f"not {coroot_length}")
     fam = family.upper()
     low = LEVY_MIN_INDEX.get(fam)
     if low is not None and any(i < low for i in n_range):

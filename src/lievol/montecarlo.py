@@ -80,9 +80,9 @@ _WORK_CHUNKS = 5
 # result.
 MAX_WORKERS = 64
 
-# Most bins of xi_histogram: each costs ~240 B and ~3 us (edges, counts,
-# lists, JSON), so `sample --hist ksi` with 10^5 bins takes 0.6 s and
-# 60 MiB, with 10^6 3.1 s and 280 MiB.
+# Most bins of xi_histogram: each costs ~60 B and 2-6 us (edges, counts,
+# their lists, the written report), so `sample --hist ksi` with 10^5
+# bins takes 0.5-0.6 s and 43 MiB, with 10^6 2-6 s and 98 MiB.
 HIST_MAX_BINS = 10 ** 5
 
 # Seeds lie in [0, SEED_LIMIT), and each is its own Philox key: no two

@@ -21,8 +21,8 @@ from .cpn import (AffineCoords, QuotientCoords, angular_velocity_to_dz,
 from .curvature import curvature_report
 from .montecarlo import SEED_LIMIT, SamplerConfig, concentration_experiment
 from .roots import Series
-from .volumes import (closed_form_volume, group_volume, ratio_exponent,
-                      ratio_scale)
+from .volumes import (closed_form_volume, group_volume, ratio_asymptote,
+                      ratio_exponent)
 
 _RANKS = {"A": range(2, 11), "B": range(2, 11),
           "C": range(2, 11), "D": range(4, 11)}
@@ -67,13 +67,12 @@ def criterion_exact_volumes() -> dict:
 
 @_timed
 def criterion_ratio_asymptotics() -> dict:
-    """ratio_exponent / sqrt(2 pi e / scale) within [0.98, 1.02] at n=50."""
+    """ratio_exponent / ratio_asymptote within [0.98, 1.02] at n=50."""
     rows = {}
     ok = True
     for tag in "ABCD":
         s = Series(tag, 50)
-        ratio = ratio_exponent(s) / math.sqrt(
-            2 * math.pi * math.e / ratio_scale(s))
+        ratio = ratio_exponent(s) / ratio_asymptote(s)
         rows[tag] = ratio
         ok &= 0.98 <= ratio <= 1.02
     return {"id": 2, "name": "ratio asymptotics", "passed": ok,

@@ -137,6 +137,8 @@ def ratio_exponent(series: Series) -> float:
     return math.exp(dlog / (big.group_dim - small.group_dim))
 
 
-def ratio_scale(series: Series) -> int:
-    """The n-scale in the asymptote sqrt(2 pi e / scale)."""
-    return series.n if series.tag == "A" else 2 * series.n
+def ratio_asymptote(series: Series) -> float:
+    """sqrt(2 pi e / scale), the limit ratio_exponent tends to; the scale
+    is n for A and 2n for B, C, D."""
+    scale = series.n if series.tag == "A" else 2 * series.n
+    return math.sqrt(2 * math.pi * math.e / scale)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -248,6 +249,45 @@ class TestFormatsAndOutput:
         d = json.loads(target.read_text())
         assert d["volume"]["exact"]["sqrt"] == 2
 
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("argv", [
+        ("volume", "--series", "c", "--n", "3", "--exact"),
+        ("roots", "--series", "b", "--n", "3")])
+    def test_output_file_gets_the_stdout_bytes(self, tmp_path, argv, fmt):
+        # a fresh process each, so that the file and stdout are both real
+        # byte streams: the final newline and CSV's \r\n included
+        target = tmp_path / "report"
+        cmd = [sys.executable, "-m", "lievol.cli", *argv, "--format", fmt]
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(lievol.__file__).parents[1]))
+        shown = subprocess.run(cmd, env=env, capture_output=True, check=True)
+        written = subprocess.run(cmd + ["--output", str(target)], env=env,
+                                 capture_output=True, check=True)
+        assert written.stdout == b""
+        assert target.read_bytes() == shown.stdout
+        ending = {"json": b"}\n", "csv": b"\r\n", "text": b"\n"}[fmt]
+        assert shown.stdout.endswith(ending)
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_writing_holds_no_copy_of_the_report(self, tmp_path, fmt):
+        # D40 lists 126,400 root entries; the writer's traced peak must
+        # stay under a tenth of the report's own size
+        tracemalloc.start()
+        try:
+            report = lievol.cli.cmd_roots(
+                build_parser().parse_args(["roots", "--series", "d",
+                                           "--n", "40"]))
+            size = tracemalloc.get_traced_memory()[0]
+            with open(tmp_path / "report", "w") as out:
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                lievol.cli._write(report, fmt, out)
+                peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "report").stat().st_size > 126_400
+        assert peak < size / 10, (peak, size)
+
 
 class TestDeterminism:
     def test_repeat_seeded_sample_identical(self, capsys):
@@ -317,12 +357,12 @@ class TestExitCodes:
         assert code == 1
         assert "budget" in err
 
-    @pytest.mark.parametrize("series,largest", [("a", 181), ("b", 144),
-                                                ("c", 144), ("d", 144)])
+    @pytest.mark.parametrize("series,largest", [("a", 228), ("b", 181),
+                                                ("c", 181), ("d", 181)])
     def test_oversize_roots_listing_is_one(self, capsys, monkeypatch,
                                            series, largest):
         # one past the largest admitted n is refused before any root is
-        # built (D260's listing as text would need ~11 GiB)
+        # built (D260's 35 M entries would need ~2.4 GiB)
         def builder(*args):
             raise LookupError("root builder reached")
 
@@ -596,6 +636,14 @@ class TestExitCodes:
                              start, "--stop", stop)
         assert code == 1
         assert "error:" in err and out == ""
+
+    @pytest.mark.parametrize("length", ["0", "-2"])
+    def test_levy_non_positive_coroot_length_is_one(self, capsys, length):
+        code, out, err = run(capsys, "levy", "--family", "su", "--stop", "4",
+                             f"--coroot-length={length}")
+        assert code == 1
+        assert "error: the coroot length must be positive" in err
+        assert out == ""
 
     def test_unknown_series_is_one(self, capsys):
         code, _, err = run(capsys, "roots", "--series", "e8", "--n", "8")

@@ -479,6 +479,14 @@ class TestLevySequences:
         assert ricci_bound_sequence("so", [10]) == [2.0]
         assert ricci_bound_sequence("usp", [10]) == [5.5]
 
+    @pytest.mark.parametrize("family", ["su", "so"])
+    @pytest.mark.parametrize("length", [0.0, -2.0, math.nan])
+    def test_coroot_length_must_be_positive(self, family, length):
+        # 0 divided by zero and -2 squared to the bound of length 2
+        with pytest.raises(ValueError, match="coroot length must be "
+                                             "positive"):
+            ricci_bound_sequence(family, [5], coroot_length=length)
+
     def test_coroot_rescale_su_only(self):
         with pytest.raises(ValueError):
             ricci_bound_sequence("so", [5], coroot_length=2.0)

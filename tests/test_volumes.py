@@ -7,8 +7,8 @@ import pytest
 from lievol.exact import ExactScalar
 from lievol.roots import MAX_EXACT_RANK, Series
 from lievol.volumes import (LOG_VOLUME_MAX_RANK, closed_form_volume,
-                            group_volume, log_volume, ratio_exponent,
-                            ratio_scale)
+                            group_volume, log_volume, ratio_asymptote,
+                            ratio_exponent)
 
 
 def ES(q, k=0, s=1):
@@ -140,14 +140,15 @@ class TestRatioExponent:
         assert abs(ratio_exponent(Series(tag, n)) - want) < 1e-12 * want
 
     def test_scales(self):
-        assert ratio_scale(Series("A", 7)) == 7
-        assert ratio_scale(Series("C", 7)) == 14
+        # n for A, 2n for the rest, in the one expression both callers read
+        two_pi_e = 2 * math.pi * math.e
+        assert ratio_asymptote(Series("A", 7)) == math.sqrt(two_pi_e / 7)
+        assert ratio_asymptote(Series("C", 7)) == math.sqrt(two_pi_e / 14)
 
     @pytest.mark.parametrize("tag", "ABCD")
     def test_asymptote_at_50(self, tag):
         s = Series(tag, 50)
-        quot = ratio_exponent(s) / math.sqrt(
-            2 * math.pi * math.e / ratio_scale(s))
+        quot = ratio_exponent(s) / ratio_asymptote(s)
         assert 0.98 <= quot <= 1.02
 
     @pytest.mark.parametrize("tag", "ABCD")
