@@ -35,10 +35,10 @@ FORMATS = ("json", "csv", "text")
 LEVY_MAX_TERMS = 100_000
 
 # Most vector entries one roots listing writes (group_dim * n: every
-# simple root, positive root and coroot in Z^n).  The report object sets
-# the peak, ~72 B per entry in every format: A228, B181, C181 and D181
-# (11.8-11.9 M entries) peak at 857-871 MiB, in 8 s as JSON and 19-29 s
-# as text or CSV on a 2-core host.
+# simple root, positive root and coroot in Z^n).  The time sets it: A228,
+# B181, C181 and D181 (11.8-11.9 M entries) take 10-14 s as JSON and
+# 17-24 s as text or CSV on a 2-core host.  They peak at 176-187 MiB in
+# every format, as the report shares one str per distinct entry.
 ROOTS_MAX_ENTRIES = 12_000_000
 
 # The scale sequences c_n of `levy --rescale`, by name.

@@ -2,32 +2,39 @@
 
 Roots live in the ambient Z^n (the A series in its trace-zero
 hyperplane), where every classical root has at most two nonzero
-coordinates.  So each root and coroot is a sparse record of (index,
-coefficient) pairs, and dense vectors are made only for
-root_system_json.  In this embedding every coroot 2 alpha / (alpha,
-alpha) is integral too, so coroot norms are integers, and their product
-is prod norm**count over the (at most two) coroot lengths.  The Gram
-matrix of the simple coroots is tridiagonal along the Dynkin chain,
-except for the fork of D, so its determinant is an integer continuant
-with a closed term for the two fork leaves: O(n) exact integer steps,
-with no rational arithmetic.
+coordinates.  So a set of N roots is one int64 array of shape (N, 2, 2):
+row r holds the indices [i, j] and the coefficients [c_i, c_j] of root r,
+and a one-term root has coefficient 0 in its second slot.  The sets made
+here are stored slot-major (a (2, 2, N) buffer seen through a transpose),
+so each of the four columns is contiguous and whole-set arithmetic runs
+over long rows; every function also takes a plain (N, 2, 2) array.  Sets
+are enumerated, corooted and normed as whole arrays; dense vectors are
+made only for the rank-many simple coroots and for root_system_json.
+
+In this embedding every coroot 2 alpha / (alpha, alpha) is integral too,
+so coroot norms are integers, and their product is prod norm**count over
+the (at most two) coroot lengths.  The Gram matrix of the simple coroots
+is tridiagonal along the Dynkin chain, except for the fork of D, so its
+determinant is an integer continuant with a closed term for the two fork
+leaves: O(n) exact integer steps, with no rational arithmetic.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .exact import ExactScalar
 
 _MIN_RANK = {"A": 2, "B": 2, "C": 2, "D": 4}
 
 # Largest n with exact root data.  The ~4 * 10^5-bit result sets the
-# limit more than the O(n^2) root records do.  `volume --series d --n 260
-# --exact` takes 1.2-1.4 s on a 2-core host: rendering the digits 0.34 s
-# (quadratic), the factorial products of the two routes 0.30 s, the
-# 135k `dot` calls of root enumeration 0.19 s and Fraction gcds 0.14 s.
+# limit, not the O(n^2) root arrays.  `volume --series d --n 260 --exact`
+# takes 0.7-0.8 s on a 2-core host, import included: rendering the
+# digits 0.25 s (quadratic), Fraction products and gcds 0.18 s, the
+# factorial products of the two routes 0.06 s and the root data 4-6 ms.
 MAX_EXACT_RANK = 260
 
 # CLI / report aliases for each series tag.
@@ -76,70 +83,83 @@ class Series:
                 "C": f"USp({2 * n})", "D": f"Spin({2 * n})"}[self.tag]
 
 
-# A root or coroot as a sparse record: (index, coefficient) pairs with
-# distinct indices in ascending order and nonzero coefficients.  Every
-# classical root has at most two.
-Record = tuple[tuple[int, int], ...]
+def norms(roots: np.ndarray) -> np.ndarray:
+    """(alpha, alpha) of each root of the set, as int64."""
+    _, coef = roots.transpose(1, 2, 0)
+    return (coef * coef).sum(0)
 
 
-def dot(u: Record, v: Record) -> int:
-    """Inner product of two records."""
-    s = 0
-    for i, a in u:
-        for j, b in v:
-            if i == j:
-                s += a * b
-    return s
-
-
-def coroot(alpha: Record) -> Record:
-    """2 alpha / (alpha, alpha), which is integral for every A-D root.
-
-    A and D roots have norm 2 and are their own coroots; the short B
-    root e_i gives 2 e_i and the long C root 2 e_i gives e_i.
+def coroots(roots: np.ndarray) -> np.ndarray:
+    """2 alpha / (alpha, alpha) of each root, which is integral for every
+    A-D root: A and D roots have norm 2 and are their own coroots, the
+    short B root e_i gives 2 e_i and the long C root 2 e_i gives e_i.
     """
-    norm = dot(alpha, alpha)
-    if norm == 2:
-        return alpha
-    if any(2 * c % norm for _, c in alpha):
-        raise ArithmeticError(f"coroot of {alpha} is not integral")
-    return tuple((i, 2 * c // norm) for i, c in alpha)
+    idx, coef = roots.transpose(1, 2, 0)
+    q, rem = np.divmod(2 * coef, norms(roots))
+    if rem.any():
+        raise ArithmeticError("a coroot of the set is not integral")
+    return np.concatenate((idx, q)).reshape(2, 2, -1).transpose(2, 0, 1)
 
 
-@dataclass(frozen=True)
+def dense(roots: np.ndarray, dim: int) -> np.ndarray:
+    """The set as an (N, dim) int64 matrix of vectors in Z^dim."""
+    out = np.zeros((len(roots), dim), np.int64)
+    rows = np.arange(len(roots))
+    # a one-term root writes 0 from its second slot, so that goes first
+    out[rows, roots[:, 0, 1]] = roots[:, 1, 1]
+    out[rows, roots[:, 0, 0]] = roots[:, 1, 0]
+    return out
+
+
+@dataclass(frozen=True, eq=False)
 class RootSystem:
-    """Root data of one series; roots and coroots are records."""
+    """Root data of one series; each set is an (N, 2, 2) int64 array."""
 
     series: Series
     rank: int
     ambient_dim: int
-    simple_roots: tuple = field(repr=False)
-    positive_roots: tuple = field(repr=False)
-    coroots: tuple = field(repr=False)  # coroots of the positive roots
+    simple_roots: np.ndarray = field(repr=False)
+    positive_roots: np.ndarray = field(repr=False)
+    simple_coroots: np.ndarray = field(repr=False)
+    coroots: np.ndarray = field(repr=False)  # of the positive roots
     degrees: tuple = ()
 
-    @property
-    def simple_coroots(self) -> tuple:
-        return tuple(coroot(a) for a in self.simple_roots)
+
+def _root_set(*blocks) -> np.ndarray:
+    """Concatenate blocks (i, j, c_i, c_j), each of two index arrays and
+    two coefficients, into one (N, 2, 2) root set."""
+    cols = np.empty((4, sum(len(b[0]) for b in blocks)), np.int64)
+    start = 0
+    for b in blocks:
+        stop = start + len(b[0])
+        for col, x in zip(cols, b):
+            col[start:stop] = x
+        start = stop
+    return cols.reshape(2, 2, -1).transpose(2, 0, 1)
 
 
-def _records(tag: str, n: int) -> tuple[list, list]:
-    """Simple and positive roots of series `tag` in Z^n, as records."""
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    simple = [((i, 1), (i + 1, -1)) for i in range(n - 1)]
-    positive = [((i, 1), (j, -1)) for i, j in pairs]
+def _enumerate(tag: str, n: int) -> np.ndarray:
+    """The simple roots of series `tag` in Z^n, then its positive roots,
+    as one root set."""
+    k = np.arange(n)
+    # the pairs i < j in row-major order, as np.triu_indices gives them;
+    # its mask pages in ~50 KiB more of numpy's code in a fresh process
+    i, j = np.nonzero(k[:, None] < k)
+    simple = [(k[:-1], k[1:], 1, -1)]
+    positive = [(i, j, 1, -1)]
     if tag != "A":
-        positive += [((i, 1), (j, 1)) for i, j in pairs]
+        positive.append((i, j, 1, 1))
+    last = k[-1:]
     if tag == "B":
-        simple.append(((n - 1, 1),))
-        positive += [((i, 1),) for i in range(n)]
+        simple.append((last, last, 1, 0))
+        positive.append((k, k, 1, 0))
     elif tag == "C":
-        simple.append(((n - 1, 2),))
-        positive += [((i, 2),) for i in range(n)]
+        simple.append((last, last, 2, 0))
+        positive.append((k, k, 2, 0))
     elif tag == "D":
         # last simple root is e_{n-1} + e_n
-        simple.append(((n - 2, 1), (n - 1, 1)))
-    return simple, positive
+        simple.append((k[-2:-1], last, 1, 1))
+    return _root_set(*simple, *positive)
 
 
 def build_root_system(series: Series) -> RootSystem:
@@ -151,7 +171,9 @@ def build_root_system(series: Series) -> RootSystem:
             f"exact root data for {series.group_name} is refused above "
             f"n = {MAX_EXACT_RANK} (its exact volume grows as n^2 log n "
             f"bits); use the log-gamma route")
-    simple, positive = _records(tag, n)
+    roots = _enumerate(tag, n)
+    r = series.rank
+    cor = coroots(roots)
     if tag == "A":
         degrees = tuple(i + 1 for i in range(1, n))
     elif tag == "D":
@@ -160,9 +182,8 @@ def build_root_system(series: Series) -> RootSystem:
         degrees = tuple(2 * i for i in range(1, n + 1))
 
     rs = RootSystem(series=series, rank=series.rank, ambient_dim=n,
-                    simple_roots=tuple(simple),
-                    positive_roots=tuple(positive),
-                    coroots=tuple(coroot(a) for a in positive),
+                    simple_roots=roots[:r], positive_roots=roots[r:],
+                    simple_coroots=cor[:r], coroots=cor[r:],
                     degrees=degrees)
     expected = (series.group_dim - series.rank) // 2
     if len(rs.positive_roots) != expected:
@@ -171,20 +192,18 @@ def build_root_system(series: Series) -> RootSystem:
     return rs
 
 
-def _path_minors(chain) -> tuple[int, int]:
-    """Gram determinants of `chain` and of `chain` without its last entry.
+def _path_minors(a: list, b: list) -> tuple[int, int]:
+    """Gram determinants of a path and of the path without its last entry.
 
-    The records must lie on a path: each is orthogonal to all but its
-    neighbours, so the Gram matrix is tridiagonal and its leading minors
-    follow the continuant f_k = a_k f_{k-1} - b_k^2 f_{k-2}, with a_k the
-    norm of entry k and b_k its product with entry k - 1.
+    On a path each entry is orthogonal to all but its neighbours, so the
+    Gram matrix is tridiagonal and its leading minors follow the
+    continuant f_k = a_k f_{k-1} - b_k^2 f_{k-2}, with a_k the norm of
+    entry k and b_k its product with entry k - 1 (b holds b_1, b_2, ...).
+    Python ints throughout: an int64 continuant would overflow silently.
     """
     prev, cur = 0, 1
-    last = ()
-    for c in chain:
-        b = dot(last, c)
-        prev, cur = cur, dot(c, c) * cur - b * b * prev
-        last = c
+    for ak, bk in zip(a, [0] + b):
+        prev, cur = cur, ak * cur - bk * bk * prev
     return cur, prev
 
 
@@ -196,14 +215,15 @@ def torus_volume(rs: RootSystem) -> ExactScalar:
     the leaves gives det = a1 a2 f - (b1^2 a2 + b2^2 a1) f', where f and
     f' are the path's determinant and that of the path without its end.
     """
-    cr = rs.simple_coroots
+    m = dense(rs.simple_coroots, rs.ambient_dim)
+    a = (m * m).sum(1).tolist()
+    b = (m[1:] * m[:-1]).sum(1).tolist()
     if rs.series.tag != "D":
-        det, _ = _path_minors(cr)
+        det, _ = _path_minors(a, b)
     else:
-        *path, l1, l2 = cr
-        f, f1 = _path_minors(path)
-        a1, a2 = dot(l1, l1), dot(l2, l2)
-        b1, b2 = dot(path[-1], l1), dot(path[-1], l2)
+        f, f1 = _path_minors(a[:-2], b[:-2])
+        a1, a2 = a[-2], a[-1]
+        b1, b2 = b[-2], int((m[-3] * m[-1]).sum())
         det = a1 * a2 * f - (b1 * b1 * a2 + b2 * b2 * a1) * f1
     return ExactScalar(1, 0, det)
 
@@ -213,22 +233,18 @@ def coroot_norm_product(rs: RootSystem) -> ExactScalar:
 
     There are at most two coroot lengths, so this is prod norm**count.
     """
-    lengths = Counter(dot(cv, cv) for cv in rs.coroots)
+    counts = np.bincount(norms(rs.coroots)).tolist()
     return ExactScalar(math.prod(norm ** count
-                                 for norm, count in lengths.items()))
-
-
-def _dense(dim: int, rec: Record) -> list[int]:
-    """The record as a vector of Z^dim."""
-    v = [0] * dim
-    for i, c in rec:
-        v[i] = c
-    return v
+                                 for norm, count in enumerate(counts)))
 
 
 def root_system_json(rs: RootSystem) -> dict:
-    def vecs(recs):
-        return [[str(x) for x in _dense(rs.ambient_dim, r)] for r in recs]
+    def vecs(roots):
+        # one shared str per distinct entry (the coefficients and 0): a
+        # str per entry, or a numpy str copy, would take 50-84 B each
+        text = {x: str(x) for x in [0, *np.unique(roots[:, 1]).tolist()]}
+        return [[text[x] for x in row]
+                for row in dense(roots, rs.ambient_dim).tolist()]
     return {
         "series": rs.series.tag,
         "n": rs.series.n,

@@ -61,6 +61,22 @@ def _validate_gamma(series: Series, center_order: int) -> None:
             f"of {series.group_name}")
 
 
+def _tree_prod(xs) -> int:
+    """Product of the ints xs in a balanced binary tree, so each big
+    multiplication pairs operands of like size, where left to right each
+    step would multiply a growing integer by a small one.  Runs of at
+    most 8, whose products are still small, are multiplied directly."""
+    xs = list(xs)
+
+    def prod(lo, hi):
+        if hi - lo <= 8:
+            return math.prod(xs[lo:hi])
+        mid = (lo + hi) // 2
+        return prod(lo, mid) * prod(mid, hi)
+
+    return prod(0, len(xs))
+
+
 def group_volume(series: Series, center_order: int = 1) -> VolumeResult:
     """Exact volume via the torus/spheres/coroot-norm pipeline.
 
@@ -70,7 +86,7 @@ def group_volume(series: Series, center_order: int = 1) -> VolumeResult:
     rs = build_root_system(series)
     # the spheres S^{2d-1}, 2 pi^d / (d-1)! each, and 1/|Gamma| as one factor
     spheres = ExactScalar(
-        Fraction(2 ** len(rs.degrees), center_order * math.prod(
+        Fraction(2 ** len(rs.degrees), center_order * _tree_prod(
             math.factorial(d - 1) for d in rs.degrees)),
         sum(rs.degrees))
     vol = torus_volume(rs) * coroot_norm_product(rs) * spheres
@@ -95,7 +111,7 @@ def _closed_form(series: Series) -> tuple:
 def closed_form_volume(series: Series) -> ExactScalar:
     """The per-series closed forms, as an independent route."""
     a, k, s, f = _closed_form(series)
-    return ExactScalar(Fraction(2 ** a, math.prod(map(math.factorial, f))),
+    return ExactScalar(Fraction(2 ** a, _tree_prod(map(math.factorial, f))),
                        k, s)
 
 

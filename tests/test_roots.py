@@ -1,10 +1,11 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from lievol.exact import ExactScalar
-from lievol.roots import (Series, build_root_system, coroot,
-                          coroot_norm_product, dot, root_system_json,
+from lievol.roots import (Series, build_root_system, coroot_norm_product,
+                          coroots, dense, norms, root_system_json,
                           torus_volume)
 
 
@@ -12,11 +13,19 @@ def ES(q, k=0, s=1):
     return ExactScalar(Fraction(q), k, s)
 
 
-def dense(dim, rec):
+def vector(dim, terms):
     v = [0] * dim
-    for i, c in rec:
+    for i, c in terms:
         v[i] += c
     return v
+
+
+def root_set(*roots):
+    """An (N, 2, 2) root set from roots of one or two (index, coefficient)
+    terms, in the plain C layout (build_root_system's sets are not)."""
+    return np.array([[[t[0][0], t[-1][0]],
+                      [t[0][1], t[1][1] if len(t) == 2 else 0]]
+                     for t in roots], dtype=np.int64).reshape(-1, 2, 2)
 
 
 def dense_dot(u, v):
@@ -25,9 +34,9 @@ def dense_dot(u, v):
 
 def dense_roots(tag, n):
     """(simple, positive, coroots) as dense integer vectors, enumerated
-    directly in Z^n: the reference for the records."""
+    directly in Z^n: the reference for the root sets."""
     def e(*terms):
-        return dense(n, terms)
+        return vector(n, terms)
 
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     simple = [e((i, 1), (i + 1, -1)) for i in range(n - 1)]
@@ -135,46 +144,49 @@ class TestCoroots:
     @pytest.mark.parametrize("tag,n", [("A", 4), ("B", 3), ("C", 3), ("D", 5)])
     def test_pairing_is_two(self, tag, n):
         rs = build_root_system(Series(tag, n))
-        for alpha in rs.positive_roots:
-            assert dot(coroot(alpha), alpha) == 2
+        pairing = (dense(rs.coroots, n) * dense(rs.positive_roots, n)).sum(1)
+        assert pairing.tolist() == [2] * len(rs.positive_roots)
 
     def test_long_short(self):
         # B short roots e_i have coroot 2 e_i; C long roots 2 e_i have
         # coroot e_i
         rs_b = build_root_system(Series("B", 2))
-        norms_b = sorted(dot(cv, cv) for cv in rs_b.coroots)
-        assert norms_b == [2, 2, 4, 4]
+        assert sorted(norms(rs_b.coroots).tolist()) == [2, 2, 4, 4]
         rs_c = build_root_system(Series("C", 2))
-        norms_c = sorted(dot(cv, cv) for cv in rs_c.coroots)
-        assert norms_c == [1, 1, 2, 2]
+        assert sorted(norms(rs_c.coroots).tolist()) == [1, 1, 2, 2]
 
     @pytest.mark.parametrize("tag,n", [("B", 3), ("C", 3), ("B", 5),
                                        ("C", 5)])
     def test_records_mixed_lengths(self, tag, n):
-        # long and short roots side by side: dot and coroot on records
-        # agree with the dense vectors
+        # long and short roots side by side, in one concatenated set:
+        # norms, coroots and inner products agree with the dense vectors
         rs = build_root_system(Series(tag, n))
-        recs = rs.simple_roots + rs.positive_roots
-        vecs = [dense(n, r) for r in recs]
-        assert len({dot(r, r) for r in recs}) == 2
-        for r, v in zip(recs, vecs):
-            norm = dense_dot(v, v)
-            assert dense(n, coroot(r)) == [2 * x // norm for x in v]
-            for s, w in zip(recs, vecs):
-                assert dot(r, s) == dense_dot(v, w)
+        roots = np.concatenate((rs.simple_roots, rs.positive_roots))
+        vecs = dense(roots, n).tolist()
+        assert len(set(norms(roots).tolist())) == 2
+        assert norms(roots).tolist() == [dense_dot(v, v) for v in vecs]
+        assert dense(coroots(roots), n).tolist() == [
+            [2 * x // dense_dot(v, v) for x in v] for v in vecs]
+        gram = dense(roots, n) @ dense(roots, n).T
+        assert gram.tolist() == [[dense_dot(v, w) for w in vecs]
+                                 for v in vecs]
 
     def test_record_examples(self):
-        short, long = ((1, 1),), ((1, 2),)
-        mixed = ((0, 1), (1, -1))
-        assert dot(mixed, short) == -1
-        assert dot(mixed, long) == -2
-        assert dot(long, mixed) == -2
-        assert dot(((0, 1), (2, 1)), ((1, 1),)) == 0
-        assert coroot(short) == long
-        assert coroot(long) == short
-        assert coroot(mixed) is mixed
+        short, long = [(1, 1)], [(1, 2)]
+        mixed, other = [(0, 1), (1, -1)], [(0, 1), (2, 1)]
+        roots = root_set(mixed, short, long, other)
+        assert dense(roots, 3).tolist() == [[1, -1, 0], [0, 1, 0],
+                                            [0, 2, 0], [1, 0, 1]]
+        gram = dense(roots, 3) @ dense(roots, 3).T
+        assert gram[0, 1] == -1 and gram[0, 2] == -2 and gram[2, 0] == -2
+        assert gram[1, 3] == 0
+        assert norms(roots).tolist() == [2, 1, 4, 2]
+        assert coroots(roots).tolist() == root_set(mixed, long, short,
+                                                   other).tolist()
         with pytest.raises(ArithmeticError):
-            coroot(((0, 3),))
+            coroots(root_set([(0, 3)]))
+        with pytest.raises(ArithmeticError):
+            coroots(root_set(mixed, [(0, 1), (1, 2)]))
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_norm_products(self, n):
@@ -210,9 +222,8 @@ class TestTorusVolume:
 
     @pytest.mark.parametrize("tag,n", [("A", 5), ("B", 4), ("C", 4), ("D", 5)])
     def test_gram_positive_definite(self, tag, n):
-        import numpy as np
-        cr = build_root_system(Series(tag, n)).simple_coroots
-        gram = np.array([[float(dot(u, v)) for v in cr] for u in cr])
+        cr = dense(build_root_system(Series(tag, n)).simple_coroots, n)
+        gram = (cr @ cr.T).astype(float)
         assert np.all(np.linalg.eigvalsh(gram) > 0)
 
 
@@ -228,7 +239,7 @@ def test_json_round_numbers():
                                    for n in range(2, 13)
                                    if not (t == "D" and n < 4)])
 def test_json_equals_dense_reference(tag, n):
-    simple, positive, coroots = dense_roots(tag, n)
+    simple, positive, coroot_vecs = dense_roots(tag, n)
     d = root_system_json(build_root_system(Series(tag, n)))
 
     def strs(vs):
@@ -237,4 +248,26 @@ def test_json_equals_dense_reference(tag, n):
     assert d["ambient_dim"] == n
     assert d["simple_roots"] == strs(simple)
     assert d["positive_roots"] == strs(positive)
-    assert d["coroots"] == strs(coroots)
+    assert d["coroots"] == strs(coroot_vecs)
+
+
+@pytest.mark.parametrize("tag,n", ALL_SERIES)
+def test_arrays_equal_dense_reference(tag, n):
+    # every set as an (N, 2, 2) int64 array equals the dense enumeration;
+    # each coroot is integral and pairs to 2 with its root
+    simple, positive, coroot_vecs = dense_roots(tag, n)
+    rs = build_root_system(Series(tag, n))
+    for roots in (rs.simple_roots, rs.positive_roots, rs.coroots,
+                  rs.simple_coroots):
+        assert roots.dtype == np.int64 and roots.shape[1:] == (2, 2)
+    assert dense(rs.simple_roots, n).tolist() == simple
+    assert dense(rs.positive_roots, n).tolist() == positive
+    assert dense(rs.coroots, n).tolist() == coroot_vecs
+    assert dense(rs.simple_coroots, n).tolist() == [
+        [2 * x // dense_dot(a, a) for x in a] for a in simple]
+    assert norms(rs.positive_roots).tolist() == [dense_dot(a, a)
+                                                 for a in positive]
+    assert norms(rs.coroots).tolist() == [dense_dot(c, c)
+                                          for c in coroot_vecs]
+    assert all(dense_dot(c, a) == 2 for c, a in zip(coroot_vecs, positive))
+

@@ -6,9 +6,9 @@ import pytest
 
 from lievol.exact import ExactScalar
 from lievol.roots import MAX_EXACT_RANK, Series
-from lievol.volumes import (LOG_VOLUME_MAX_RANK, closed_form_volume,
-                            group_volume, log_volume, ratio_asymptote,
-                            ratio_exponent)
+from lievol.volumes import (LOG_VOLUME_MAX_RANK, _tree_prod,
+                            closed_form_volume, group_volume, log_volume,
+                            ratio_asymptote, ratio_exponent)
 
 
 def ES(q, k=0, s=1):
@@ -49,9 +49,10 @@ class TestPipelineVsClosedForm:
         s = Series(tag, n)
         assert group_volume(s).exact == closed_form_volume(s)
 
-    @pytest.mark.parametrize("tag,n", [("B", 100), ("D", 200),
-                                       ("A", MAX_EXACT_RANK)])
+    @pytest.mark.parametrize("tag,n", [(t, n) for n in (100, MAX_EXACT_RANK)
+                                       for t in "ABCD"] + [("D", 200)])
     def test_spot_checks_at_high_rank(self, tag, n):
+        # every series at n = 100 and at the rank limit
         s = Series(tag, n)
         assert group_volume(s).exact == closed_form_volume(s)
 
@@ -99,6 +100,13 @@ class TestCenterQuotient:
         group_volume(Series("D", 5), 4)  # |Z(Spin(10))| = 4: fine
         with pytest.raises(ValueError):
             log_volume(Series("A", 4), 3)   # the log route checks it too
+
+
+@pytest.mark.parametrize("xs", [[], [7], [3, 5], list(range(1, 12)),
+                                [math.factorial(i) for i in range(1, 40, 3)]])
+def test_tree_prod_is_the_product(xs):
+    assert _tree_prod(xs) == math.prod(xs)
+    assert _tree_prod(iter(xs)) == math.prod(xs)
 
 
 def test_exact_rank_guard():
@@ -168,13 +176,20 @@ def test_volume_result_json():
 @pytest.mark.parametrize("tag,n", [("A", 30), ("B", 30), ("C", 30),
                                    ("D", 30)])
 def test_volume_reads_no_dense_roots(monkeypatch, tag, n):
-    # the pipeline works on sparse records; a dense root vector on the
-    # volume path fails this
+    # the pipeline works on (N, 2, 2) root sets; only the rank-many
+    # simple coroots are made dense, for the torus volume, so a dense
+    # positive root or coroot set on the volume path fails this
     import lievol.roots
 
-    def no_dense(*args):
-        raise AssertionError("dense root vector built")
-
-    monkeypatch.setattr(lievol.roots, "_dense", no_dense)
     s = Series(tag, n)
+    dense = lievol.roots.dense
+    made = []
+
+    def small_dense(roots, dim):
+        assert len(roots) <= s.rank, "dense root set built"
+        made.append(len(roots))
+        return dense(roots, dim)
+
+    monkeypatch.setattr(lievol.roots, "dense", small_dense)
     assert group_volume(s).exact == closed_form_volume(s)
+    assert made == [s.rank]
