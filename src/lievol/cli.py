@@ -20,8 +20,8 @@ import numpy as np
 from . import __version__
 from .curvature import (LEVY_MIN_INDEX, curvature_report,
                         ricci_bound_sequence, rescaled_levy_check)
-from .montecarlo import (CHUNK, SamplerConfig, concentration_experiment,
-                         xi_histogram)
+from .montecarlo import (CHUNK, SamplerConfig, check_radius,
+                         concentration_experiment, xi_histogram)
 from .roots import Series, build_root_system, root_system_json
 from .volumes import (USP_DIMENSION_NOTE, VolumeResult, closed_form_volume,
                       group_volume, log_volume, ratio_asymptote,
@@ -176,6 +176,7 @@ def cmd_cpn(args) -> dict:
 def cmd_sample(args) -> dict:
     cfg = SamplerConfig(_series(args), count=args.count, seed=args.seed,
                         workers=args.workers)
+    check_radius(args.r)   # here, as the histogram draws first
     out = {}
     if args.hist:   # first, so that its arguments are checked before a draw
         if cfg.series.tag != "A":

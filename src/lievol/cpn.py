@@ -10,7 +10,7 @@ entries of row and column n.
 No factor is built as a matrix.  `_chart_factors` lists each as a record
 (the diagonal of T_a, or the plane index a of P_a), and h^-1 dh applies
 the factors as row operations: a phase per row for T_a, a cos/sin mix
-of rows 0 and a for P_a.
+of rows 0 and a for P_a.  The chart functions take stacks of charts.
 
 The tests hold the second routes: the Gell-Mann generators, the
 finite-difference Maurer-Cartan form and the Kaehler-potential Hessian.
@@ -43,22 +43,23 @@ def theta_periods(n: int) -> list:
     return out[:n]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuotientCoords:
-    """Angles (theta_1..theta_n, phi_1..phi_n) of the quotient chart."""
+    """Angles (theta_1..theta_n, phi_1..phi_n) of one quotient chart, or
+    of a stack of charts: float arrays of shape (..., n)."""
 
-    thetas: tuple
-    phis: tuple
+    thetas: np.ndarray
+    phis: np.ndarray
 
     def __post_init__(self):
-        if len(self.thetas) != len(self.phis):
-            raise ValueError("thetas and phis must have equal length")
-        object.__setattr__(self, "thetas", tuple(float(t) for t in self.thetas))
-        object.__setattr__(self, "phis", tuple(float(p) for p in self.phis))
+        object.__setattr__(self, "thetas", np.asarray(self.thetas, float))
+        object.__setattr__(self, "phis", np.asarray(self.phis, float))
+        if self.thetas.ndim == 0 or self.thetas.shape != self.phis.shape:
+            raise ValueError("thetas and phis must have equal shapes")
 
     @property
     def n(self) -> int:
-        return len(self.thetas)
+        return self.thetas.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -85,45 +86,41 @@ def _chart_factors(c: QuotientCoords) -> list:
     """(angle, M) of each factor exp(i angle M) of h, in chart order.
 
     For theta_a, M is the nonzero diagonal (1, ..., 1, 1 - b) of T_a, an
-    array of length b; for phi_a, M is the plane index a of P_a.
+    array of length b; for phi_a, M is the plane index a of P_a.  The
+    angles are arrays of the stack's shape.
     """
     out = []
-    for a, (theta, phi) in enumerate(zip(c.thetas, c.phis), start=1):
+    pairs = np.moveaxis([c.thetas, c.phis], -1, 0)  # (n, 2, ...)
+    for a, (theta, phi) in enumerate(pairs, start=1):
         b = max(a, 2)
         out += [(theta, np.array([1.0] * (b - 1) + [1.0 - b])), (phi, a)]
     return out
-
-
-def _apply(angle: float, M, rows: np.ndarray) -> None:
-    """rows <- exp(i angle M) rows, in place."""
-    if isinstance(M, int):  # i P_a = E_0a - E_a0 rotates rows 0 and a
-        cos, sin = math.cos(angle), math.sin(angle)
-        row0 = cos * rows[0] + sin * rows[M]
-        rows[M] = cos * rows[M] - sin * rows[0]
-        rows[0] = row0
-    else:  # T_a is diagonal: one phase per row
-        rows[:len(M)] *= np.exp(1j * (angle * M))[:, None]
 
 
 def maurer_cartan(c: QuotientCoords) -> np.ndarray:
     """h^-1 dh per coordinate, by factor-wise analytic differentiation.
 
     With tail = F_j ... F_K, the component of factor j is tail^H (i M_j)
-    tail.  Returns an array of shape (2n, m, m) of anti-hermitian
+    tail.  Returns an array of shape (..., 2n, m, m) of anti-hermitian
     matrices, ordered (theta_1..theta_n, phi_1..phi_n).
     """
     n = c.n
-    out = np.empty((2 * n, n + 1, n + 1), dtype=complex)
-    tail = np.eye(n + 1, dtype=complex)
+    out = np.empty(c.thetas.shape[:-1] + (2 * n, n + 1, n + 1), dtype=complex)
+    tail = np.tile(np.eye(n + 1, dtype=complex), c.thetas.shape[:-1] + (1, 1))
     for j, (angle, M) in reversed(list(enumerate(_chart_factors(c)))):
-        _apply(angle, M, tail)
-        if isinstance(M, int):
-            k, row0, rowa = n + M - 1, tail[0], tail[M]
-            np.multiply(row0.conj()[:, None], rowa, out=out[k])
-            out[k] -= rowa.conj()[:, None] * row0
-        else:
-            b = len(M)
-            np.matmul(tail[:b].conj().T * (1j * M), tail[:b], out=out[j // 2])
+        if isinstance(M, int):  # i P_a = E_0a - E_a0 rotates rows 0 and a
+            cos, sin = np.cos(angle)[..., None], np.sin(angle)[..., None]
+            row0 = cos * tail[..., 0, :] + sin * tail[..., M, :]
+            rowa = cos * tail[..., M, :] - sin * tail[..., 0, :]
+            tail[..., 0, :], tail[..., M, :] = row0, rowa
+            comp = out[..., n + M - 1, :, :]
+            np.multiply(row0.conj()[..., None], rowa[..., None, :], out=comp)
+            comp -= rowa.conj()[..., None] * row0[..., None, :]
+        else:  # T_a is diagonal: one phase per row
+            rows = tail[..., :len(M), :]
+            rows *= np.exp(1j * (angle[..., None] * M))[..., None]
+            np.matmul(rows.conj().swapaxes(-1, -2) * (1j * M), rows,
+                      out=out[..., j // 2, :, :])
     return out
 
 
@@ -136,24 +133,15 @@ def structure_equation_residual(c: QuotientCoords) -> float:
     """
     n = c.n
     step = 1e-6  # of the central differences
-    coords = list(c.thetas) + list(c.phis)
-
-    def j_at(vals):
-        q = QuotientCoords(tuple(vals[:n]), tuple(vals[n:]))
-        return maurer_cartan(q)
-
-    j0 = j_at(coords)
-    d = np.empty((2 * n,) + j0.shape, dtype=complex)  # d[u, v] = d_u j_v
-    for idx in range(2 * n):
-        up = coords.copy()
-        dn = coords.copy()
-        up[idx] += step
-        dn[idx] -= step
-        d[idx] = (j_at(up) - j_at(dn)) / (2 * step)
+    eye = np.eye(2 * n)  # the chart and its 4n shifts, as one stack
+    pts = np.concatenate([c.thetas, c.phis]) + step * np.concatenate(
+        [np.zeros((1, 2 * n)), eye, -eye])
+    j = maurer_cartan(QuotientCoords(pts[:, :n], pts[:, n:]))
+    d = (j[1:2 * n + 1] - j[2 * n + 1:]) / (2 * step)  # d[u, v] = d_u j_v
     worst = 0.0
     for u in range(2 * n - 1):
         v = slice(u + 1, None)  # every pair u < v at once
-        res = d[u, v] - d[v, u] + j0[u] @ j0[v] - j0[v] @ j0[u]
+        res = d[u, v] - d[v, u] + j[0, u] @ j[0, v] - j[0, v] @ j[0, u]
         worst = max(worst, float(np.max(np.abs(res))))
     return worst
 
@@ -161,33 +149,34 @@ def structure_equation_residual(c: QuotientCoords) -> float:
 def vielbein(c: QuotientCoords) -> np.ndarray:
     """Coset covectors e^l_mu = Tr[j_mu C_l] / (2i).
 
-    Shape (2n, 2n): rows are coordinates (thetas then phis), columns the
+    Shape (..., 2n, 2n): rows are coordinates (thetas then phis), columns the
     coset directions C_{2k+1} = E_{kn} + E_{nk} and C_{2k+2} = -i E_{kn}
     + i E_{nk}, k = 0..n-1, so the traces read column and row n of j.
     """
     n = c.n
     j = maurer_cartan(c)
-    col, row = j[:, :n, n], j[:, n, :n]
-    out = np.empty((2 * n, 2 * n))
-    out[:, 0::2] = (col + row).imag * 0.5
-    out[:, 1::2] = (col - row).real * 0.5
-    out += 0.0  # a trace sums from +0, so exact zeros of j give no -0
-    return out
+    col, row = j[..., :n, n], j[..., n, :n]
+    pairs = np.stack([(col + row).imag, (col - row).real], axis=-1) * 0.5
+    # a trace sums from +0, so exact zeros of j give no -0
+    return pairs.reshape(col.shape[:-1] + (2 * n,)) + 0.0
 
 
-def vielbein_density(c: QuotientCoords) -> float:
+def vielbein_density(c: QuotientCoords):
     """|det| of the vielbein; the chart density of the invariant measure."""
-    return float(abs(np.linalg.det(vielbein(c))))
+    return np.abs(np.linalg.det(vielbein(c)))
 
 
-def measure_density(c: QuotientCoords) -> float:
-    """Closed-form chart density, independent of the vielbein route."""
-    phis = c.phis
+def measure_density(c: QuotientCoords):
+    """Closed-form chart density, independent of the vielbein route; on
+    Python floats, chart by chart, as numpy's ** may differ in the last bit."""
     n = c.n
-    out = 2.0 * math.cos(phis[-1]) * math.sin(phis[-1]) ** (2 * n - 1)
-    for a in range(1, n):
-        out *= math.sin(phis[a - 1]) * math.cos(phis[a - 1]) ** (2 * a - 1)
-    return out
+    out = []
+    for phis in c.phis.reshape(-1, n).tolist():
+        d = 2.0 * math.cos(phis[-1]) * math.sin(phis[-1]) ** (2 * n - 1)
+        for a in range(1, n):
+            d *= math.sin(phis[a - 1]) * math.cos(phis[a - 1]) ** (2 * a - 1)
+        out.append(d)
+    return np.reshape(out, c.phis.shape[:-1])[()]
 
 
 def chart_volume(n: int) -> float:

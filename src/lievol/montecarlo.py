@@ -417,11 +417,16 @@ def _spin_coordinates(g: np.ndarray) -> np.ndarray:
     return out
 
 
+def check_radius(r: float) -> None:
+    """Refuse a band radius outside (0, pi/2)."""
+    if not (0.0 < r < math.pi / 2):
+        raise ValueError("r must lie in (0, pi/2)")
+
+
 def concentration_experiment(cfg: SamplerConfig, r: float
                              ) -> ConcentrationReport:
     """Empirical band mass around the concentration locus vs closed form."""
-    if not (0.0 < r < math.pi / 2):
-        raise ValueError("r must lie in (0, pi/2)")
+    check_radius(r)
     series = cfg.series
     n = series.n
     note = ""

@@ -149,6 +149,10 @@ def ratio_exponent(series: Series) -> float:
         except ValueError:
             raise ValueError(f"the ratio of {series.group_name} steps below "
                              f"series {tag}; it takes n >= {n + 1}") from None
+    if big.n > LOG_VOLUME_MAX_RANK:   # refused before the first lgamma
+        raise ValueError(f"the ratio of {series.group_name} takes n <= "
+                         f"{LOG_VOLUME_MAX_RANK - big.n + n} on the "
+                         f"log-gamma route")
     dlog = log_volume(big) - log_volume(small)
     return math.exp(dlog / (big.group_dim - small.group_dim))
 

@@ -342,6 +342,35 @@ class TestExitCodes:
         assert group in err and f"n >= {least}" in err
         assert f"got {n - 1}" not in err
 
+    @pytest.mark.parametrize("series,n,group,most", [
+        ("a", 60, "SU(60)", 59), ("d", 61, "Spin(122)", 60)])
+    def test_ratio_past_the_log_route_is_one(self, capsys, monkeypatch,
+                                             series, n, group, most):
+        # refused before any lgamma, naming the group asked for and the
+        # largest n it may take: A reads rank n + 1, B, C, D rank n
+        import lievol.volumes
+
+        def no_lgamma(*args):
+            raise AssertionError("lgamma summed for an oversize rank")
+
+        monkeypatch.setattr(lievol.volumes, "LOG_VOLUME_MAX_RANK", 60)
+        monkeypatch.setattr(lievol.volumes.math, "lgamma", no_lgamma)
+        code, out, err = run(capsys, "ratio", "--series", series,
+                             "--n", str(n))
+        assert code == 1 and out == ""
+        assert group in err and f"n <= {most}" in err
+        assert str(n + 1) not in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("series,n", [("a", 59), ("d", 60)])
+    def test_ratio_at_the_log_route_limit(self, capsys, monkeypatch, series,
+                                          n):
+        import lievol.volumes
+        monkeypatch.setattr(lievol.volumes, "LOG_VOLUME_MAX_RANK", 60)
+        code, out, err = run(capsys, "ratio", "--series", series,
+                             "--n", str(n))
+        assert code == 0, err
+        assert json.loads(out)["ratio"]["ratio_exponent"] > 0
+
     def test_oversize_curvature_is_one(self, capsys, monkeypatch):
         # su(400) would need ~1 TiB for its basis, K and Ric alone:
         # refused before any basis matrix is built
@@ -587,6 +616,22 @@ class TestExitCodes:
                              "--bins", str(bins))
         assert code == 1
         assert "bins" in err and out == ""
+
+    @pytest.mark.parametrize("hist", [(), ("--hist", "ksi")])
+    def test_bad_sample_radius_is_one_before_any_draw(self, capsys,
+                                                       monkeypatch, hist):
+        # --r is checked before the histogram's draw too
+        import lievol.montecarlo
+
+        def no_chunk(*args):
+            raise AssertionError("chunk drawn for a refused radius")
+
+        monkeypatch.setattr(lievol.montecarlo, "haar_su_chunk", no_chunk)
+        code, out, err = run(capsys, "sample", "--series", "su", "--n", "21",
+                             "--count", "5000", "--seed", "1", "--r", "2",
+                             *hist)
+        assert code == 1
+        assert "r must lie in (0, pi/2)" in err and out == ""
 
     @pytest.mark.parametrize("argv", [("volume", "--series", "su", "--log"),
                                       ("volume", "--series", "b"),

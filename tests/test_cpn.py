@@ -269,12 +269,19 @@ class TestQuotientPoint:
     def test_mismatched_lengths(self):
         with pytest.raises(ValueError):
             QuotientCoords((0.1,), (0.2, 0.3))
+        with pytest.raises(ValueError):
+            QuotientCoords(np.zeros((2, 3)), np.zeros((3, 3)))
+        with pytest.raises(ValueError):
+            QuotientCoords(0.1, 0.2)
 
 
 class TestMaurerCartan:
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    # the ranks above 3 draw from their own generators, so that the
+    # other tests keep their points
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 12])
     def test_analytic_matches_fd(self, n):
-        c = random_coords(n)
+        c = random_coords(n, rng=RNG if n <= 3 else np.random.default_rng(n))
         dev = np.max(np.abs(maurer_cartan(c) - maurer_cartan_fd(c)))
         assert dev < 1e-5
 
@@ -282,9 +289,48 @@ class TestMaurerCartan:
         for ju in maurer_cartan(random_coords(2)):
             assert np.allclose(ju, -ju.conj().T, atol=1e-12)
 
-    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 8, 16, GEOMETRY_MAX_N])
     def test_structure_equation(self, n):
-        assert structure_equation_residual(random_coords(n)) < 1e-4
+        c = random_coords(n, rng=RNG if n <= 2 else np.random.default_rng(n))
+        assert structure_equation_residual(c) < 1e-4
+
+
+class TestStacks:
+    """A stack of charts gives, byte for byte, what its charts give one
+    at a time."""
+
+    @pytest.mark.parametrize("shape", [(1,), (7,), (2, 3)])
+    @pytest.mark.parametrize("n", [1, 2, 5, 12])
+    def test_stack_equals_single_charts(self, n, shape):
+        rng = np.random.default_rng(200 + n)
+        thetas = rng.uniform(0.05, 2 * math.pi, shape + (n,))
+        phis = rng.uniform(0.05, 1.5, shape + (n,))
+        stack = QuotientCoords(thetas, phis)
+        singles = [QuotientCoords(t, p) for t, p in
+                   zip(thetas.reshape(-1, n), phis.reshape(-1, n))]
+        for f in (maurer_cartan, vielbein, vielbein_density,
+                  measure_density):
+            got = np.asarray(f(stack))
+            want = np.array([f(c) for c in singles])
+            assert got.shape == shape + want.shape[1:]
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), f.__name__
+
+    def test_one_chart_gives_scalars(self):
+        c = random_coords(3, rng=np.random.default_rng(7))
+        assert maurer_cartan(c).shape == (6, 4, 4)
+        assert np.ndim(vielbein_density(c)) == np.ndim(measure_density(c)) == 0
+
+    def test_structure_equation_is_one_pass(self, monkeypatch):
+        # the chart and its 4n shifts go through one Maurer-Cartan pass
+        import lievol.cpn
+        calls = []
+        monkeypatch.setattr(lievol.cpn, "_chart_factors",
+                            lambda c, f=_chart_factors: calls.append(
+                                c.thetas.shape) or f(c))
+        structure_equation_residual(random_coords(
+            4, rng=np.random.default_rng(8)))
+        assert calls == [(17, 4)]
 
 
 class TestDensity:
