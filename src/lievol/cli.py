@@ -161,6 +161,8 @@ def cmd_cpn(args) -> dict:
             "neighbourhood_measure": band_complement_mass(args.n, args.eps),
         }
     else:  # check-metric
+        if not args.tol > 0:   # no deviation lies below it
+            raise ValueError(f"--tol must be positive, not {args.tol}")
         res = criterion_geometry(points=args.points, ns=(args.n,))
         # relative: the densities shrink fast with n, and an absolute
         # bound passed a vielbein off by 1e-6 of itself from n = 5 on

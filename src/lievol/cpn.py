@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -62,24 +61,22 @@ class QuotientCoords:
         return self.thetas.shape[-1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AffineCoords:
-    """Angular form (xi, R, psi) of a chart-0 point z = tan(xi) R e^{i psi}."""
+    """Angular form (xi, R, psi) of chart-0 points z = tan(xi) R e^{i psi}:
+    float arrays xi of shape (...) and R, psi of shape (..., n), as are
+    the velocities of the pullback functions, which sum over n."""
 
-    xi: float
-    R: tuple
-    psi: tuple
+    xi: np.ndarray
+    R: np.ndarray
+    psi: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "R", tuple(float(r) for r in self.R))
-        object.__setattr__(self, "psi", tuple(float(p) for p in self.psi))
-        if abs(sum(r * r for r in self.R) - 1.0) > 1e-12:
+        if np.any(np.abs(np.sum(self.R * self.R, axis=-1) - 1.0) > 1e-12):
             raise ValueError("R must lie on the unit sphere")
 
     def to_z(self) -> np.ndarray:
-        t = math.tan(self.xi)
-        return np.array([t * r * np.exp(1j * p)
-                         for r, p in zip(self.R, self.psi)])
+        return np.tan(self.xi)[..., None] * self.R * np.exp(1j * self.psi)
 
 
 def _chart_factors(c: QuotientCoords) -> list:
@@ -209,40 +206,32 @@ def macdonald_quotient(n: int) -> float:
     return (v_top / v_sub).to_float() / (2.0 * math.pi * U_FIBER_CONSTANT)
 
 
-def fs_metric_angular(a: AffineCoords, d_xi: float, d_R: Sequence[float],
-                      d_psi: Sequence[float]) -> float:
+def fs_metric_angular(a: AffineCoords, d_xi, d_R, d_psi):
     """ds^2 of the angular form on the given coordinate velocity."""
-    if not (0.0 <= a.xi < math.pi / 2):
+    if not np.all((0.0 <= a.xi) & (a.xi < math.pi / 2)):
         raise ValueError("xi must lie in [0, pi/2)")
-    R = np.asarray(a.R)
-    dR = np.asarray(d_R, dtype=float)
-    dpsi = np.asarray(d_psi, dtype=float)
-    s2 = math.sin(a.xi) ** 2
-    mixed = float(np.sum(R * R * dpsi))
+    s2 = np.sin(a.xi) ** 2
+    R2 = a.R * a.R
+    mixed = np.sum(R2 * d_psi, axis=-1)
     return (d_xi * d_xi
-            + s2 * (float(np.sum(dR * dR)) + float(np.sum(R * R * dpsi * dpsi)))
+            + s2 * (np.sum(d_R * d_R, axis=-1)
+                    + np.sum(R2 * d_psi * d_psi, axis=-1))
             - s2 * s2 * mixed * mixed)
 
 
-def fs_metric_affine_on_velocity(z: np.ndarray, dz: np.ndarray) -> float:
+def fs_metric_affine_on_velocity(z: np.ndarray, dz: np.ndarray):
     """ds^2 of the affine form evaluated on a complex velocity."""
-    z = np.asarray(z, dtype=complex)
-    dz = np.asarray(dz, dtype=complex)
-    w = 1.0 + float(np.vdot(z, z).real)
-    return float(np.vdot(dz, dz).real / w - abs(np.vdot(z, dz)) ** 2 / (w * w))
+    w = 1.0 + np.sum(z.conj() * z, axis=-1).real
+    return (np.sum(dz.conj() * dz, axis=-1).real / w
+            - np.abs(np.sum(z.conj() * dz, axis=-1)) ** 2 / (w * w))
 
 
-def angular_velocity_to_dz(a: AffineCoords, d_xi: float,
-                           d_R: Sequence[float],
-                           d_psi: Sequence[float]) -> np.ndarray:
+def angular_velocity_to_dz(a: AffineCoords, d_xi, d_R, d_psi) -> np.ndarray:
     """Chain rule for z = tan(xi) R e^{i psi}."""
-    R = np.asarray(a.R)
-    dR = np.asarray(d_R, dtype=float)
-    dpsi = np.asarray(d_psi, dtype=float)
-    t = math.tan(a.xi)
-    sec2 = 1.0 + t * t
-    phase = np.exp(1j * np.asarray(a.psi))
-    return (sec2 * d_xi * R + t * dR + 1j * t * R * dpsi) * phase
+    t = np.tan(a.xi)
+    radial = ((1.0 + t * t) * d_xi)[..., None] * a.R
+    t = t[..., None]
+    return (radial + t * d_R + 1j * t * a.R * d_psi) * np.exp(1j * a.psi)
 
 
 def band_mass(n: int, eps: float) -> float:

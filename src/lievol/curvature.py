@@ -75,8 +75,7 @@ def _basis(algebra: str, m: int, elements: list) -> LieAlgebraBasis:
 
 def su_basis(m: int) -> LieAlgebraBasis:
     """H_k, S_kj, A_kj for su(m), m >= 2."""
-    if m < 2:
-        raise ValueError("su(m) needs m >= 2")
+    check_matrix_dim("su", m)
     out = []
     for k in range(1, m):
         c = 1j * math.sqrt(2.0) / math.sqrt(k * k + k)
@@ -90,16 +89,14 @@ def su_basis(m: int) -> LieAlgebraBasis:
 
 def so_basis(m: int) -> LieAlgebraBasis:
     """Antisymmetric A_kj for so(m), m >= 3."""
-    if m < 3:
-        raise ValueError("so(m) needs m >= 3")
+    check_matrix_dim("so", m)
     return _basis("so", m, [(f"A_{k + 1},{j + 1}", 1, [(k, j, 1), (j, k, -1)])
                             for k in range(m) for j in range(k + 1, m)])
 
 
 def usp_basis(two_n: int) -> LieAlgebraBasis:
     """The nine-family basis of usp(2n) in the 2n x 2n complex form."""
-    if two_n < 4 or two_n % 2:
-        raise ValueError("usp needs even matrix size >= 4")
+    check_matrix_dim("usp", two_n)
     n = two_n // 2
     r2 = math.sqrt(2.0)
     out = [(f"H_{a + 1}", 1j, [(a, a, 1), (a + n, a + n, -1)])
@@ -123,6 +120,16 @@ def usp_basis(two_n: int) -> LieAlgebraBasis:
             out.append((f"Aa_{i + 1},{j + 1}", 1 / r2, [
                 (i, j + n, 1), (j, i + n, 1), (i + n, j, -1), (j + n, i, -1)]))
     return _basis("usp", two_n, out)
+
+
+def check_matrix_dim(algebra: str, m: int) -> None:
+    """Refuse a matrix size m that the algebra's basis does not take."""
+    if algebra == "su" and m < 2:
+        raise ValueError("su(m) needs m >= 2")
+    if algebra == "so" and m < 3:
+        raise ValueError("so(m) needs m >= 3")
+    if algebra == "usp" and (m < 4 or m % 2):
+        raise ValueError("usp needs even matrix size >= 4")
 
 
 def build_basis(algebra: str, matrix_dim: int) -> LieAlgebraBasis:
@@ -336,7 +343,7 @@ class CurvatureReport:
 def curvature_report(algebra: str, matrix_dim: int) -> CurvatureReport:
     """Killing, Ricci and chi of one algebra, from one structure tensor.
 
-    The budget is first checked against 4 d^2 // m, a lower bound on the
+    The budget is checked early against 4 d^2 // m, a lower bound on the
     first join of structure_constants, so an oversize request builds no
     basis.  With L[a, b] the number of basis entries at (a, b), that
     join has sum_b c_b r_b matches (column and row sums of L).  Every
@@ -348,6 +355,7 @@ def curvature_report(algebra: str, matrix_dim: int) -> CurvatureReport:
     smallest eigenvalue of Ric.
     """
     if algebra in ALGEBRA_DIM:
+        check_matrix_dim(algebra, matrix_dim)   # before the division by m
         d = ALGEBRA_DIM[algebra](matrix_dim)
         check_curvature_budget(d, 4 * d * d // matrix_dim)
     basis = build_basis(algebra, matrix_dim)

@@ -127,7 +127,7 @@ class TestSubcommands:
                                 seen.add(c.n) or f(c))
         monkeypatch.setattr(rp, "fs_metric_angular",
                             lambda a, *rest, f=rp.fs_metric_angular:
-                            seen.add(len(a.R)) or f(a, *rest))
+                            seen.add(a.R.shape[-1]) or f(a, *rest))
         reports = []
         for n in (1, 3):
             seen.clear()
@@ -385,6 +385,16 @@ class TestExitCodes:
         assert code == 1
         assert "budget" in err
 
+    @pytest.mark.parametrize("series,rule", [
+        ("su", "su(m) needs m >= 2"), ("so", "so(m) needs m >= 3"),
+        ("usp", "usp needs even matrix size >= 4")])
+    def test_curvature_at_size_zero_is_one(self, capsys, series, rule):
+        # the builders' size rule runs before the budget divides by m
+        code, out, err = run(capsys, "curvature", "--series", series,
+                             "--n", "0")
+        assert code == 1 and out == ""
+        assert rule in err and "Traceback" not in err
+
     @pytest.mark.parametrize("series,largest", [("a", 228), ("b", 181),
                                                 ("c", 181), ("d", 181)])
     def test_oversize_roots_listing_is_one(self, capsys, monkeypatch,
@@ -570,6 +580,15 @@ class TestExitCodes:
         assert code == 1
         assert "metric cross-check failed" in err and "Traceback" not in err
 
+    def test_check_metric_needs_the_pullback(self, capsys, monkeypatch):
+        # a chain rule off by 1e-6 of itself fails the verdict
+        monkeypatch.setattr(lievol.reproduce, "angular_velocity_to_dz",
+                            lambda *v, f=lievol.reproduce
+                            .angular_velocity_to_dz: f(*v) * (1 + 1e-6))
+        code, out, err = run(capsys, "cpn", "check-metric", "--n", "2")
+        assert code == 1
+        assert "metric cross-check failed" in err and "Traceback" not in err
+
     def test_check_metric_judges_the_relative_density(self, capsys,
                                                       monkeypatch):
         # at n = 12 the densities lie far below --tol, so a vielbein off
@@ -599,6 +618,22 @@ class TestExitCodes:
                              "--points", str(points))
         assert code == 1
         assert "points" in err and out == ""
+
+    @pytest.mark.parametrize("tol", ["0", "-0.5"])
+    def test_bad_check_metric_tol_is_one(self, capsys, monkeypatch, tol):
+        # no deviation lies below it: refused before the first point
+        import lievol.cpn
+        import lievol.reproduce as rp
+
+        def no_point(*args):
+            raise AssertionError("point evaluated for a refused --tol")
+
+        monkeypatch.setattr(lievol.cpn, "_chart_factors", no_point)
+        monkeypatch.setattr(rp, "fs_metric_angular", no_point)
+        code, out, err = run(capsys, "cpn", "check-metric", "--n", "2",
+                             "--tol", tol)
+        assert code == 1
+        assert "--tol" in err and out == ""
 
     @pytest.mark.parametrize("bins", [0, lievol.montecarlo.HIST_MAX_BINS + 1])
     def test_bad_histogram_bins_are_one(self, capsys, monkeypatch, bins):

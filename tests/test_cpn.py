@@ -10,7 +10,8 @@ from lievol.cpn import (AffineCoords, QuotientCoords, _chart_factors,
                         macdonald_quotient, maurer_cartan, measure_density,
                         structure_equation_residual,
                         theta_periods, vielbein, vielbein_density)
-from lievol.reproduce import GEOMETRY_MAX_N
+from lievol.reproduce import (GEOMETRY_MAX_N, GEOMETRY_MAX_POINTS,
+                              criterion_geometry)
 
 RNG = np.random.default_rng(2024)
 
@@ -316,6 +317,32 @@ class TestStacks:
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes(), f.__name__
 
+    @pytest.mark.parametrize("shape", [(1,), (7,), (2, 3)])
+    @pytest.mark.parametrize("n", [1, 2, 5, 27])
+    def test_pullback_stack_equals_single_points(self, n, shape):
+        rng = np.random.default_rng(600 + n)
+        R = np.abs(rng.normal(size=shape + (n,)))
+        R /= np.linalg.norm(R, axis=-1, keepdims=True)
+        xi, d_xi = rng.uniform(0.1, 1.3, shape), rng.normal(size=shape)
+        psi, dR, dpsi = rng.normal(size=(3,) + shape + (n,))
+        stack = (AffineCoords(xi, R, psi), d_xi, dR, dpsi)
+        k = int(np.prod(shape))
+        singles = [(AffineCoords(*p[:3]), *p[3:]) for p in zip(
+            xi.reshape(k), R.reshape(k, n), psi.reshape(k, n),
+            d_xi.reshape(k), dR.reshape(k, n), dpsi.reshape(k, n))]
+        for name, f in (
+                ("to_z", lambda a, *v: a.to_z()),
+                ("fs_metric_angular", fs_metric_angular),
+                ("angular_velocity_to_dz", angular_velocity_to_dz),
+                ("fs_metric_affine_on_velocity",
+                 lambda a, *v: fs_metric_affine_on_velocity(
+                     a.to_z(), angular_velocity_to_dz(a, *v)))):
+            got = np.asarray(f(*stack))
+            want = np.array([f(*p) for p in singles])
+            assert got.shape == shape + want.shape[1:]
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), name
+
     def test_one_chart_gives_scalars(self):
         c = random_coords(3, rng=np.random.default_rng(7))
         assert maurer_cartan(c).shape == (6, 4, 4)
@@ -405,33 +432,48 @@ class TestFubiniStudy:
 
     def test_pure_radial_velocity(self):
         # moving only in xi gives ds^2 = d_xi^2 exactly
-        a = AffineCoords(0.6, (0.6, 0.8), (0.3, 1.1))
-        assert fs_metric_angular(a, 0.37, (0.0, 0.0), (0.0, 0.0)) \
+        a = AffineCoords(0.6, np.array([0.6, 0.8]), np.array([0.3, 1.1]))
+        assert fs_metric_angular(a, 0.37, np.zeros(2), np.zeros(2)) \
             == pytest.approx(0.37 ** 2, abs=1e-14)
 
     def test_n1_closed_form(self):
         # n = 1: ds^2 = d_xi^2 + sin^2 cos^2 d_psi^2
         xi, dpsi = 0.5, 0.9
-        a = AffineCoords(xi, (1.0,), (0.4,))
-        got = fs_metric_angular(a, 0.0, (0.0,), (dpsi,))
+        a = AffineCoords(xi, np.array([1.0]), np.array([0.4]))
+        got = fs_metric_angular(a, 0.0, np.zeros(1), np.array([dpsi]))
         want = (math.sin(xi) * math.cos(xi) * dpsi) ** 2
         assert got == pytest.approx(want, abs=1e-14)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_angular_pullback(self, n):
-        for _ in range(25):
-            w = RNG.normal(size=n)
-            R = np.abs(w) / np.linalg.norm(w)
-            a = AffineCoords(RNG.uniform(0.1, 1.3), tuple(R),
-                             tuple(RNG.uniform(0, 2 * math.pi, n)))
-            d_xi = RNG.normal()
-            dR = RNG.normal(size=n)
-            dR -= R * np.dot(R, dR)  # keep R on the sphere
-            dpsi = RNG.normal(size=n)
-            v_ang = fs_metric_angular(a, d_xi, dR, dpsi)
-            v_aff = fs_metric_affine_on_velocity(
-                a.to_z(), angular_velocity_to_dz(a, d_xi, dR, dpsi))
-            assert abs(v_ang - v_aff) < 1e-8
+        # 25 points as one stack
+        R = np.abs(RNG.normal(size=(25, n)))
+        R /= np.linalg.norm(R, axis=-1, keepdims=True)
+        a = AffineCoords(RNG.uniform(0.1, 1.3, 25), R,
+                         RNG.uniform(0, 2 * math.pi, (25, n)))
+        d_xi = RNG.normal(size=25)
+        dR = RNG.normal(size=(25, n))
+        dR -= R * np.sum(R * dR, axis=-1, keepdims=True)  # tangent at R
+        dpsi = RNG.normal(size=(25, n))
+        v_ang = fs_metric_angular(a, d_xi, dR, dpsi)
+        v_aff = fs_metric_affine_on_velocity(
+            a.to_z(), angular_velocity_to_dz(a, d_xi, dR, dpsi))
+        assert v_ang.shape == v_aff.shape == (25,)
+        assert np.max(np.abs(v_ang - v_aff)) < 1e-8
+
+    def test_affine_coords_are_checked(self):
+        R = np.full((2, 4), 0.5)
+        R[1, 0] += 1e-9   # one point of the stack off the sphere
+        with pytest.raises(ValueError, match="unit sphere"):
+            AffineCoords(np.zeros(2), R, R)
+        one = np.ones((2, 1))   # the second point's xi lies past pi/2
+        with pytest.raises(ValueError, match="xi"):
+            fs_metric_angular(AffineCoords(np.array([0.1, 2.0]), one, one),
+                              np.zeros(2), one, one)
+
+    def test_criterion_at_the_most_points(self):
+        res = criterion_geometry(points=GEOMETRY_MAX_POINTS, ns=(2,))
+        assert res["passed"] and res["pullback_dev"] < 1e-8
 
 
 class TestBandMass:
