@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -35,6 +36,9 @@ CURVATURE_BUDGET = 2 * 2 ** 30
 ALGEBRA_DIM = {"su": lambda m: m * m - 1, "so": lambda m: m * (m - 1) // 2,
                "usp": lambda m: m * (m + 1) // 2}
 
+# Smallest matrix size of each algebra's basis (usp's is also even).
+MIN_MATRIX_DIM = {"su": 2, "so": 3, "usp": 4}
+
 # chi values claimed for the classical algebras (m the matrix size); the
 # su value disagrees with the adjoint trace, and reports record both.
 CLAIMED_CHI = {"su": lambda m: m + 2, "so": lambda m: m - 2,
@@ -46,8 +50,8 @@ TRACE_FORM_INDEX = {"su": lambda m: 2 * m, "so": lambda m: m - 2,
                     "usp": lambda m: m + 2}
 
 # Peak bytes per index-join match in structure_constants: the matched
-# index pairs, the triple keys and values, and np.unique's sort buffers
-# (tracemalloc: 72-86 B from su(16) to usp(48)).
+# index pairs, the triple keys and values, and _sort's packed keys
+# (tracemalloc: 73-82 B from su(16) to usp(48)).
 _JOIN_BYTES = 96
 
 
@@ -124,12 +128,11 @@ def usp_basis(two_n: int) -> LieAlgebraBasis:
 
 def check_matrix_dim(algebra: str, m: int) -> None:
     """Refuse a matrix size m that the algebra's basis does not take."""
-    if algebra == "su" and m < 2:
-        raise ValueError("su(m) needs m >= 2")
-    if algebra == "so" and m < 3:
-        raise ValueError("so(m) needs m >= 3")
-    if algebra == "usp" and (m < 4 or m % 2):
-        raise ValueError("usp needs even matrix size >= 4")
+    low = MIN_MATRIX_DIM.get(algebra)
+    if algebra == "usp" and (m < low or m % 2):
+        raise ValueError(f"usp needs even matrix size >= {low}")
+    if low is not None and m < low:
+        raise ValueError(f"{algebra}(m) needs m >= {low}")
 
 
 def build_basis(algebra: str, matrix_dim: int) -> LieAlgebraBasis:
@@ -139,21 +142,67 @@ def build_basis(algebra: str, matrix_dim: int) -> LieAlgebraBasis:
     return builders[algebra](matrix_dim)
 
 
-def _match(left: np.ndarray, right: np.ndarray):
-    """Every index pair (l, r) with left[l] == right[r], l ascending."""
-    order = np.argsort(right, kind="stable")
-    ordered = right[order]
-    lo = np.searchsorted(ordered, left, "left")
-    n = np.searchsorted(ordered, left, "right") - lo
+def _sort(keys: np.ndarray):
+    """(keys ascending, the stable order that sorts them), for integer
+    keys.
+
+    Where key * 2^b + position fits in an int64 (b the bits of the
+    largest position), one in-place sort of these distinct packed values
+    gives both: several times faster than an argsort, with no gather.
+    Otherwise a stable argsort gives the same order.
+    """
+    b = max(keys.size - 1, 0).bit_length()
+    bound = 1 << (63 - b)
+    if keys.size and -bound <= keys.min() and keys.max() < bound:
+        packed = keys.astype(np.int64)
+        packed <<= b
+        packed |= np.arange(keys.size)
+        packed.sort()
+        order = packed & ((1 << b) - 1)
+        packed >>= b
+        return packed, order
+    order = np.argsort(keys, kind="stable")
+    return keys[order], order
+
+
+def _ranges(ordered: np.ndarray, left: np.ndarray):
+    """(lo, n) per left key: its matches are ordered[lo:lo + n].  The
+    keys are searched in sorted order, so each search reads `ordered`
+    front to back, and the results are scattered back to their places.
+    A function of its own, so the sorted keys are freed before _match
+    builds the matches (the join's peak)."""
+    found, q = _sort(left)
+    lo = np.empty_like(q)
+    lo[q] = np.searchsorted(ordered, found, "left")
+    n = np.empty_like(q)
+    n[q] = np.searchsorted(ordered, found, "right")
+    n -= lo
+    return lo, n
+
+
+def _match(left: np.ndarray, ranked: tuple):
+    """Every index pair (l, r) with left[l] == right[r], l ascending and,
+    for each l, r in the stable sort order of right; `ranked` is
+    _sort(right)."""
+    ordered, order = ranked
+    lo, n = _ranges(ordered, left)
     start = np.cumsum(n) - n
     li = np.repeat(np.arange(left.size), n)
     return li, order[np.repeat(lo - start, n) + np.arange(li.size)]
 
 
 def _summed(keys: np.ndarray, values: np.ndarray):
-    """Distinct keys, ascending, with the sum of the values of each."""
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    return uniq, np.bincount(inverse, weights=values, minlength=uniq.size)
+    """Distinct keys, ascending, with the sum of the values of each.
+
+    The values are read in the stable order of their keys, so bincount
+    adds each key's values front to back in input order.
+    """
+    ordered, order = _sort(keys)
+    new = np.empty(ordered.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    return ordered[new], np.bincount(np.cumsum(new) - 1,
+                                     weights=values[order])
 
 
 def _split(d: int, keys: np.ndarray, values: np.ndarray):
@@ -180,7 +229,7 @@ def check_orthonormal(basis: LieAlgebraBasis) -> float:
     e, r, c = basis.index.T
     v = basis.value
     # Tr(T_i T_j) = sum_{a,b} T_i[a, b] T_j[b, a]
-    li, ri = _match(c * m + r, r * m + c)
+    li, ri = _match(c * m + r, _sort(r * m + c))
     keys, g = _summed(e[li] * d + e[ri], (v[li] * v[ri]).real)
     dev = _scalar_deviation(d, keys, -0.5 * g, 1.0)
     if dev > 1e-12:
@@ -196,6 +245,13 @@ class StructureTensor:
     dim: int
     index: np.ndarray = field(repr=False)  # (nnz, 3) rows (i, j, k), sorted
     value: np.ndarray = field(repr=False)  # (nnz,) c_ijk
+
+    @cached_property
+    def jk_sorted(self) -> tuple:
+        """_sort of the keys j d + k, which killing_form and
+        ricci_tensor both match against: sorted once per tensor."""
+        _, j, k = self.index.T
+        return _sort(j * self.dim + k)
 
 
 def check_curvature_budget(dim: int, joins: int) -> None:
@@ -229,12 +285,12 @@ def structure_constants(basis: LieAlgebraBasis) -> StructureTensor:
                            + int(np.trace(L @ L @ L)))
     check_orthonormal(basis)
     # (T_i T_j)[a, c] terms T_i[a, b] T_j[b, c]; i = j cancels in c_ijk
-    pl, pr = _match(c, r)
+    pl, pr = _match(c, _sort(r))
     i, j = e[pl], e[pr]
     off = i != j
     pl, pr, i, j = pl[off], pr[off], i[off], j[off]
     # Tr(T_i T_j T_k) terms (T_i T_j)[a, c] T_k[c, a]
-    tl, tk = _match(c[pr] * m + r[pl], pos)
+    tl, tk = _match(c[pr] * m + r[pl], _sort(pos))
     t = (v[pl] * v[pr])[tl] * v[tk]
     # c_ijk = -1/2 Re(t_ijk - t_jik): each term goes to the key with
     # i < j, negated when it came from t_jik; c_jik = -c_ijk
@@ -246,8 +302,8 @@ def structure_constants(basis: LieAlgebraBasis) -> StructureTensor:
     keys, vals = keys[keep], vals[keep]
     first, second, k = keys // (d * d), keys // d % d, keys % d
     keys = np.concatenate([keys, (second * d + first) * d + k])
-    order = np.argsort(keys)
-    index = np.stack([keys // (d * d), keys // d % d, keys % d], axis=1)[order]
+    keys, order = _sort(keys)
+    index = np.stack([keys // (d * d), keys // d % d, keys % d], axis=1)
     vals = np.concatenate([vals, -vals])[order]
     return StructureTensor(algebra=basis.algebra, matrix_dim=m, dim=d,
                            index=index, value=vals)
@@ -263,7 +319,7 @@ def killing_form(st: StructureTensor) -> tuple:
     d = st.dim
     i, j, k = st.index.T
     # entry (a, k, l) meets entry (b, l, k)
-    li, ri = _match(k * d + j, j * d + k)
+    li, ri = _match(k * d + j, st.jk_sorted)
     keys, vals = _summed(i[li] * d + i[ri], st.value[li] * st.value[ri])
     want = -2.0 * TRACE_FORM_INDEX[st.algebra](st.matrix_dim)
     dev = _scalar_deviation(d, keys, vals, want)
@@ -285,8 +341,9 @@ def chi_coefficient(st: StructureTensor, K: tuple) -> ChiValues:
     first = st.index[:, 0] == 0
     _, j, k = st.index[first].T
     v = st.value[first]
-    # Tr(ad_1^2) = sum_{j,k} c_1jk c_1kj, with (ad_i)_kj = c_ij^k
-    li, ri = _match(k * d + j, j * d + k)
+    # Tr(ad_1^2) = sum_{j,k} c_1jk c_1kj, with (ad_i)_kj = c_ij^k; the
+    # i = 0 rows are already in (j, k) order
+    li, ri = _match(k * d + j, (j * d + k, np.arange(v.size)))
     chi = float(-0.5 * np.sum(v[li] * v[ri]))
     diag, _, off = _split(d, *K)
     if max(np.max(np.abs(off), initial=0.0), np.ptp(diag)) > _IDENTITY_TOL:
@@ -300,7 +357,7 @@ def ricci_tensor(st: StructureTensor, K: tuple) -> tuple:
     d = st.dim
     i, j, k = st.index.T
     # ric_ab = 1/4 sum_{k,s} c_kbs c_ask: entry (k, b, s) meets (a, s, k)
-    li, ri = _match(k * d + i, j * d + k)
+    li, ri = _match(k * d + i, st.jk_sorted)
     keys, vals = _summed(i[ri] * d + j[li], st.value[li] * st.value[ri])
     vals *= 0.25
     _, diff = _summed(np.concatenate([keys, K[0]]),
@@ -375,8 +432,11 @@ def curvature_report(algebra: str, matrix_dim: int) -> CurvatureReport:
 
 # -- Levy-family bound sequences -------------------------------------
 
-# Smallest index i of SU(i), SO(i) and USp(2i) with a basis here.
-LEVY_MIN_INDEX = {"SU": 2, "SO": 3, "USP": 2}
+# Smallest index i of SU(i), SO(i) and USp(2i) with a basis here: the
+# least i whose matrix size (i, i and 2i) reaches MIN_MATRIX_DIM.
+LEVY_MIN_INDEX = {family: -(-MIN_MATRIX_DIM[algebra] // per_index)
+                  for family, algebra, per_index in (
+                      ("SU", "su", 1), ("SO", "so", 1), ("USP", "usp", 2))}
 
 def ricci_bound_sequence(family: str, n_range: Sequence[int],
                          coroot_length: Optional[float] = None) -> list:

@@ -3,10 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
-from lievol.curvature import (ALGEBRA_DIM, CLAIMED_CHI, TRACE_FORM_INDEX,
-                              LieAlgebraBasis, StructureTensor, _match,
-                              _summed, build_basis,
+from lievol.curvature import (ALGEBRA_DIM, CLAIMED_CHI, LEVY_MIN_INDEX,
+                              TRACE_FORM_INDEX, LieAlgebraBasis,
+                              StructureTensor, _match, _sort, _summed,
+                              build_basis,
                               check_curvature_budget, check_orthonormal,
                               chi_coefficient, curvature_report,
                               killing_form, rescaled_levy_check,
@@ -77,7 +80,7 @@ def jacobi_residual(st, samples=10_000, seed=0):
     rng = np.random.default_rng(seed)
     i, j, k = rng.integers(0, d, size=(3, samples))
     a, b, c = st.index.T
-    pair = a * d + b                      # key of the row c[a, b, :]
+    pair = _sort(a * d + b)               # keys of the rows c[a, b, :]
     keys, vals = [], []
     for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
         s, e1 = _match(x * d + y, pair)           # c[x, y, m]
@@ -86,6 +89,115 @@ def jacobi_residual(st, samples=10_000, seed=0):
         vals.append(st.value[e1][t] * st.value[e2])
     _, total = _summed(np.concatenate(keys), np.concatenate(vals))
     return float(np.max(np.abs(total), initial=0.0))
+
+
+def match_reference(left, right):
+    """Every (l, r) with left[l] == right[r]: l ascending, then r in the
+    stable sorted order of right."""
+    ranked = sorted(range(len(right)), key=lambda r: right[r])
+    return [(l, r) for l in range(len(left)) for r in ranked
+            if left[l] == right[r]]
+
+
+def summed_reference(keys, values):
+    """(key, sum) per distinct key, ascending; each sum left to right."""
+    sums = {}
+    for k, v in zip(keys.tolist(), values.tolist()):
+        sums[k] = sums.get(k, 0.0) + v
+    return sorted(sums.items())
+
+
+# int64 keys from a range of 1, 3, 10 or 2^62 values, so that duplicates
+# run from every key equal to almost none
+key_arrays = hs.sampled_from([0, 2, 9, 2 ** 62]).flatmap(
+    lambda top: hs.lists(hs.integers(0, top), max_size=40)).map(
+    lambda x: np.array(x, np.int64))
+EDGE_CASES = {
+    "empty left": ([], [3, 1, 3]),
+    "empty right": ([3, 1], []),
+    "both empty": ([], []),
+    "no match": ([0, 2, 4], [1, 3, 5, 7]),
+    "every key equal": ([5] * 4, [5] * 6),
+    "heavy duplicates": ([2, 0, 2, 1, 2, 7, 0], [2, 2, 0, 9, 2, 0, 1, 2]),
+}
+
+
+class TestJoinHelpers:
+    # the chain and the Jacobi oracle both rest on _match and _summed,
+    # so both are checked here against plain Python
+    @pytest.mark.parametrize("left,right", EDGE_CASES.values(),
+                             ids=EDGE_CASES.keys())
+    def test_match_edge_cases(self, left, right):
+        left, right = np.array(left, np.int64), np.array(right, np.int64)
+        li, ri = _match(left, _sort(right))
+        assert list(zip(li.tolist(), ri.tolist())) == match_reference(
+            left.tolist(), right.tolist())
+
+    @settings(deadline=None)
+    @given(left=key_arrays, right=key_arrays)
+    def test_match_is_the_ordered_pair_list(self, left, right):
+        li, ri = _match(left, _sort(right))
+        assert list(zip(li.tolist(), ri.tolist())) == match_reference(
+            left.tolist(), right.tolist())
+
+    @settings(deadline=None)
+    @given(data=hs.data(), keys=key_arrays)
+    def test_summed_sums_each_key_left_to_right(self, data, keys):
+        # magnitudes 1e-8 to 1e8, so a changed order changes the bits
+        values = np.array(data.draw(hs.lists(
+            hs.floats(-1e8, 1e8, allow_nan=False), min_size=keys.size,
+            max_size=keys.size)), float)
+        uniq, sums = _summed(keys, values)
+        want = summed_reference(keys, values)
+        assert uniq.tolist() == [k for k, _ in want]
+        assert np.array_equal(sums.view(np.int64), np.array(
+            [v for _, v in want], float).view(np.int64))
+
+    def test_summed_keeps_the_input_order_of_duplicates(self):
+        # (1e16 + 1) - 1e16 is 0 and 1e16 - 1e16 + 1 is 1
+        keys = np.array([4, 4, 4, 1])
+        uniq, sums = _summed(keys, np.array([1e16, 1.0, -1e16, 2.0]))
+        assert uniq.tolist() == [1, 4]
+        assert sums.tolist() == [2.0, 0.0]
+        assert _summed(keys, np.array([1e16, -1e16, 1.0, 2.0]))[1].tolist() \
+            == [2.0, 1.0]
+
+    @settings(deadline=None)
+    @given(keys=hs.sampled_from([9, 2 ** 40, 2 ** 63 - 1]).flatmap(
+        lambda top: hs.lists(hs.integers(-top - 1, top), max_size=40)))
+    def test_sort_is_the_stable_argsort(self, keys):
+        # packed where key and position fit in an int64, else argsort:
+        # the same order either way
+        keys = np.array(keys, np.int64)
+        ordered, order = _sort(keys)
+        want = np.argsort(keys, kind="stable")
+        assert np.array_equal(order, want)
+        assert np.array_equal(ordered, keys[want])
+
+    @pytest.mark.parametrize("n", [2, 3, 40, 1000])
+    def test_sort_at_the_packing_bound(self, n):
+        # keys at the largest magnitudes that pack, then one key past
+        # them, which takes the argsort
+        bound = 1 << (63 - (n - 1).bit_length())
+        rng = np.random.default_rng(n)
+        inside = rng.choice(np.array([-bound, 1 - bound, -1, 0, bound - 2,
+                                      bound - 1]), n)
+        for keys in (inside, np.append(inside[1:], bound),
+                     np.append(inside[1:], -bound - 1)):
+            want = np.argsort(keys, kind="stable")
+            ordered, order = _sort(keys)
+            assert np.array_equal(order, want)
+            assert np.array_equal(ordered, keys[want])
+
+    @pytest.mark.parametrize("alg,m", [("su", 5), ("so", 7), ("usp", 8)])
+    def test_shared_order_is_the_sort_of_jk(self, alg, m):
+        st = structure_constants(build_basis(alg, m))
+        _, j, k = st.index.T
+        jk = j * st.dim + k
+        want = np.argsort(jk, kind="stable")
+        assert np.array_equal(st.jk_sorted[0], jk[want])
+        assert np.array_equal(st.jk_sorted[1], want)
+        assert st.jk_sorted is st.jk_sorted      # sorted once per tensor
 
 
 class TestBases:
@@ -192,7 +304,8 @@ class TestStructureConstants:
 
 
 class TestDenseOracle:
-    @pytest.mark.parametrize("alg,m", TIER1_SIZES)
+    # su(16) only here: its (d, d, d) array is 133 MB, about 2 s in all
+    @pytest.mark.parametrize("alg,m", TIER1_SIZES + [("su", 16)])
     def test_sparse_chain_matches_dense(self, alg, m):
         b = build_basis(alg, m)
         st = structure_constants(b)
@@ -217,10 +330,11 @@ class TestDenseOracle:
 
 class TestPastTheDenseSizes:
     # sizes the dense route cannot reach: su(32)'s dense chain needed
-    # 34 GiB, and its (d, d, d) tensor alone 8 GiB
+    # 34 GiB, and its (d, d, d) tensor alone 8 GiB; at usp(64) (d = 2080)
+    # the joins take most of the time
     @pytest.mark.parametrize("alg,m,chi_prime", [
         ("su", 32, 4 * 32), ("so", 48, 2 * (48 - 2)),
-        ("usp", 48, 2 * (48 + 2))])
+        ("usp", 48, 2 * (48 + 2)), ("usp", 64, 2 * (64 + 2))])
     def test_chain_runs(self, alg, m, chi_prime):
         st = structure_constants(build_basis(alg, m))
         K = killing_form(st)
@@ -514,3 +628,12 @@ class TestLevySequences:
         assert len(ricci_bound_sequence(family, [low])) == 1
         with pytest.raises(ValueError, match="start at index"):
             ricci_bound_sequence(family, [low - 1, low])
+
+    @pytest.mark.parametrize("family,per_index", [("su", 1), ("so", 1),
+                                                  ("usp", 2)])
+    def test_minimum_index_is_the_smallest_basis(self, family, per_index):
+        # the first index has a basis, the one before it none
+        low = LEVY_MIN_INDEX[family.upper()]
+        build_basis(family, per_index * low)
+        with pytest.raises(ValueError, match="needs"):
+            build_basis(family, per_index * (low - 1))
