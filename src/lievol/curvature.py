@@ -3,7 +3,10 @@
 Every basis satisfies -1/2 Tr(T_i T_j) = delta_ij in the defining
 representation and is stored as the nonzero entries of its matrices.
 Structure constants are computed from those nonzeros by two index joins
-(pair products, then triple traces); the Killing form K (checked
+(pair products, then triple traces) over the pairs i < j alone: every
+element is anti-Hermitian (checked with the orthonormality), so
+Tr(T_j T_i T_k) = -conj Tr(T_i T_j T_k) and c_ijk = -Re Tr(T_i T_j T_k),
+and c_jik = -c_ijk gives the rest.  The Killing form K (checked
 against the trace-form identity K = -2 kappa I), the Ricci tensor
 (checked against -K/4) and chi follow by the same sparse contraction,
 with K computed once per report and passed to the other two.  Every
@@ -49,10 +52,12 @@ CLAIMED_CHI = {"su": lambda m: m + 2, "so": lambda m: m - 2,
 TRACE_FORM_INDEX = {"su": lambda m: 2 * m, "so": lambda m: m - 2,
                     "usp": lambda m: m + 2}
 
-# Peak bytes per index-join match in structure_constants: the matched
-# index pairs, the triple keys and values, and _sort's packed keys
-# (tracemalloc: 73-82 B from su(16) to usp(48)).
-_JOIN_BYTES = 96
+# Peak bytes of a curvature report per index-join match counted in
+# structure_constants: the matched index pairs, the triple keys and
+# values, _sort's packed keys and the structure tensor (tracemalloc from
+# su(16), so(16), usp(20) to su(48), so(128), usp(64): so 113-117 B,
+# where each match gives its own c_ijk, su 68-71 B, usp 65 B).
+_JOIN_BYTES = 120
 
 
 @dataclass(frozen=True)
@@ -180,15 +185,19 @@ def _ranges(ordered: np.ndarray, left: np.ndarray):
     return lo, n
 
 
+def _pairs(order: np.ndarray, lo: np.ndarray, n: np.ndarray):
+    """Every index pair (l, order[lo[l] + s]) for s < n[l], l ascending."""
+    start = np.cumsum(n) - n
+    li = np.repeat(np.arange(n.size), n)
+    return li, order[np.repeat(lo - start, n) + np.arange(li.size)]
+
+
 def _match(left: np.ndarray, ranked: tuple):
     """Every index pair (l, r) with left[l] == right[r], l ascending and,
     for each l, r in the stable sort order of right; `ranked` is
     _sort(right)."""
     ordered, order = ranked
-    lo, n = _ranges(ordered, left)
-    start = np.cumsum(n) - n
-    li = np.repeat(np.arange(left.size), n)
-    return li, order[np.repeat(lo - start, n) + np.arange(li.size)]
+    return _pairs(order, *_ranges(ordered, left))
 
 
 def _summed(keys: np.ndarray, values: np.ndarray):
@@ -224,12 +233,21 @@ def _scalar_deviation(d: int, keys: np.ndarray, values: np.ndarray,
 
 
 def check_orthonormal(basis: LieAlgebraBasis) -> float:
-    """Max |-1/2 Tr(T_i T_j) - delta_ij|; above 1e-12 raises ValueError."""
+    """Max |-1/2 Tr(T_i T_j) - delta_ij|; above 1e-12 raises ValueError.
+
+    Every element must also be anti-Hermitian, the premise of
+    structure_constants: each entry T_e[a, b] meets its own element's
+    entry at (b, a) once, equal to -conj T_e[a, b] within 1e-12.
+    """
     d, m = basis.dim, basis.matrix_dim
     e, r, c = basis.index.T
     v = basis.value
     # Tr(T_i T_j) = sum_{a,b} T_i[a, b] T_j[b, a]
     li, ri = _match(c * m + r, _sort(r * m + c))
+    own = e[li] == e[ri]
+    if (np.bincount(li[own], minlength=v.size) != 1).any() or np.max(
+            np.abs(v[ri[own]] + np.conj(v[li[own]])), initial=0.0) > 1e-12:
+        raise ValueError("basis not anti-Hermitian")
     keys, g = _summed(e[li] * d + e[ri], (v[li] * v[ri]).real)
     dev = _scalar_deviation(d, keys, -0.5 * g, 1.0)
     if dev > 1e-12:
@@ -268,36 +286,41 @@ def check_curvature_budget(dim: int, joins: int) -> None:
 def structure_constants(basis: LieAlgebraBasis) -> StructureTensor:
     """c_ij^k = -1/2 Tr([T_i, T_j] T_k), with tiny entries dropped.
 
-    Two joins over the basis nonzeros: the entries of every product
-    T_i T_j pair the column of an entry of T_i with the row of an entry
-    of T_j; t_ijk = Tr(T_i T_j T_k) then reads T_k at the transposed
-    position.  c_ijk = -1/2 Re(t_ijk - t_jik), summed by key.
+    With t_ijk = Tr(T_i T_j T_k), c_ijk = -1/2 Re(t_ijk - t_jik).  Every
+    element is anti-Hermitian, T^dagger = -T (check_orthonormal refuses
+    a basis that is not), so conj t_ijk = Tr(T_k^dagger T_j^dagger
+    T_i^dagger) = -Tr(T_k T_j T_i) = -t_jik and c_ijk = -Re t_ijk.  Term
+    by term, T_i[a, b] T_j[b, c] T_k[c, a] is -conj of the term
+    T_j[c, b] T_i[b, a] T_k[a, c] of t_jik, so only the pairs i < j are
+    joined.  Two joins over the basis nonzeros: the entries of every
+    product T_i T_j, i < j, pair the column of an entry of T_i with the
+    row of an entry of T_j; t_ijk then reads T_k at the transposed
+    position.  -Re t_ijk is summed by key, and c_jik = -c_ijk mirrors it.
     """
     d, m = basis.dim, basis.matrix_dim
     e, r, c = basis.index.T
     v = basis.value
     pos = r * m + c
-    # L[a, b] = number of basis entries at (a, b): the first join has
-    # sum_b (column count)(row count) matches, the second one match per
-    # closed path a -> b -> c -> a, Tr(L^3)
+    # L[a, b] = number of basis entries at (a, b): a join over all pairs
+    # has sum_b (column count)(row count) matches, and the second join
+    # one match per closed path a -> b -> c -> a, Tr(L^3); transposing
+    # every entry maps the i < j matches of both one to one onto the
+    # i > j ones, so the half joins have at most half of them
     L = np.bincount(pos, minlength=m * m).reshape(m, m)
-    check_curvature_budget(d, int(L.sum(0) @ L.sum(1))
-                           + int(np.trace(L @ L @ L)))
+    check_curvature_budget(d, -(-(int(L.sum(0) @ L.sum(1))
+                                  + int(np.trace(L @ L @ L))) // 2))
     check_orthonormal(basis)
-    # (T_i T_j)[a, c] terms T_i[a, b] T_j[b, c]; i = j cancels in c_ijk
-    pl, pr = _match(c, _sort(r))
-    i, j = e[pl], e[pr]
-    off = i != j
-    pl, pr, i, j = pl[off], pr[off], i[off], j[off]
+    # (T_i T_j)[a, c] terms T_i[a, b] T_j[b, c], i < j: the entries
+    # (j, b, c), j > i, are the run of sorted keys row d + e above
+    # b d + i and below (b + 1) d; `index` is sorted by (e, row, col), so
+    # the run keeps the order of a join on the row alone
+    ordered, order = _sort(r * d + e)
+    lo = np.searchsorted(ordered, c * d + e, "right")
+    pl, pr = _pairs(order, lo, np.searchsorted(ordered, (c + 1) * d) - lo)
     # Tr(T_i T_j T_k) terms (T_i T_j)[a, c] T_k[c, a]
     tl, tk = _match(c[pr] * m + r[pl], _sort(pos))
     t = (v[pl] * v[pr])[tl] * v[tk]
-    # c_ijk = -1/2 Re(t_ijk - t_jik): each term goes to the key with
-    # i < j, negated when it came from t_jik; c_jik = -c_ijk
-    first = np.minimum(i, j)[tl]
-    second = np.maximum(i, j)[tl]
-    keys, vals = _summed((first * d + second) * d + e[tk],
-                         np.where((i < j)[tl], -0.5, 0.5) * t.real)
+    keys, vals = _summed((e[pl] * d + e[pr])[tl] * d + e[tk], -t.real)
     keep = np.abs(vals) >= ZERO_CUTOFF
     keys, vals = keys[keep], vals[keep]
     first, second, k = keys // (d * d), keys // d % d, keys % d
@@ -400,21 +423,21 @@ class CurvatureReport:
 def curvature_report(algebra: str, matrix_dim: int) -> CurvatureReport:
     """Killing, Ricci and chi of one algebra, from one structure tensor.
 
-    The budget is checked early against 4 d^2 // m, a lower bound on the
-    first join of structure_constants, so an oversize request builds no
-    basis.  With L[a, b] the number of basis entries at (a, b), that
-    join has sum_b c_b r_b matches (column and row sums of L).  Every
-    builder emits each off-diagonal position with its mirror, so L is
-    symmetric and, by Cauchy-Schwarz, sum_b c_b^2 >= nnz^2 / m; every
+    The budget is checked early against 2 d^2 // m, a lower bound on the
+    count that structure_constants checks, so an oversize request builds
+    no basis.  With L[a, b] the number of basis entries at (a, b), that
+    count is at least half of sum_b c_b r_b (column and row sums of L).
+    Every builder emits each off-diagonal position with its mirror, so L
+    is symmetric and, by Cauchy-Schwarz, sum_b c_b^2 >= nnz^2 / m; every
     element has two or more nonzeros, so nnz >= 2 d.  (For so(m) the
-    bound is the join, m (m - 1)^2.)  The Ricci lower bound is
+    bound is half that sum, m (m - 1)^2 / 2.)  The Ricci lower bound is
     Gershgorin's, min_i (Ric_ii - sum_{j != i} |Ric_ij|), at most the
     smallest eigenvalue of Ric.
     """
     if algebra in ALGEBRA_DIM:
         check_matrix_dim(algebra, matrix_dim)   # before the division by m
         d = ALGEBRA_DIM[algebra](matrix_dim)
-        check_curvature_budget(d, 4 * d * d // matrix_dim)
+        check_curvature_budget(d, 2 * d * d // matrix_dim)
     basis = build_basis(algebra, matrix_dim)
     st = structure_constants(basis)
     K = killing_form(st)

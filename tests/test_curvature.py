@@ -50,23 +50,33 @@ def riemann_tensor(st):
 
 
 def dense_structure_constants(basis):
-    """The dense second route: c as (d, d, d) from two complex gemms.
+    """The dense second route: c as (d, d, d) from complex gemms.
 
-    All pair products T_i T_j as one (d m, m) @ (m, d m), then
-    t_ijk = Tr(T_i T_j T_k) as (d^2, m^2) @ (m^2, d) against the
-    transposed basis; c_ijk = -1/2 Re(t_ijk - t_jik).
+    For each block of i, all pair products T_i T_j and T_j T_i as
+    (b m, m) @ (m, d m) and (d m, m) @ (m, b m), then t_ijk =
+    Tr(T_i T_j T_k) and t_jik as (b d, m^2) @ (m^2, d) against the
+    transposed basis; c_ijk = -1/2 Re(t_ijk - t_jik).  Each block's pair
+    products take about 8 MiB, so the peak stays near the result's size.
     """
     d, m = basis.dim, basis.matrix_dim
     B = dense(basis, (d, m, m))
-    # pairs[i, a, j, c] = (T_i T_j)[a, c]
-    pairs = B.reshape(d * m, m) @ B.transpose(1, 0, 2).reshape(m, d * m)
-    pairs = pairs.reshape(d, m, d, m).transpose(0, 2, 1, 3).reshape(d * d,
-                                                                    m * m)
     # Tr(P T_k) = sum_{a,c} P[a, c] T_k[c, a]
-    t = (pairs @ B.transpose(2, 1, 0).reshape(m * m, d)).reshape(d, d, d)
-    re = t.real
-    c = -0.5 * (re - re.transpose(1, 0, 2))
-    c[np.abs(c) < 1e-12] = 0.0
+    Bt = B.transpose(2, 1, 0).reshape(m * m, d)
+    c = np.empty((d, d, d))
+    step = max(1, 2 ** 23 // (16 * d * m * m))
+    for i in range(0, d, step):
+        Bi = B[i:i + step]
+        b = len(Bi)
+        # ij[i, a, j, c] = (T_i T_j)[a, c], ji[j, a, i, c] = (T_j T_i)[a, c]
+        ij = Bi.reshape(b * m, m) @ B.transpose(1, 0, 2).reshape(m, d * m)
+        ji = B.reshape(d * m, m) @ Bi.transpose(1, 0, 2).reshape(m, b * m)
+        ij = ij.reshape(b, m, d, m).transpose(0, 2, 1, 3).reshape(b * d,
+                                                                  m * m)
+        ji = ji.reshape(d, m, b, m).transpose(2, 0, 1, 3).reshape(b * d,
+                                                                  m * m)
+        block = -0.5 * ((ij @ Bt).real - (ji @ Bt).real)
+        block[np.abs(block) < 1e-12] = 0.0
+        c[i:i + b] = block.reshape(b, d, d)
     return c
 
 
@@ -228,6 +238,30 @@ class TestBases:
             with pytest.raises(ValueError, match="orthonormal"):
                 check_orthonormal(LieAlgebraBasis("su", 3, b.dim, index,
                                                   value))
+
+    @pytest.mark.parametrize("label", ["H_1", "S_1,2", "A_2,3", "missing"])
+    def test_non_antihermitian_refused(self, monkeypatch, label):
+        # c_ijk = -Re t_ijk needs T^dagger = -T: one element made
+        # Hermitian (times -i), or one entry of A_1,3 dropped, is refused
+        # before any sum is taken, so before any structure constant
+        import lievol.curvature
+
+        def no_sum(*args):
+            raise AssertionError("summed a non-anti-Hermitian basis")
+
+        b = su_basis(3)
+        e = b.index[:, 0]
+        index, value = b.index, b.value.copy()
+        if label == "missing":
+            keep = np.arange(e.size) != np.flatnonzero(
+                e == b.labels.index("A_1,3"))[0]
+            index, value = index[keep], value[keep]
+        else:
+            value[e == b.labels.index(label)] *= -1j
+        monkeypatch.setattr(lievol.curvature, "_summed", no_sum)
+        with pytest.raises(ValueError, match="anti-Hermitian"):
+            structure_constants(LieAlgebraBasis("su", 3, b.dim, index,
+                                                value))
 
     @pytest.mark.parametrize("alg,m", TIER1_SIZES)
     def test_coo_is_the_nonzeros_of_the_dense_view(self, alg, m):
@@ -500,15 +534,18 @@ class TestDenseBudget:
 
     @pytest.mark.parametrize("alg,m", [("su", 20), ("so", 30), ("usp", 30),
                                        ("su", 81), ("so", 224),
-                                       ("usp", 122)])
+                                       ("usp", 122), ("su", 93),
+                                       ("so", 262), ("usp", 144)])
     def test_admitted_past_the_dense_chain(self, monkeypatch, alg, m):
-        # up to the largest admitted size of each algebra
+        # up to the largest admitted size of each algebra, past the
+        # largest that the full i != j join admitted (su 81, so 224,
+        # usp 122)
         no_join(monkeypatch)
         with pytest.raises(Joined):
             curvature_report(alg, m)
 
-    @pytest.mark.parametrize("alg,m", [("su", 82), ("so", 225),
-                                       ("usp", 124)])
+    @pytest.mark.parametrize("alg,m", [("su", 94), ("so", 263),
+                                       ("usp", 146)])
     def test_oversize_refused(self, monkeypatch, alg, m):
         # the smallest refused sizes, refused before any join
         no_join(monkeypatch)
@@ -528,11 +565,39 @@ class TestDenseBudget:
 
     @pytest.mark.parametrize("alg,m", TIER1_SIZES)
     def test_precheck_bounds_the_first_join(self, alg, m):
-        # 4 d^2 // m <= sum_b c_b r_b, equal for so(m)
+        # 2 d^2 // m <= (sum_b c_b r_b) // 2, equal for so(m)
         d = ALGEBRA_DIM[alg](m)
-        assert 4 * d * d // m <= first_join(alg, m)
+        assert 2 * d * d // m <= first_join(alg, m) // 2
         if alg == "so":
-            assert 4 * d * d // m == first_join(alg, m) == m * (m - 1) ** 2
+            assert 2 * d * d // m == first_join(alg, m) // 2 \
+                == m * (m - 1) ** 2 // 2
+
+    @pytest.mark.parametrize("alg,m", [("su", 2), ("su", 7), ("so", 3),
+                                       ("so", 9), ("usp", 4), ("usp", 10)])
+    def test_only_the_half_join_is_built(self, monkeypatch, alg, m):
+        # the first join pairs i < j only: half of its i != j pairs, with
+        # sum_b c_b r_b - sum_e sum_b c_b(e) r_b(e) of them; both joins
+        # stay within the count that the budget checks
+        import lievol.curvature
+        built = []
+        pairs = lievol.curvature._pairs
+
+        def counted(order, lo, n):
+            built.append(int(n.sum()))
+            return pairs(order, lo, n)
+
+        monkeypatch.setattr(lievol.curvature, "_pairs", counted)
+        b = build_basis(alg, m)
+        e, r, c = b.index.T
+        own = np.bincount(e * m + c, minlength=b.dim * m) @ np.bincount(
+            e * m + r, minlength=b.dim * m)
+        structure_constants(b)
+        # check_orthonormal's join, then the two of structure_constants
+        assert len(built) == 3
+        assert built[1] == (first_join(alg, m) - own) // 2
+        L = np.bincount(r * m + c, minlength=m * m).reshape(m, m)
+        assert built[1] + built[2] <= -(-(first_join(alg, m) + int(
+            np.trace(L @ L @ L))) // 2)
 
     def test_entry_points_check(self, monkeypatch):
         import lievol.curvature
