@@ -518,12 +518,25 @@ def no_join(monkeypatch):
     monkeypatch.setattr(lievol.curvature, "_match", joined)
 
 
-def first_join(alg, m):
-    """Matches of structure_constants' first join, from the basis."""
+def position_counts(alg, m):
+    """L[a, b], the number of basis entries at (a, b)."""
     b = build_basis(alg, m)
-    L = np.bincount(b.index[:, 1] * m + b.index[:, 2],
-                    minlength=m * m).reshape(m, m)
+    return np.bincount(b.index[:, 1] * m + b.index[:, 2],
+                       minlength=m * m).reshape(m, m)
+
+
+def first_join(alg, m):
+    """Matches of a first join over all pairs i, j, from the basis;
+    structure_constants joins the pairs i < j alone."""
+    L = position_counts(alg, m)
     return int(L.sum(0) @ L.sum(1))
+
+
+def join_count(alg, m):
+    """The match count that structure_constants budgets: half of the
+    all-pairs matches of both joins, rounded up."""
+    L = position_counts(alg, m)
+    return -(-(first_join(alg, m) + int(np.trace(L @ L @ L))) // 2)
 
 
 class TestDenseBudget:
@@ -595,9 +608,22 @@ class TestDenseBudget:
         # check_orthonormal's join, then the two of structure_constants
         assert len(built) == 3
         assert built[1] == (first_join(alg, m) - own) // 2
-        L = np.bincount(r * m + c, minlength=m * m).reshape(m, m)
-        assert built[1] + built[2] <= -(-(first_join(alg, m) + int(
-            np.trace(L @ L @ L))) // 2)
+        assert built[1] + built[2] <= join_count(alg, m)
+
+    @pytest.mark.parametrize("alg,m", [("su", 8), ("so", 12), ("usp", 10)])
+    def test_the_count_is_the_budget_boundary(self, monkeypatch, alg, m):
+        # a budget of exactly the counted bytes admits the request and one
+        # byte less refuses it, so the check made before the basis is
+        # built refuses nothing that the count admits
+        import lievol.curvature
+        need = lievol.curvature._JOIN_BYTES * join_count(alg, m)
+        no_join(monkeypatch)
+        monkeypatch.setattr(lievol.curvature, "CURVATURE_BUDGET", need)
+        with pytest.raises(Joined):
+            curvature_report(alg, m)
+        monkeypatch.setattr(lievol.curvature, "CURVATURE_BUDGET", need - 1)
+        with pytest.raises(ValueError, match="budget"):
+            curvature_report(alg, m)
 
     def test_entry_points_check(self, monkeypatch):
         import lievol.curvature
