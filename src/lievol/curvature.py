@@ -13,9 +13,9 @@ with K computed once per report and passed to the other two.  Every
 tensor stays in coordinate form (under 0.3% of c_ijk are nonzero, ~2d
 of the d^2 entries of K and Ric), so no (d, d) array is built; dense
 views, the Riemann tensor and the Jacobi residual live in the tests.
-Inputs whose joins, the largest allocation, would exceed
-CURVATURE_BUDGET are refused.  The Levy-family bound sequences close
-the module.
+Matrix sizes above MAX_MATRIX_DIM, the measured limit of each algebra,
+are refused before a basis is built.  The Levy-family bound sequences
+close the module.
 """
 
 from __future__ import annotations
@@ -32,15 +32,14 @@ ZERO_CUTOFF = 1e-12
 # Tolerance of the chain's identity checks and of a report's chi match.
 _IDENTITY_TOL = 1e-9
 
-# Largest allocation of one curvature chain (check_curvature_budget).
-CURVATURE_BUDGET = 2 * 2 ** 30
-
-# Basis size of each algebra at matrix size m (usp: m = 2n).
-ALGEBRA_DIM = {"su": lambda m: m * m - 1, "so": lambda m: m * (m - 1) // 2,
-               "usp": lambda m: m * (m + 1) // 2}
-
 # Smallest matrix size of each algebra's basis (usp's is also even).
 MIN_MATRIX_DIM = {"su": 2, "so": 3, "usp": 4}
+
+# Largest matrix size of each algebra's curvature chain, for a budget of
+# about 2 GiB: su(93), so(262) and usp(144) take 5.2-6.8, 12.9-15.1 and
+# 5.9-6.1 s at 1.33, 1.92 and 1.11 GiB peak RSS (fresh processes, 2-core
+# host).
+MAX_MATRIX_DIM = {"su": 93, "so": 262, "usp": 144}
 
 # chi values claimed for the classical algebras (m the matrix size); the
 # su value disagrees with the adjoint trace, and reports record both.
@@ -51,13 +50,6 @@ CLAIMED_CHI = {"su": lambda m: m + 2, "so": lambda m: m - 2,
 # Lie Groups ch. VIII); with -1/2 Tr(T_i T_j) = delta_ij, K = -2 kappa I.
 TRACE_FORM_INDEX = {"su": lambda m: 2 * m, "so": lambda m: m - 2,
                     "usp": lambda m: m + 2}
-
-# Peak bytes of a curvature report per index-join match counted in
-# structure_constants: the matched index pairs, the triple keys and
-# values, _sort's packed keys and the structure tensor (tracemalloc from
-# su(16), so(16), usp(20) to su(48), so(128), usp(64): so 113-117 B,
-# where each match gives its own c_ijk, su 68-71 B, usp 65 B).
-_JOIN_BYTES = 120
 
 
 @dataclass(frozen=True)
@@ -132,12 +124,17 @@ def usp_basis(two_n: int) -> LieAlgebraBasis:
 
 
 def check_matrix_dim(algebra: str, m: int) -> None:
-    """Refuse a matrix size m that the algebra's basis does not take."""
+    """Refuse a matrix size m that the algebra's basis does not take, or
+    whose curvature chain is above MAX_MATRIX_DIM."""
     low = MIN_MATRIX_DIM.get(algebra)
     if algebra == "usp" and (m < low or m % 2):
         raise ValueError(f"usp needs even matrix size >= {low}")
     if low is not None and m < low:
         raise ValueError(f"{algebra}(m) needs m >= {low}")
+    high = MAX_MATRIX_DIM.get(algebra)
+    if high is not None and m > high:
+        raise ValueError(f"{algebra}({m}) is above the curvature budget: "
+                         f"m <= {high}")
 
 
 def build_basis(algebra: str, matrix_dim: int) -> LieAlgebraBasis:
@@ -272,17 +269,6 @@ class StructureTensor:
         return _sort(j * self.dim + k)
 
 
-def check_curvature_budget(dim: int, joins: int) -> None:
-    """Refuse a chain whose `joins` index-join matches (_JOIN_BYTES each;
-    all else is O(nnz)) would allocate above CURVATURE_BUDGET."""
-    need = _JOIN_BYTES * joins
-    if need > CURVATURE_BUDGET:
-        raise ValueError(
-            f"curvature chain for dim {dim} would need "
-            f"{need / 2 ** 30:.1f} GiB, above the "
-            f"{CURVATURE_BUDGET / 2 ** 30:.0f} GiB budget")
-
-
 def structure_constants(basis: LieAlgebraBasis) -> StructureTensor:
     """c_ij^k = -1/2 Tr([T_i, T_j] T_k), with tiny entries dropped.
 
@@ -300,15 +286,6 @@ def structure_constants(basis: LieAlgebraBasis) -> StructureTensor:
     d, m = basis.dim, basis.matrix_dim
     e, r, c = basis.index.T
     v = basis.value
-    pos = r * m + c
-    # L[a, b] = number of basis entries at (a, b): a join over all pairs
-    # has sum_b (column count)(row count) matches, and the second join
-    # one match per closed path a -> b -> c -> a, Tr(L^3); transposing
-    # every entry maps the i < j matches of both one to one onto the
-    # i > j ones, so the half joins have at most half of them
-    L = np.bincount(pos, minlength=m * m).reshape(m, m)
-    check_curvature_budget(d, -(-(int(L.sum(0) @ L.sum(1))
-                                  + int(np.trace(L @ L @ L))) // 2))
     check_orthonormal(basis)
     # (T_i T_j)[a, c] terms T_i[a, b] T_j[b, c], i < j: the entries
     # (j, b, c), j > i, are the run of sorted keys row d + e above
@@ -318,7 +295,7 @@ def structure_constants(basis: LieAlgebraBasis) -> StructureTensor:
     lo = np.searchsorted(ordered, c * d + e, "right")
     pl, pr = _pairs(order, lo, np.searchsorted(ordered, (c + 1) * d) - lo)
     # Tr(T_i T_j T_k) terms (T_i T_j)[a, c] T_k[c, a]
-    tl, tk = _match(c[pr] * m + r[pl], _sort(pos))
+    tl, tk = _match(c[pr] * m + r[pl], _sort(r * m + c))
     t = (v[pl] * v[pr])[tl] * v[tk]
     keys, vals = _summed((e[pl] * d + e[pr])[tl] * d + e[tk], -t.real)
     keep = np.abs(vals) >= ZERO_CUTOFF
@@ -423,21 +400,12 @@ class CurvatureReport:
 def curvature_report(algebra: str, matrix_dim: int) -> CurvatureReport:
     """Killing, Ricci and chi of one algebra, from one structure tensor.
 
-    The budget is checked early against 2 d^2 // m, a lower bound on the
-    count that structure_constants checks, so an oversize request builds
-    no basis.  With L[a, b] the number of basis entries at (a, b), that
-    count is at least half of sum_b c_b r_b (column and row sums of L).
-    Every builder emits each off-diagonal position with its mirror, so L
-    is symmetric and, by Cauchy-Schwarz, sum_b c_b^2 >= nnz^2 / m; every
-    element has two or more nonzeros, so nnz >= 2 d.  (For so(m) the
-    bound is half that sum, m (m - 1)^2 / 2.)  The Ricci lower bound is
-    Gershgorin's, min_i (Ric_ii - sum_{j != i} |Ric_ij|), at most the
-    smallest eigenvalue of Ric.
+    The matrix size is checked before the basis is built, so an oversize
+    request builds nothing.  The Ricci lower bound is Gershgorin's,
+    min_i (Ric_ii - sum_{j != i} |Ric_ij|), at most the smallest
+    eigenvalue of Ric.
     """
-    if algebra in ALGEBRA_DIM:
-        check_matrix_dim(algebra, matrix_dim)   # before the division by m
-        d = ALGEBRA_DIM[algebra](matrix_dim)
-        check_curvature_budget(d, 2 * d * d // matrix_dim)
+    check_matrix_dim(algebra, matrix_dim)
     basis = build_basis(algebra, matrix_dim)
     st = structure_constants(basis)
     K = killing_form(st)

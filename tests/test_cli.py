@@ -385,11 +385,21 @@ class TestExitCodes:
         assert code == 1
         assert "budget" in err
 
+    @pytest.mark.parametrize("series,n", [("su", 94), ("so", 263),
+                                          ("usp", 146)])
+    def test_curvature_above_the_limit_is_one(self, capsys, series, n):
+        # the smallest refused size of each algebra names the limit
+        code, out, err = run(capsys, "curvature", "--series", series,
+                             "--n", str(n))
+        assert code == 1 and out == ""
+        assert f"m <= {lievol.curvature.MAX_MATRIX_DIM[series]}" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("series,rule", [
         ("su", "su(m) needs m >= 2"), ("so", "so(m) needs m >= 3"),
         ("usp", "usp needs even matrix size >= 4")])
     def test_curvature_at_size_zero_is_one(self, capsys, series, rule):
-        # the builders' size rule runs before the budget divides by m
+        # the builders' size rule, before any basis entry is made
         code, out, err = run(capsys, "curvature", "--series", series,
                              "--n", "0")
         assert code == 1 and out == ""

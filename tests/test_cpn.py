@@ -230,7 +230,8 @@ class TestChartGenerators:
                 "_householder_reduce", "_equator_distance", "_chunks",
                 "riemann_tensor", "_dense_view", "_pyify", "sphere_volume",
                 "_dim_step", "LOG_2PI", "quotient_point", "_dense",
-                "DENSE_BUDGET", "check_dense_budget")
+                "DENSE_BUDGET", "check_dense_budget", "ALGEBRA_DIM",
+                "CURVATURE_BUDGET", "_JOIN_BYTES", "check_curvature_budget")
         for mod in (lievol, lievol.cpn, lievol.curvature, lievol.montecarlo,
                     lievol.reproduce, lievol.volumes):
             assert not [name for name in gone if hasattr(mod, name)]

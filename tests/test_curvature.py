@@ -6,15 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from lievol.curvature import (ALGEBRA_DIM, CLAIMED_CHI, LEVY_MIN_INDEX,
+from lievol.curvature import (CLAIMED_CHI, LEVY_MIN_INDEX, MAX_MATRIX_DIM,
                               TRACE_FORM_INDEX, LieAlgebraBasis,
                               StructureTensor, _match, _sort, _summed,
-                              build_basis,
-                              check_curvature_budget, check_orthonormal,
+                              build_basis, check_orthonormal,
                               chi_coefficient, curvature_report,
                               killing_form, rescaled_levy_check,
                               ricci_bound_sequence, ricci_tensor, so_basis,
                               structure_constants, su_basis, usp_basis)
+
+# Basis size of each algebra at matrix size m (usp: m = 2n).
+ALGEBRA_DIM = {"su": lambda m: m * m - 1, "so": lambda m: m * (m - 1) // 2,
+               "usp": lambda m: m * (m + 1) // 2}
 
 # every size the dense route below runs in well under a second
 TIER1_SIZES = ([("su", m) for m in range(2, 13)]
@@ -343,15 +346,28 @@ class TestDenseOracle:
     def test_sparse_chain_matches_dense(self, alg, m):
         b = build_basis(alg, m)
         st = structure_constants(b)
-        c = dense(st, (st.dim,) * 3)
         want = dense_structure_constants(b)
-        assert np.array_equal(c != 0, want != 0)
-        assert np.max(np.abs(c - want)) < 1e-12
+        # the dense c is st.value at the (distinct) rows st.index and 0
+        # elsewhere: its nonzeros are want's, and c - want is at most
+        # 1e-12, read at those rows, so no second (d, d, d) array is built
+        at = want[tuple(st.index.T)]
+        assert np.count_nonzero(want) == at.size and np.all(at != 0)
+        assert np.max(np.abs(at - st.value)) < 1e-12
+        # K_ab = sum_{k,l} c_akl c_blk over blocks of b, and
+        # 4 Ric_ab = sum_{k,s} c_ask c_kbs over blocks of k, so each
+        # transposed copy that tensordot makes is a block of want
+        d = st.dim
+        K_want, ric = np.empty((d, d)), np.zeros((d, d))
+        for lo in range(0, d, 16):
+            block = slice(lo, lo + 16)
+            K_want[:, block] = np.tensordot(want, want[block],
+                                            axes=([1, 2], [2, 1]))
+            ric += np.tensordot(want[:, :, block], want[block],
+                                axes=([1, 2], [2, 0]))
+        ric *= 0.25
         K = killing_form(st)
-        assert np.max(np.abs(dense(K, (st.dim,) * 2) - np.tensordot(
-            want, want, axes=([1, 2], [2, 1])))) < 1e-12
-        ric = 0.25 * np.tensordot(want, want, axes=([0, 2], [2, 1])).T
-        assert np.max(np.abs(dense(ricci_tensor(st, K), (st.dim,) * 2)
+        assert np.max(np.abs(dense(K, (d, d)) - K_want)) < 1e-12
+        assert np.max(np.abs(dense(ricci_tensor(st, K), (d, d))
                              - ric)) < 1e-12
 
     def test_coo_rows_are_sorted_and_distinct(self):
@@ -518,33 +534,18 @@ def no_join(monkeypatch):
     monkeypatch.setattr(lievol.curvature, "_match", joined)
 
 
-def position_counts(alg, m):
-    """L[a, b], the number of basis entries at (a, b)."""
-    b = build_basis(alg, m)
-    return np.bincount(b.index[:, 1] * m + b.index[:, 2],
-                       minlength=m * m).reshape(m, m)
-
-
 def first_join(alg, m):
-    """Matches of a first join over all pairs i, j, from the basis;
-    structure_constants joins the pairs i < j alone."""
-    L = position_counts(alg, m)
+    """Matches of a first join over all pairs i, j, from the basis's
+    L[a, b], the number of entries at (a, b); structure_constants joins
+    the pairs i < j alone."""
+    b = build_basis(alg, m)
+    L = np.bincount(b.index[:, 1] * m + b.index[:, 2],
+                    minlength=m * m).reshape(m, m)
     return int(L.sum(0) @ L.sum(1))
 
 
-def join_count(alg, m):
-    """The match count that structure_constants budgets: half of the
-    all-pairs matches of both joins, rounded up."""
-    L = position_counts(alg, m)
-    return -(-(first_join(alg, m) + int(np.trace(L @ L @ L))) // 2)
-
-
 class TestDenseBudget:
-    # the budget counts index-join matches; no (d, d) array is built
-    def test_su16_fits(self):
-        d = ALGEBRA_DIM["su"](16)
-        check_curvature_budget(d, first_join("su", 16))
-
+    # MAX_MATRIX_DIM is the budget; no (d, d) array is built
     @pytest.mark.parametrize("alg,m", [("su", 20), ("so", 30), ("usp", 30),
                                        ("su", 81), ("so", 224),
                                        ("usp", 122), ("su", 93),
@@ -576,21 +577,11 @@ class TestDenseBudget:
         with pytest.raises(ValueError, match="budget"):
             curvature_report(alg, 10 ** 4)
 
-    @pytest.mark.parametrize("alg,m", TIER1_SIZES)
-    def test_precheck_bounds_the_first_join(self, alg, m):
-        # 2 d^2 // m <= (sum_b c_b r_b) // 2, equal for so(m)
-        d = ALGEBRA_DIM[alg](m)
-        assert 2 * d * d // m <= first_join(alg, m) // 2
-        if alg == "so":
-            assert 2 * d * d // m == first_join(alg, m) // 2 \
-                == m * (m - 1) ** 2 // 2
-
     @pytest.mark.parametrize("alg,m", [("su", 2), ("su", 7), ("so", 3),
                                        ("so", 9), ("usp", 4), ("usp", 10)])
     def test_only_the_half_join_is_built(self, monkeypatch, alg, m):
         # the first join pairs i < j only: half of its i != j pairs, with
-        # sum_b c_b r_b - sum_e sum_b c_b(e) r_b(e) of them; both joins
-        # stay within the count that the budget checks
+        # sum_b c_b r_b - sum_e sum_b c_b(e) r_b(e) of them
         import lievol.curvature
         built = []
         pairs = lievol.curvature._pairs
@@ -608,57 +599,17 @@ class TestDenseBudget:
         # check_orthonormal's join, then the two of structure_constants
         assert len(built) == 3
         assert built[1] == (first_join(alg, m) - own) // 2
-        assert built[1] + built[2] <= join_count(alg, m)
 
-    @pytest.mark.parametrize("alg,m", [("su", 8), ("so", 12), ("usp", 10)])
-    def test_the_count_is_the_budget_boundary(self, monkeypatch, alg, m):
-        # a budget of exactly the counted bytes admits the request and one
-        # byte less refuses it, so the check made before the basis is
-        # built refuses nothing that the count admits
-        import lievol.curvature
-        need = lievol.curvature._JOIN_BYTES * join_count(alg, m)
-        no_join(monkeypatch)
-        monkeypatch.setattr(lievol.curvature, "CURVATURE_BUDGET", need)
-        with pytest.raises(Joined):
-            curvature_report(alg, m)
-        monkeypatch.setattr(lievol.curvature, "CURVATURE_BUDGET", need - 1)
-        with pytest.raises(ValueError, match="budget"):
-            curvature_report(alg, m)
-
-    def test_entry_points_check(self, monkeypatch):
-        import lievol.curvature
-        monkeypatch.setattr(lievol.curvature, "CURVATURE_BUDGET", 1000)
-        with pytest.raises(ValueError, match="budget"):
-            structure_constants(su_basis(3))
-        with pytest.raises(ValueError, match="budget"):
-            curvature_report("su", 3)
-
-    def test_join_sizes_are_checked_before_joining(self, monkeypatch):
-        # su(12): the bound checked before the basis fits in 1 MiB, the
-        # joins do not
-        import lievol.curvature
-        monkeypatch.setattr(lievol.curvature, "CURVATURE_BUDGET", 2 ** 20)
-        d = ALGEBRA_DIM["su"](12)
-        check_curvature_budget(d, 4 * d * d // 12)
-        no_join(monkeypatch)
-        with pytest.raises(ValueError, match="budget"):
-            curvature_report("su", 12)
-
-    @pytest.mark.parametrize("alg,m", [("su", 16), ("so", 32), ("usp", 20)])
-    def test_count_bounds_the_measured_peak(self, monkeypatch, alg, m):
-        import lievol.curvature
-        tracemalloc.start()
-        try:
-            curvature_report(alg, m)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # the count is an upper bound, and not a loose one
-        monkeypatch.setattr(lievol.curvature, "CURVATURE_BUDGET", peak)
-        with pytest.raises(ValueError, match="budget"):
-            curvature_report(alg, m)
-        monkeypatch.setattr(lievol.curvature, "CURVATURE_BUDGET", 2 * peak)
-        curvature_report(alg, m)
+    @pytest.mark.parametrize("builder,m", [(su_basis, 94), (so_basis, 263),
+                                           (usp_basis, 146)])
+    def test_entry_points_refuse_at_the_limit(self, builder, m):
+        # the builders and build_basis refuse what curvature_report does
+        alg = builder.__name__.split("_")[0]
+        limit = f"budget: m <= {MAX_MATRIX_DIM[alg]}"
+        with pytest.raises(ValueError, match=limit):
+            builder(m)
+        with pytest.raises(ValueError, match=limit):
+            build_basis(alg, m)
 
     def test_no_dense_square_array(self):
         # so(96): one (d, d) float64 array, 166 MB, is more than the
