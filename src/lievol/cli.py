@@ -20,8 +20,8 @@ import numpy as np
 from . import __version__
 from .curvature import (LEVY_MIN_INDEX, curvature_report,
                         ricci_bound_sequence, rescaled_levy_check)
-from .montecarlo import (CHUNK, SamplerConfig, check_radius,
-                         concentration_experiment, xi_histogram)
+from .montecarlo import (CHUNK, SamplerConfig, check_bins, check_radius,
+                         concentration_experiment, draw, xi_histogram)
 from .roots import Series, build_root_system, root_system_json
 from .volumes import (USP_DIMENSION_NOTE, VolumeResult, closed_form_volume,
                       group_volume, log_volume, ratio_asymptote,
@@ -178,13 +178,17 @@ def cmd_cpn(args) -> dict:
 def cmd_sample(args) -> dict:
     cfg = SamplerConfig(_series(args), count=args.count, seed=args.seed,
                         workers=args.workers)
-    check_radius(args.r)   # here, as the histogram draws first
-    out = {}
-    if args.hist:   # first, so that its arguments are checked before a draw
+    # every argument is checked before the one draw that both read
+    check_radius(args.r)
+    if args.hist:
         if cfg.series.tag != "A":
             raise ValueError("--hist ksi is defined for the SU series")
-        out["histogram"] = xi_histogram(cfg, bins=args.bins)
-    out["report"] = concentration_experiment(cfg, args.r).to_json()
+        check_bins(args.bins)
+    scalars = draw(cfg)
+    out = {}
+    if args.hist:
+        out["histogram"] = xi_histogram(scalars, bins=args.bins)
+    out["report"] = concentration_experiment(cfg, args.r, scalars).to_json()
     return out
 
 

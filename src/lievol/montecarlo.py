@@ -26,11 +26,9 @@ one set of work arrays, kept for the whole draw; the calling thread is
 worker 0.  A draw whose scalars, statistics and work arrays would exceed
 SAMPLE_BUDGET bytes is refused before any chunk is drawn.
 
-The samplers keep their last draw: a call with an equal SamplerConfig
-(series, count, seed and workers) returns the same read-only scalars
-and draws nothing, so criterion 5's two radii and `sample --hist ksi`
-score one draw each.  A call with another config drops the held draw
-before it draws.
+Callers draw once with draw(cfg) and pass the read-only scalars to each
+statistic that reads them, so criterion 5's two radii and `sample --hist
+ksi` score one draw each; nothing keeps a draw after its statistics.
 
 A sample lies in the band of half-width r around the concentration
 locus when each of its scalars has |x| < sin r, which is asin |x| < r.
@@ -266,29 +264,15 @@ def _check_sample_budget(count: int, rows: int, cols: int, itemsize: int,
             f"GiB, above the {SAMPLE_BUDGET / 2 ** 30:.0f} GiB sample budget")
 
 
-# The last draw, as (cfg, scalars): criterion 5 scores two radii on one
-# SU sample, and `sample --hist ksi` reads one sample twice.  The tuple
-# is replaced in one statement, so a thread never sees a config paired
-# with another config's scalars.
-_held = None
-
-
 def _sample(cfg: SamplerConfig, rows: int, cols: int, dtype,
             fn: Callable) -> np.ndarray:
     """(count, cols) read-only scalars, fn(chunk_rng, size, buffers)
     chunk by chunk; fn draws rows x cols columns of each sample into the
-    buffers and reduces each column to one scalar.  A call with the
-    config of the last draw returns its scalars and draws nothing."""
-    global _held
-    held = _held
-    if held is not None and held[0] == cfg:
-        return held[1]
-    _held = None   # so that a draw's peak never holds the last one
+    buffers and reduces each column to one scalar."""
     _check_sample_budget(cfg.count, rows, cols, np.dtype(dtype).itemsize,
                          cfg.workers)
     scalars = _map_chunks(cfg, fn, np.empty((cfg.count, cols)))
     scalars.flags.writeable = False
-    _held = (cfg, scalars)
     return scalars
 
 
@@ -315,6 +299,16 @@ def sample_usp(cfg: SamplerConfig) -> np.ndarray:
     two_n = 2 * cfg.series.n
     return _sample(cfg, two_n, 1, complex, lambda rng, size, buffers:
                    haar_usp_chunk(rng, size, two_n, buffers).real[:, None])
+
+
+def draw(cfg: SamplerConfig) -> np.ndarray:
+    """The read-only (count, k) scalars that the statistics of cfg read.
+
+    The sampler is looked up when called, so rebinding one in this
+    module (to trace or to fail it) reaches every draw.
+    """
+    return {"A": sample_su, "B": sample_so, "C": sample_usp,
+            "D": sample_so}[cfg.series.tag](cfg)
 
 
 # -- chart coordinate and band statistics -----------------------------
@@ -423,26 +417,39 @@ def check_radius(r: float) -> None:
         raise ValueError("r must lie in (0, pi/2)")
 
 
-def concentration_experiment(cfg: SamplerConfig, r: float
+def check_bins(bins: int) -> None:
+    """Refuse a histogram bin count outside [1, HIST_MAX_BINS]."""
+    if not 1 <= bins <= HIST_MAX_BINS:
+        raise ValueError(f"bins must lie in [1, {HIST_MAX_BINS}], "
+                         f"not {bins}")
+
+
+def concentration_experiment(cfg: SamplerConfig, r: float,
+                             scalars: np.ndarray | None = None
                              ) -> ConcentrationReport:
-    """Empirical band mass around the concentration locus vs closed form."""
+    """Empirical band mass around the concentration locus vs closed form,
+    read off draw(cfg)'s `scalars`, drawn here when none are given."""
     check_radius(r)
     series = cfg.series
     n = series.n
     note = ""
+    k = 2 if series.tag in ("B", "D") else 1
+    if scalars is None:
+        scalars = draw(cfg)
+    elif scalars.shape != (cfg.count, k):   # stderr reads cfg.count
+        raise ValueError(f"scalars of shape {scalars.shape} are not the "
+                         f"({cfg.count}, {k}) of {series.group_name}")
 
     if series.tag == "A":
         # SU(n): distance of the fiber point to the hyperplane at
         # infinity, pi/2 - xi = asin |g_00|
         from .cpn import band_complement_mass  # keeps cpn off CLI start-up
-        scalars = sample_su(cfg)
         predicted = band_complement_mass(n - 1, r)
         base = f"CP^{n - 1} hyperplane at infinity"
         stat, pval = ks_test(np.sort(scalars[:, 0] ** 2),
                              lambda s2: 1.0 - (1.0 - s2) ** (n - 1))
     elif series.tag in ("B", "D"):
         m = 2 * n + 1 if series.tag == "B" else 2 * n
-        scalars = sample_so(cfg)
         predicted = sphere_band_mass(m - 1, r) * sphere_band_mass(m - 2, r)
         base = f"S^{m - 1} x S^{m - 2} bi-equator"
         stat, pval = ks_test(np.sort(np.abs(scalars[:, 0])),
@@ -451,7 +458,6 @@ def concentration_experiment(cfg: SamplerConfig, r: float
                 "spheres and are unchanged under the double cover")
     else:  # C
         # first real coordinate of S^{4n-1}
-        scalars = sample_usp(cfg)
         predicted = sphere_band_mass(4 * n - 1, r)
         base = f"S^{4 * n - 1} equator"
         stat, pval = ks_test(np.sort(np.abs(scalars[:, 0])),
@@ -469,11 +475,9 @@ def concentration_experiment(cfg: SamplerConfig, r: float
         base_description=base, note=note)
 
 
-def xi_histogram(cfg: SamplerConfig, bins: int = 200) -> dict:
-    """Histogram of the chart angle xi over Haar samples of SU(n)."""
-    if not 1 <= bins <= HIST_MAX_BINS:
-        raise ValueError(f"bins must lie in [1, {HIST_MAX_BINS}], "
-                         f"not {bins}")
-    xi = _chart_angle(sample_su(cfg)[:, 0])
+def xi_histogram(scalars: np.ndarray, bins: int = 200) -> dict:
+    """Histogram of the chart angle xi over the scalars of SU(n) samples."""
+    check_bins(bins)
+    xi = _chart_angle(scalars[:, 0])
     counts, edges = np.histogram(xi, bins=bins, range=(0.0, math.pi / 2))
     return {"edges": edges.tolist(), "counts": counts.tolist()}

@@ -179,7 +179,6 @@ class TestSubcommands:
         monkeypatch.setattr(lievol.montecarlo, "haar_su_chunk",
                             lambda *args: sizes.append(args[1])
                             or chunk(*args))
-        lievol.montecarlo._held = None
         code, out, err = run(capsys, "sample", "--series", "a", "--n", "6",
                              "--count", "5000", "--seed", "1", "--hist",
                              "ksi")
@@ -293,7 +292,6 @@ class TestDeterminism:
         args = ("sample", "--series", "su", "--n", "5", "--count", "4096",
                 "--r", "0.3", "--seed", "42")
         _, out1, _ = run(capsys, *args)
-        lievol.montecarlo._held = None   # a second draw, not the held one
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
 

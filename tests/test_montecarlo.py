@@ -1,9 +1,9 @@
-import dataclasses
 import inspect
 import math
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -76,12 +76,6 @@ def equator_distance(coord):
 def cfg(tag, n, count=4096, seed=11, workers=1):
     return SamplerConfig(Series(tag, n), count=count, seed=seed,
                          workers=workers)
-
-
-@pytest.fixture(autouse=True)
-def no_held_draw():
-    # each test makes its own draws: none is held from an earlier test
-    montecarlo._held = None
 
 
 # -- the full-matrix samplers -----------------------------------------
@@ -435,8 +429,8 @@ class TestReducedRoute:
         _, xi = cp_coordinate(column_array(cfg("A", 7, count=c.count,
                                                seed=38)))
         counts, edges = np.histogram(xi, bins=60, range=(0.0, math.pi / 2))
-        assert xi_histogram(c, bins=60) == {"edges": edges.tolist(),
-                                            "counts": counts.tolist()}
+        assert xi_histogram(montecarlo.draw(c), bins=60) == {
+            "edges": edges.tolist(), "counts": counts.tolist()}
 
     @pytest.mark.parametrize("tag,n,count", [("A", 10 ** 9, 100),
                                              ("A", 21, 10 ** 8),
@@ -454,9 +448,8 @@ class TestReducedRoute:
         monkeypatch.setattr(montecarlo, "_map_chunks", no_chunk)
         with pytest.raises(ValueError, match="budget"):
             concentration_experiment(cfg(tag, n, count=count), 0.3)
-        if tag == "A":
-            with pytest.raises(ValueError, match="budget"):
-                xi_histogram(cfg(tag, n, count=count))
+        with pytest.raises(ValueError, match="budget"):
+            montecarlo.draw(cfg(tag, n, count=count))
 
     def test_statistics_cap(self):
         # about 2.7 * 10^7 samples of SU(21) fit the budget
@@ -502,23 +495,24 @@ class TestBandThreshold:
     def test_threshold_is_the_arcsin_test(self, monkeypatch, seed):
         # every draw and radius of criteria 5 and 6 at the quick count:
         # the same verdict per sample, so the same reported band mass
-        draws = []
+        draws = {}
         for name in ("sample_su", "sample_so", "sample_usp"):
             def recorded(c, f=getattr(montecarlo, name)):
-                draws.append((c.series.tag, f(c)))
-                return draws[-1][1]
+                draws[c] = f(c)
+                return draws[c]
             monkeypatch.setattr(montecarlo, name, recorded)
         reports = []
         monkeypatch.setattr(reproduce, "concentration_experiment",
-                            lambda c, r: reports.append(
-                                concentration_experiment(c, r))
-                            or reports[-1])
+                            lambda c, *args: reports.append(
+                                (c, concentration_experiment(c, *args)))
+                            or reports[-1][1])
         reproduce.criterion_su_concentration(count=20_000, seed=seed)
         reproduce.criterion_product_factorization(count=20_000,
                                                   seed=seed + 1)
-        assert len(draws) == len(reports) == 19
-        for (tag, scalars), rep in zip(draws, reports):
-            want = arcsin_verdicts(tag, scalars, rep.r)
+        assert len(reports) == 19
+        for c, rep in reports:   # each report beside the draw of its config
+            scalars = draws[c]
+            want = arcsin_verdicts(c.series.tag, scalars, rep.r)
             inside = np.all(np.abs(scalars) < math.sin(rep.r), axis=1)
             assert np.array_equal(inside, want)
             assert rep.empirical_mass == float(np.mean(want))
@@ -539,31 +533,28 @@ class TestWorkerThreads:
         c = cfg("A", 4, count=3 * CHUNK, seed=3, workers=workers)
         got = montecarlo.sample_su(c)
         monkeypatch.undo()
-        montecarlo._held = None   # compare with a second draw
         assert (len(started) == 0) == (workers == 1)
         assert len(started) <= workers - 1
         assert got.tobytes() == montecarlo.sample_su(
             cfg("A", 4, count=c.count, seed=3)).tobytes()
 
 
-class TestHeldDraw:
-    """_sample keeps its last draw: an equal config draws nothing."""
+class TestOneDrawPerConfig:
+    """Callers draw once and pass the scalars; no draw is kept."""
 
     @staticmethod
-    def _sweep(monkeypatch, seed, fresh):
-        # the reports of criteria 5 and 6 at the quick count, and the
-        # draws they made; fresh drops the held draw before every report
+    def _sweep(monkeypatch, seed):
+        # the (config, radius, report) of criteria 5 and 6 at the quick
+        # count, and the configs of the draws they made
         draws, reports = [], []
         map_chunks = montecarlo._map_chunks
         monkeypatch.setattr(montecarlo, "_map_chunks",
                             lambda *args: draws.append(args[0])
                             or map_chunks(*args))
 
-        def experiment(c, r):
-            if fresh:
-                montecarlo._held = None
-            reports.append(concentration_experiment(c, r))
-            return reports[-1]
+        def experiment(c, r, *args):
+            reports.append((c, r, concentration_experiment(c, r, *args)))
+            return reports[-1][2]
 
         monkeypatch.setattr(reproduce, "concentration_experiment",
                             experiment)
@@ -574,52 +565,47 @@ class TestHeldDraw:
         return reports, draws
 
     @pytest.mark.parametrize("seed", [42, 43])
-    def test_reports_equal_fresh_draws(self, monkeypatch, seed):
-        held, held_draws = self._sweep(monkeypatch, seed, fresh=False)
-        fresh, fresh_draws = self._sweep(monkeypatch, seed, fresh=True)
-        assert len(held) == 19 and held == fresh
+    def test_one_draw_per_config(self, monkeypatch, seed):
         # r = 0.2 and r = 0.4 score one sample of each SU(n)
-        assert len(fresh_draws) == 19
-        assert len(held_draws) == 16 == len(set(held_draws))
+        reports, draws = self._sweep(monkeypatch, seed)
+        assert len(reports) == 19
+        assert len(draws) == 16 == len(set(draws))
+
+    @pytest.mark.parametrize("seed", [42, 43])
+    def test_reports_equal_fresh_draws(self, monkeypatch, seed):
+        reports, _ = self._sweep(monkeypatch, seed)
+        assert [rep for _, _, rep in reports] == \
+            [concentration_experiment(c, r) for c, r, _ in reports]
 
     @pytest.mark.parametrize("sampler,tag,n",
                              [(montecarlo.sample_su, "A", 4),
                               (montecarlo.sample_so, "B", 2),
                               (montecarlo.sample_usp, "C", 2)])
-    def test_held_scalars_are_read_only(self, sampler, tag, n):
+    def test_scalars_are_read_only(self, sampler, tag, n):
         g = sampler(cfg(tag, n, count=100))
         assert not g.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             g[0, 0] = 0.0
-        assert sampler(cfg(tag, n, count=100)) is g
 
-    @pytest.mark.parametrize("change", [{"workers": 3}, {"seed": 4},
-                                        {"count": 3 * CHUNK - 1},
-                                        {"series": Series("A", 5)}])
-    def test_any_other_config_draws_again(self, monkeypatch, change):
-        # workers too: a three-worker call must run its own threads
-        c = cfg("A", 4, count=3 * CHUNK, seed=3)
-        held = montecarlo.sample_su(c)
-        draws = []
-        map_chunks = montecarlo._map_chunks
-        monkeypatch.setattr(montecarlo, "_map_chunks",
-                            lambda *args: draws.append(args[0])
-                            or map_chunks(*args))
-        other = dataclasses.replace(c, **change)
-        got = montecarlo.sample_su(other)
-        assert draws == [other] and got is not held
-        assert montecarlo._held[0] == other and montecarlo._held[1] is got
+    def test_no_draw_outlives_its_statistics(self):
+        c = cfg("A", 4, count=3 * CHUNK)
+        scalars = montecarlo.sample_su(c)
+        held = weakref.ref(scalars)
+        concentration_experiment(c, 0.3, scalars)
+        xi_histogram(scalars)
+        del scalars
+        assert held() is None
 
-    def test_new_config_drops_the_held_draw_first(self, monkeypatch):
-        # a draw's peak never includes the last draw
-        montecarlo.sample_su(cfg("A", 4, count=100))
-        seen = []
-        for name in ("_check_sample_budget", "_map_chunks"):
-            monkeypatch.setattr(montecarlo, name,
-                                lambda *args, f=getattr(montecarlo, name):
-                                seen.append(montecarlo._held) or f(*args))
-        montecarlo.sample_su(cfg("A", 4, count=100, seed=12))
-        assert seen == [None, None]
+    @pytest.mark.parametrize("tag,n", [("A", 4), ("B", 2), ("C", 2)])
+    def test_scalars_of_another_config_refused(self, tag, n):
+        # the stderr and z-score take their count from cfg
+        c = cfg(tag, n, count=100)
+        k = 2 if tag == "B" else 1
+        for shape in ((101, k), (99, k), (100, 3 - k), (100,)):
+            with pytest.raises(ValueError, match=rf"\(100, {k}\) of"):
+                concentration_experiment(c, 0.3, np.zeros(shape))
+        assert concentration_experiment(c, 0.3, montecarlo.draw(c)) == \
+            concentration_experiment(c, 0.3)
 
 
 class TestSampleBudget:
@@ -673,12 +659,13 @@ class TestSampleMemory:
         assert peak < g.nbytes + workers * montecarlo._WORK_CHUNKS * chunk
 
     @pytest.mark.parametrize("stat", [
-        lambda c: concentration_experiment(c, 0.2), xi_histogram])
+        lambda c: concentration_experiment(c, 0.2),
+        pytest.param(lambda c: xi_histogram(montecarlo.draw(c)),
+                     id="xi_histogram")])
     def test_statistics_hold_no_column_array(self, stat):
         # a quarter of the (count, 21, 1) complex array once held
         c = cfg("A", 21, count=16 * CHUNK, seed=5)
         stat(c)   # imports and caches outside the measurement
-        montecarlo._held = None   # so that the measured call draws
         tracemalloc.start()
         try:
             stat(c)
@@ -847,7 +834,8 @@ class TestConcentration:
 
 
 def test_xi_histogram():
-    h = xi_histogram(cfg("A", 3, count=4096, seed=25), bins=50)
+    h = xi_histogram(montecarlo.draw(cfg("A", 3, count=4096, seed=25)),
+                     bins=50)
     assert len(h["counts"]) == 50
     assert sum(h["counts"]) == 4096
 

@@ -1,9 +1,11 @@
-"""Every lievol function the benchmark's tracer wraps still exists.
+"""Every lievol function the benchmark's tracer wraps still exists, and
+the benchmark's workloads still call lievol as they expect.
 
 perfbench/tracer.py times lievol from outside by rebinding public
-functions by name, so a rename in src would otherwise surface only in
-the benchmark's own self-test.  The tracer is loaded read-only: no
-bytecode is written beside it.
+functions by name, and perfbench/workloads.py calls some of them, so a
+rename or a signature change in src would otherwise surface only in the
+benchmark's own self-test.  Both are loaded read-only: no bytecode is
+written beside them.
 """
 
 import importlib.util
@@ -11,14 +13,16 @@ import sys
 from pathlib import Path
 
 import lievol.cpn
+import lievol.montecarlo
 import lievol.reproduce
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _load_tracer(monkeypatch):
+def _load(monkeypatch, name):
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -26,12 +30,12 @@ def _load_tracer(monkeypatch):
 
 def _bytecode():
     return {(p, p.stat().st_mtime_ns)
-            for p in TRACER.parent.glob("__pycache__/tracer*")}
+            for p in PERFBENCH.glob("__pycache__/*")}
 
 
 def test_instrument_then_uninstall(monkeypatch):
     before = _bytecode()
-    tracer = _load_tracer(monkeypatch)
+    tracer = _load(monkeypatch, "tracer")
     original = lievol.cpn.vielbein_density
     t = tracer.Tracer()
     try:
@@ -43,4 +47,26 @@ def test_instrument_then_uninstall(monkeypatch):
         t.uninstall()
     assert lievol.cpn.vielbein_density is original
     assert lievol.reproduce.vielbein_density is original
+    assert _bytecode() == before
+
+
+def test_workloads_call_shapes(monkeypatch):
+    # set_up's calls, and one fingerprint entry per concentration report
+    # of criteria 5 and 6
+    before = _bytecode()
+    tracer = _load(monkeypatch, "tracer")
+    monkeypatch.setitem(sys.modules, "tracer", tracer)   # workloads' import
+    workloads = _load(monkeypatch, "workloads")
+    workloads.set_up(Path(lievol.cpn.__file__).resolve().parent.parent)
+    prints = []
+    t = tracer.Tracer()
+    try:
+        t.install(lievol.montecarlo, "concentration_experiment",
+                  "fingerprint", workloads.fingerprint_hook(prints),
+                  timed=False)
+        lievol.reproduce.criterion_su_concentration(count=2048)
+        lievol.reproduce.criterion_product_factorization(count=2048)
+    finally:
+        t.uninstall()
+    assert len(prints) == 19
     assert _bytecode() == before
