@@ -276,8 +276,8 @@ def _sample(cfg: SamplerConfig, rows: int, cols: int, dtype,
     return scalars
 
 
-# The lambdas look haar_*_chunk up when called, so rebinding one in this
-# module (to trace or to fail it) reaches every sampler.
+# The lambdas look haar_*_chunk up when called, and draw sample_*, so
+# rebinding one in this module (to trace or to fail it) reaches every draw.
 
 def sample_su(cfg: SamplerConfig) -> np.ndarray:
     """(count, 1): |g_00| of Haar SU(n) samples."""
@@ -302,11 +302,7 @@ def sample_usp(cfg: SamplerConfig) -> np.ndarray:
 
 
 def draw(cfg: SamplerConfig) -> np.ndarray:
-    """The read-only (count, k) scalars that the statistics of cfg read.
-
-    The sampler is looked up when called, so rebinding one in this
-    module (to trace or to fail it) reaches every draw.
-    """
+    """The read-only (count, k) scalars that the statistics of cfg read."""
     return {"A": sample_su, "B": sample_so, "C": sample_usp,
             "D": sample_so}[cfg.series.tag](cfg)
 
@@ -420,8 +416,7 @@ def check_radius(r: float) -> None:
 def check_bins(bins: int) -> None:
     """Refuse a histogram bin count outside [1, HIST_MAX_BINS]."""
     if not 1 <= bins <= HIST_MAX_BINS:
-        raise ValueError(f"bins must lie in [1, {HIST_MAX_BINS}], "
-                         f"not {bins}")
+        raise ValueError(f"bins must lie in [1, {HIST_MAX_BINS}], not {bins}")
 
 
 def concentration_experiment(cfg: SamplerConfig, r: float,
@@ -433,12 +428,10 @@ def concentration_experiment(cfg: SamplerConfig, r: float,
     series = cfg.series
     n = series.n
     note = ""
-    k = 2 if series.tag in ("B", "D") else 1
     if scalars is None:
         scalars = draw(cfg)
-    elif scalars.shape != (cfg.count, k):   # stderr reads cfg.count
-        raise ValueError(f"scalars of shape {scalars.shape} are not the "
-                         f"({cfg.count}, {k}) of {series.group_name}")
+    elif len(scalars) != cfg.count:   # the stderr reads cfg.count
+        raise ValueError(f"{len(scalars)} scalars for count {cfg.count}")
 
     if series.tag == "A":
         # SU(n): distance of the fiber point to the hyperplane at
