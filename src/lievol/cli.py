@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import itertools
 import json
 import math
 import sys
@@ -36,7 +37,7 @@ LEVY_MAX_TERMS = 100_000
 
 # Most vector entries one roots listing writes (group_dim * n: every
 # simple root, positive root and coroot in Z^n).  The time sets it: A228,
-# B181, C181 and D181 (11.8-11.9 M entries) take 10-14 s as JSON and
+# B181, C181 and D181 (11.8-11.9 M entries) take 4-7 s as JSON and
 # 17-24 s as text or CSV on a 2-core host.  They peak at 176-187 MiB in
 # every format, as the report shares one str per distinct entry.
 ROOTS_MAX_ENTRIES = 12_000_000
@@ -64,10 +65,20 @@ def _provenance(args) -> dict:
             "montecarlo_chunk": CHUNK}
 
 
+# Pieces per write of a JSON report (about 13 KB of a roots listing):
+# json.dump writes each token on its own, a system call apiece on an
+# unbuffered stdout.
+_JSON_BLOCK = 1024
+
+
 def _write(report: dict, fmt: str, out) -> None:
     """Write the report to out, each piece as it is rendered."""
     if fmt == "json":
-        json.dump(report, out, indent=2, sort_keys=True)
+        # json.dump's encoder and its pieces, joined into blocks
+        pieces = json.JSONEncoder(indent=2, sort_keys=True).iterencode(report)
+        for block in iter(lambda: list(itertools.islice(pieces, _JSON_BLOCK)),
+                          []):
+            out.write("".join(block))
         out.write("\n")
     elif fmt == "csv":
         w = csv.writer(out)

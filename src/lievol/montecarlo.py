@@ -18,17 +18,30 @@ base-sphere points, USp Re g_00), so a draw holds one or two scalars per
 sample and never a (count, m, k) array.  Spin's second base point is its
 second column reflected by the Householder map that takes the first to
 a multiple of e_0; the one coordinate read has a closed form.
-Chunks have a fixed size, each is driven by its own counter-keyed Philox
-stream and written into its rows of one preallocated result, so the
-statistics are bit-identical for a given (seed, count) at any worker
-count.  With w busy workers, worker j draws chunks j, j + w, ... into
-one set of work arrays, kept for the whole draw; the calling thread is
-worker 0.  A draw whose scalars, statistics and work arrays would exceed
-SAMPLE_BUDGET bytes is refused before any chunk is drawn.
+Chunks have a fixed size (CHUNK), each is driven by its own
+counter-keyed Philox stream and written into its rows of one
+preallocated result, so the statistics are bit-identical for a given
+(seed, count) at any worker count.  With w busy workers, worker j draws
+chunks j, j + w, ... into one set of work arrays, kept for the whole
+draw; the calling thread is worker 0.  A draw whose scalars, statistics
+and work arrays would exceed SAMPLE_BUDGET bytes is refused before any
+chunk is drawn.
 
-Callers draw once with draw(cfg) and pass the read-only scalars to each
-statistic that reads them, so criterion 5's two radii and `sample --hist
-ksi` score one draw each; nothing keeps a draw after its statistics.
+Chunk i of every draw at (seed, count) covers the same rows and is read
+off the stream Philox(key=seed, counter=[0, 0, 0, i]) from the front:
+SU(m) reads its first 2 size m normals (the real parts, then the
+imaginary), USp(2n) its first 4 size n, Spin(m) its first 2 size m in
+(size, m, 2) order.  Every narrower draw at a seed thus reads a prefix
+of the widest one's normals, so draw(cfg, *more) fills each chunk once,
+as wide as its widest config, and each config reduces its own prefix:
+the same scalars, bit for bit, as its own draw.  The draws at one seed
+shared their normals in this way before they were batched too, so no
+draw's law changes.  `reproduce --quick` draws its 16 configs in 5
+batches, 3.68 M normals where one draw per config filled 7.0 M.
+
+Callers draw once and pass the read-only scalars to each statistic that
+reads them, so criterion 5's two radii and `sample --hist ksi` score one
+draw each; nothing keeps a draw after its statistics.
 
 A sample lies in the band of half-width r around the concentration
 locus when each of its scalars has |x| < sin r, which is asin |x| < r.
@@ -65,11 +78,13 @@ SAMPLE_BUDGET = 2 * 2 ** 30
 _STATS_BYTES = 80
 
 # Work arrays one worker holds while it draws and reduces a chunk, in
-# chunks of its drawn columns (min(CHUNK, count) x m x k x itemsize):
-# above the draw's result, tracemalloc measured peaks of 2.6-3.8 chunks
-# at count 32 * CHUNK and 2.7-4.3 at count 256, the most for SU(2),
-# whose per-sample arrays weigh most beside its short column (SU(2),
-# SU(6), SU(21), USp(4), USp(6), Spin(5), Spin(8), Spin(21), Spin(64)).
+# chunks of its widest config's drawn columns (min(CHUNK, count) x m x k
+# x itemsize), the chunk's Gaussian fill among them: above the draw's
+# result, tracemalloc measured peaks of 3.2-4.6 chunks at count
+# 32 * CHUNK and 3.2-4.9 at count 256, the most for SU(2), whose
+# per-sample arrays weigh most beside its short column (SU(2), SU(6),
+# SU(21), USp(4), USp(6), Spin(5), Spin(8), Spin(21), Spin(64)), and
+# 3.2 chunks of SU(21) for criterion 5's SU(6), SU(11), SU(21) batch.
 _WORK_CHUNKS = 5
 
 # Most threads one sample may use.  The draw stops gaining at the core
@@ -113,34 +128,39 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 class _Buffers:
     """Work arrays of one worker, kept for every chunk it draws.
 
-    A worker's first chunk is its largest, so a later chunk takes a
-    leading slice of each array, which stays C-contiguous.  Reuse
-    matters: when each chunk allocates and frees its own arrays of a few
-    hundred KiB, glibc trims the heap after every chunk and the next one
-    faults its pages in again.
+    Each name holds one flat byte array, viewed in the shape and dtype
+    asked for, so the configs of one draw share a single set of arrays,
+    as large as the widest config asks.  A worker's first chunk is its
+    largest, so a later chunk takes a leading slice, which stays
+    C-contiguous.  Reuse matters: when each chunk allocates and frees its
+    own arrays of a few hundred KiB, glibc trims the heap after every
+    chunk and the next one faults its pages in again.
     """
 
     def __init__(self):
         self._arrays = {}
 
     def get(self, name: str, shape: tuple, dtype) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        nbytes = math.prod(shape) * dtype.itemsize
         a = self._arrays.get(name)
-        if a is None or a.shape[1:] != shape[1:] or a.dtype != dtype \
-                or len(a) < shape[0]:
-            a = self._arrays[name] = np.empty(shape, dtype)
-        return a[:shape[0]]
+        if a is None or len(a) < nbytes:
+            a = self._arrays[name] = np.empty(nbytes, np.uint8)
+        return a[:nbytes].view(dtype).reshape(shape)
 
 
-def _map_chunks(cfg: SamplerConfig, fn: Callable, out: np.ndarray
-                ) -> np.ndarray:
-    """Write fn(chunk_rng, size, buffers) of chunk i into its rows of `out`.
+def _map_chunks(cfgs: tuple, fn: Callable, outs: list) -> list:
+    """Write the blocks fn(chunk_rng, size, buffers) of chunk i into their
+    rows of `outs`, one block per array, for configs that share seed,
+    count and workers.
 
     Worker w draws chunks w, w + busy, ... into one _Buffers, so beside
-    `out` only one chunk's work arrays per worker are alive; the rows a
+    `outs` only one chunk's work arrays per worker are alive; the rows a
     chunk fills depend only on its index, whichever worker draws it.
     The calling thread is worker 0 and the pool runs the others, so a
     one-worker draw starts no thread.
     """
+    cfg = cfgs[0]
     chunks = -(-cfg.count // CHUNK)
     busy = min(cfg.workers, chunks)
 
@@ -149,15 +169,16 @@ def _map_chunks(cfg: SamplerConfig, fn: Callable, out: np.ndarray
         for i in range(w, chunks, busy):
             start = i * CHUNK
             size = min(CHUNK, cfg.count - start)
-            out[start:start + size] = fn(_chunk_rng(cfg.seed, i), size,
-                                         buffers)
+            blocks = fn(_chunk_rng(cfg.seed, i), size, buffers)
+            for out, block in zip(outs, blocks):
+                out[start:start + size] = block
 
     with ThreadPoolExecutor(max_workers=max(1, busy - 1)) as pool:
         others = [pool.submit(worker, w) for w in range(1, busy)]
         worker(0)
         for fut in others:
             fut.result()
-    return out
+    return outs
 
 
 # -- samplers ---------------------------------------------------------
@@ -183,128 +204,169 @@ def _row_norms(v: np.ndarray, buffers: _Buffers) -> np.ndarray:
 
 
 def _gram_schmidt(z: np.ndarray, buffers: _Buffers) -> np.ndarray:
-    """Orthonormalize the k columns of each (m, k) slice, in order, in place.
+    """The k columns of each (m, k) slice of z orthonormalized, in order,
+    into a work buffer; z is only read.
 
     Modified Gram-Schmidt: column j equals column j of the QR factor
     whose R has a positive diagonal, so no phase correction follows.
     The projections need contiguous columns: on strided ones einsum and
     norm sum in another order, and the samples change in the last bits.
     """
+    q = buffers.get("columns", z.shape, z.dtype)
     for j in range(z.shape[-1]):
         v = z[:, :, j] if j == 0 else z[:, :, j].copy()
         for i in range(j):
-            w = z[:, :, i]
+            w = q[:, :, i]
             v -= np.einsum("sa,sa->s", np.conj(w), v)[:, None] * w
-        np.divide(v, _row_norms(v, buffers)[:, None], out=z[:, :, j])
-    return z
+        np.divide(v, _row_norms(v, buffers)[:, None], out=q[:, :, j])
+    return q
 
 
-def _normal(rng: np.random.Generator, shape: tuple,
-            buffers: _Buffers) -> np.ndarray:
-    """rng.standard_normal(shape), drawn into a work buffer."""
-    return rng.standard_normal(out=buffers.get("normal", shape, float))
-
-
-def _complex_gaussian(rng: np.random.Generator, shape: tuple,
+def _complex_gaussian(fill: np.ndarray, size: int, m: int,
                       buffers: _Buffers) -> np.ndarray:
-    """Standard complex Gaussians (re + i im) / sqrt(2), re drawn first.
+    """(size, m) standard complex Gaussians (re + i im) / sqrt(2), re the
+    first size * m normals of `fill` and im the next.
 
     numpy divides a complex array by a real scalar as a product with its
     reciprocal, so the halves written in place are bit-equal to that
     quotient, without its temporaries.
     """
-    z = buffers.get("gaussian", shape, complex)
-    np.multiply(_normal(rng, shape, buffers), _RSQRT2, out=z.real)
-    np.multiply(_normal(rng, shape, buffers), _RSQRT2, out=z.imag)
+    z = buffers.get("columns", (size, m), complex)
+    k = size * m
+    np.multiply(fill[:k].reshape(size, m), _RSQRT2, out=z.real)
+    np.multiply(fill[k:2 * k].reshape(size, m), _RSQRT2, out=z.imag)
     return z
 
 
-# A Spin chunk lives in `buffers` until the next chunk drawn with them.
-# An SU or USp chunk divides only the entry g_00 by its column's norm:
-# the same bits as the whole column's divide.
+# Each chunk function reads the chunk's Gaussian fill, the normals of its
+# counter-keyed Philox stream, from the front, and writes only into
+# `buffers`: the fill is shared by every config of one draw.  A Spin
+# chunk lives in `buffers` until the next chunk drawn with them.  An SU
+# or USp chunk divides only the entry g_00 by its column's norm: the same
+# bits as the whole column's divide.
 
-def haar_su_chunk(rng: np.random.Generator, size: int, m: int,
+def haar_su_chunk(fill: np.ndarray, size: int, m: int,
                   buffers: _Buffers) -> np.ndarray:
-    """(size,): the entry g_00 of `size` Haar SU(m) samples."""
-    z = _complex_gaussian(rng, (size, m), buffers)
+    """(size,): the entry g_00 of `size` Haar SU(m) samples, read off the
+    first 2 size m normals of `fill`."""
+    z = _complex_gaussian(fill, size, m, buffers)
     return z[:, 0] / _row_norms(z, buffers)
 
 
-def haar_so_chunk(rng: np.random.Generator, size: int, m: int,
+def haar_so_chunk(fill: np.ndarray, size: int, m: int,
                   buffers: _Buffers) -> np.ndarray:
-    """(size, m, 2): the first two columns of `size` Haar SO(m) samples."""
-    return _gram_schmidt(_normal(rng, (size, m, 2), buffers), buffers)
+    """(size, m, 2): the first two columns of `size` Haar SO(m) samples,
+    read off the first 2 size m normals of `fill` in (size, m, 2) order."""
+    return _gram_schmidt(fill[:2 * size * m].reshape(size, m, 2), buffers)
 
 
-def haar_usp_chunk(rng: np.random.Generator, size: int, two_n: int,
+def haar_usp_chunk(fill: np.ndarray, size: int, two_n: int,
                    buffers: _Buffers) -> np.ndarray:
-    """(size,): the entry g_00 of `size` Haar USp(2n) samples.
+    """(size,): the entry g_00 of `size` Haar USp(2n) samples, read off
+    the first 4 size n normals of `fill`.
 
     USp(2n) acts transitively on the unit sphere of C^{2n}, so the first
     column is uniform on it, drawn as SU(2n)'s.
     """
-    z = _complex_gaussian(rng, (size, two_n), buffers)
+    z = _complex_gaussian(fill, size, two_n, buffers)
     return z[:, 0] / _row_norms(z, buffers)
 
 
 def _check_sample_budget(count: int, rows: int, cols: int, itemsize: int,
-                         workers: int) -> None:
-    """Refuse a draw whose result and work arrays exceed SAMPLE_BUDGET.
+                         workers: int, draws: int = 1) -> None:
+    """Refuse a draw whose results and work arrays exceed SAMPLE_BUDGET.
 
-    The result and the statistics built from it cost _STATS_BYTES a
-    sample; each busy worker holds _WORK_CHUNKS chunks of rows x cols
-    columns besides.
+    The results and the statistics built from them cost _STATS_BYTES a
+    sample of each of the `draws` configs; each busy worker holds
+    _WORK_CHUNKS chunks of the widest config's rows x cols columns
+    besides.
     """
     busy = min(workers, -(-count // CHUNK))
-    need = (count * _STATS_BYTES
+    need = (draws * count * _STATS_BYTES
             + busy * _WORK_CHUNKS * min(CHUNK, count) * rows * cols * itemsize)
     if need > SAMPLE_BUDGET:
+        what = f"{count} samples of {rows} x {cols}"
+        if draws > 1:
+            what = (f"{draws} draws of {count} samples, the widest "
+                    f"{rows} x {cols},")
         raise ValueError(
-            f"{count} samples of {rows} x {cols} need {need / 2 ** 30:.1f} "
+            f"{what} need {need / 2 ** 30:.1f} "
             f"GiB, above the {SAMPLE_BUDGET / 2 ** 30:.0f} GiB sample budget")
 
 
-def _sample(cfg: SamplerConfig, rows: int, cols: int, dtype,
-            fn: Callable) -> np.ndarray:
-    """(count, cols) read-only scalars, fn(chunk_rng, size, buffers)
-    chunk by chunk; fn draws rows x cols columns of each sample into the
-    buffers and reduces each column to one scalar."""
-    _check_sample_budget(cfg.count, rows, cols, np.dtype(dtype).itemsize,
-                         cfg.workers)
-    scalars = _map_chunks(cfg, fn, np.empty((cfg.count, cols)))
-    scalars.flags.writeable = False
-    return scalars
+def _reader(cfg: SamplerConfig) -> tuple:
+    """(rows, cols, itemsize, read) of cfg's draw: each sample is drawn as
+    rows x cols columns of itemsize bytes, and read(fill, size, buffers)
+    reduces a chunk of them to its (size, cols) scalars.
+
+    The lambdas look haar_*_chunk up when called, so rebinding one in
+    this module (to trace or to fail it) reaches every draw.
+    """
+    tag, n = cfg.series.tag, cfg.series.n
+    if tag == "A":   # |g_00|
+        return n, 1, 16, lambda fill, size, buffers: np.abs(
+            haar_su_chunk(fill, size, n, buffers))[:, None]
+    if tag == "C":   # Re g_00
+        return 2 * n, 1, 16, lambda fill, size, buffers: haar_usp_chunk(
+            fill, size, 2 * n, buffers).real[:, None]
+    m = 2 * n + 1 if tag == "B" else 2 * n
+    return m, 2, 8, lambda fill, size, buffers: _spin_coordinates(
+        haar_so_chunk(fill, size, m, buffers))
 
 
-# The lambdas look haar_*_chunk up when called, and draw sample_*, so
-# rebinding one in this module (to trace or to fail it) reaches every draw.
+def draw(cfg: SamplerConfig, *more: SamplerConfig):
+    """The read-only (count, k) scalars that the statistics of each config
+    read: an array for one config, a list of arrays for several.
+
+    The configs must share seed, count and workers.  Chunk i of every
+    config is read off one fill of the chunk's Philox stream, as many
+    normals a sample as the widest config reads; each config reads a
+    prefix of it, the same normals it would read drawn alone.
+    """
+    cfgs = (cfg, *more)
+    if any((c.seed, c.count, c.workers)
+           != (cfg.seed, cfg.count, cfg.workers) for c in more):
+        raise ValueError("the configs of one draw must share seed, count "
+                         "and workers")
+    readers = [_reader(c) for c in cfgs]
+    # the widest reads first, so that its chunk sizes the shared buffers
+    order = sorted(range(len(cfgs)),
+                   key=lambda j: -math.prod(readers[j][:3]))
+    rows, cols, itemsize, _ = readers[order[0]]
+    _check_sample_budget(cfg.count, rows, cols, itemsize, cfg.workers,
+                         len(cfgs))
+    width = rows * cols * itemsize // 8   # normals a sample
+
+    def chunk(rng, size, buffers):
+        fill = rng.standard_normal(out=buffers.get("fill", (size * width,),
+                                                   float))
+        return [readers[j][3](fill, size, buffers) for j in order]
+
+    outs = _map_chunks(tuple(cfgs[j] for j in order), chunk,
+                       [np.empty((cfg.count, readers[j][1])) for j in order])
+    scalars = [None] * len(cfgs)
+    for j, out in zip(order, outs):
+        out.flags.writeable = False
+        scalars[j] = out
+    return scalars if more else scalars[0]
+
+
+# One family's draw, under the names perfbench/tracer.py wraps; the
+# program draws through draw().
 
 def sample_su(cfg: SamplerConfig) -> np.ndarray:
     """(count, 1): |g_00| of Haar SU(n) samples."""
-    m = cfg.series.n
-    return _sample(cfg, m, 1, complex, lambda rng, size, buffers:
-                   np.abs(haar_su_chunk(rng, size, m, buffers))[:, None])
+    return draw(cfg)
 
 
 def sample_so(cfg: SamplerConfig) -> np.ndarray:
     """(count, 2): the _spin_coordinates of Haar SO(m) samples."""
-    n = cfg.series.n
-    m = 2 * n + 1 if cfg.series.tag == "B" else 2 * n
-    return _sample(cfg, m, 2, float, lambda rng, size, buffers:
-                   _spin_coordinates(haar_so_chunk(rng, size, m, buffers)))
+    return draw(cfg)
 
 
 def sample_usp(cfg: SamplerConfig) -> np.ndarray:
     """(count, 1): Re g_00 of Haar USp(2n) samples."""
-    two_n = 2 * cfg.series.n
-    return _sample(cfg, two_n, 1, complex, lambda rng, size, buffers:
-                   haar_usp_chunk(rng, size, two_n, buffers).real[:, None])
-
-
-def draw(cfg: SamplerConfig) -> np.ndarray:
-    """The read-only (count, k) scalars that the statistics of cfg read."""
-    return {"A": sample_su, "B": sample_so, "C": sample_usp,
-            "D": sample_so}[cfg.series.tag](cfg)
+    return draw(cfg)
 
 
 # -- chart coordinate and band statistics -----------------------------

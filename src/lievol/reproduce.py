@@ -128,25 +128,30 @@ def criterion_band_identity() -> dict:
 def criterion_su_concentration(count: int = 100_000, seed: int = 42) -> dict:
     """SU(n+1) band mass vs 1 - cos^{2n} r, plus the chart-magnitude KS."""
     ok = True
+    groups = [Series("A", n + 1) for n in (5, 10, 20)]
+    radii = [[] for _ in groups]
+    passes = [0] * len(groups)
+    # one draw per seed: its three groups read one Gaussian fill
+    for k in range(4):
+        cfgs = [SamplerConfig(series, count, seed + k) for series in groups]
+        for j, (cfg, scalars) in enumerate(zip(cfgs, draw(*cfgs))):
+            if k == 0:   # both radii score the base seed's sample
+                for r in (0.2, 0.4):
+                    rep = concentration_experiment(cfg, r, scalars)
+                    radii[j].append({"group": cfg.series.group_name, "r": r,
+                                     "z": rep.z_score,
+                                     "empirical": rep.empirical_mass,
+                                     "predicted": rep.predicted_mass})
+                    ok &= abs(rep.z_score) < 3.0
+            else:   # seeds + 1 to + 3 vote on the KS test
+                rep = concentration_experiment(cfg, 0.2, scalars)
+                passes[j] += rep.ks_pvalue > 0.01
+        del scalars   # so that the next seed's draw does not hold it
     rows = []
-    for n in (5, 10, 20):
-        series = Series("A", n + 1)
-        cfg = SamplerConfig(series, count, seed)
-        scalars = draw(cfg)   # both radii score one sample
-        for r in (0.2, 0.4):
-            rep = concentration_experiment(cfg, r, scalars)
-            rows.append({"group": series.group_name, "r": r,
-                         "z": rep.z_score, "empirical": rep.empirical_mass,
-                         "predicted": rep.predicted_mass})
-            ok &= abs(rep.z_score) < 3.0
-        del scalars   # so that no later draw's peak holds it
-        passes = 0
-        for k in range(3):
-            rep = concentration_experiment(
-                SamplerConfig(series, count, seed + 1 + k), 0.2)
-            passes += rep.ks_pvalue > 0.01
-        rows.append({"group": series.group_name, "ks_majority": passes})
-        ok &= passes >= 2
+    for series, radius_rows, votes in zip(groups, radii, passes):
+        rows += radius_rows
+        rows.append({"group": series.group_name, "ks_majority": votes})
+        ok &= votes >= 2
     return {"id": 5, "name": "SU concentration law", "passed": ok,
             "rows": rows}
 
@@ -158,10 +163,12 @@ def criterion_product_factorization(count: int = 100_000,
     r = 0.5
     ok = True
     rows = []
-    for tag, n in (("B", 2), ("D", 4), ("C", 2), ("C", 3)):
-        series = Series(tag, n)
-        rep = concentration_experiment(SamplerConfig(series, count, seed), r)
-        rows.append({"group": series.group_name, "base": rep.base_description,
+    cfgs = [SamplerConfig(Series(tag, n), count, seed)
+            for tag, n in (("B", 2), ("D", 4), ("C", 2), ("C", 3))]
+    for cfg, scalars in zip(cfgs, draw(*cfgs)):   # one Gaussian fill
+        rep = concentration_experiment(cfg, r, scalars)
+        rows.append({"group": cfg.series.group_name,
+                     "base": rep.base_description,
                      "r": r, "z": rep.z_score,
                      "empirical": rep.empirical_mass,
                      "predicted": rep.predicted_mass})

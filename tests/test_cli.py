@@ -286,6 +286,27 @@ class TestFormatsAndOutput:
         assert written > 126_400
         assert peak < written / 10, (peak, written)
 
+    def test_json_is_written_in_blocks(self):
+        # json.dump's bytes, in one write per block of encoder pieces,
+        # not one per token (a system call each on an unbuffered stdout)
+        report = lievol.cli.cmd_roots(
+            build_parser().parse_args(["roots", "--series", "d", "--n", "40"]))
+        writes = []
+
+        class Recorded(io.StringIO):
+            def write(self, text):
+                writes.append(len(text))
+                return super().write(text)
+
+        out = Recorded()
+        lievol.cli._write(report, "json", out)
+        assert out.getvalue() == json.dumps(report, indent=2,
+                                            sort_keys=True) + "\n"
+        pieces = sum(1 for _ in json.JSONEncoder(
+            indent=2, sort_keys=True).iterencode(report))
+        assert pieces > 100_000
+        assert len(writes) <= -(-pieces // lievol.cli._JSON_BLOCK) + 1
+
 
 class TestDeterminism:
     def test_repeat_seeded_sample_identical(self, capsys):
@@ -653,7 +674,7 @@ class TestExitCodes:
             raise AssertionError("samples drawn for a refused bin count")
 
         monkeypatch.setattr(lievol.cli, "concentration_experiment", no_draw)
-        monkeypatch.setattr(lievol.montecarlo, "sample_su", no_draw)
+        monkeypatch.setattr(lievol.montecarlo, "_map_chunks", no_draw)
         code, out, err = run(capsys, "sample", "--series", "su", "--n", "4",
                              "--count", "100", "--seed", "1", "--hist", "ksi",
                              "--bins", str(bins))

@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import math
 import sys
 import threading
@@ -137,12 +138,17 @@ def matrix_size(tag, n):
     return {"A": n, "B": 2 * n + 1, "C": 2 * n, "D": 2 * n}[tag]
 
 
+# the program's chunk map, kept for the full samplers while a test
+# patches the module's name
+MAP_CHUNKS = montecarlo._map_chunks
+
+
 def full_sample(c, chunk, dtype):
     """(count, m, m) samples of chunk(rng, size, m), chunk by chunk."""
     m = matrix_size(c.series.tag, c.series.n)
-    return montecarlo._map_chunks(
-        c, lambda rng, size, buffers: chunk(rng, size, m),
-        np.empty((c.count, m, m), dtype))
+    return MAP_CHUNKS(
+        (c,), lambda rng, size, buffers: [chunk(rng, size, m)],
+        [np.empty((c.count, m, m), dtype)])[0]
 
 
 # The full samplers keep the names they had in the program, whose
@@ -172,6 +178,12 @@ COLUMN_DRAW = {"A": (montecarlo.sample_su, montecarlo.haar_su_chunk, 1,
                      complex),
                "D": (montecarlo.sample_so, montecarlo.haar_so_chunk, 2,
                      float)}
+
+
+def chunk_fill(seed, i, size, m):
+    """The normals a chunk function reads for `size` samples of m x m
+    matrices: 2 size m of chunk i's stream."""
+    return montecarlo._chunk_rng(seed, i).standard_normal(2 * size * m)
 
 
 def gaussian_columns(tag, rng, size, m):
@@ -267,7 +279,7 @@ class TestColumnRoute:
         # an SU chunk the entry g_00 of that of a (size, m, 1) draw
         _, chunk, k, _ = COLUMN_DRAW[tag]
         size, m = 3000, matrix_size(tag, n)
-        got = chunk(montecarlo._chunk_rng(31, 0), size, m,
+        got = chunk(chunk_fill(31, 0, size, m), size, m,
                     montecarlo._Buffers())
         want = gaussian_columns(tag, montecarlo._chunk_rng(31, 0), size, m)
         gram = np.conj(want).transpose(0, 2, 1) @ want
@@ -300,7 +312,7 @@ class TestColumnRoute:
     def test_usp_draw_is_the_su_column_draw(self, n):
         # USp(2n) is transitive on the unit sphere of C^{2n}
         for i in range(3):
-            usp, su = (chunk(montecarlo._chunk_rng(40, i), CHUNK, 2 * n,
+            usp, su = (chunk(chunk_fill(40, i, CHUNK, 2 * n), CHUNK, 2 * n,
                              montecarlo._Buffers())
                        for chunk in (montecarlo.haar_usp_chunk,
                                      montecarlo.haar_su_chunk))
@@ -325,12 +337,21 @@ class TestColumnRoute:
 
     @staticmethod
     def _full_route_report(monkeypatch, c, r):
-        # the same statistics read off the full matrices
-        for full in (sample_su, sample_so, sample_usp):
-            monkeypatch.setattr(montecarlo, full.__name__,
-                                lambda cfg, full=full:
-                                scalars_read(cfg.series.tag, full(cfg)))
-        return concentration_experiment(c, r)
+        # the same statistics read off the full matrices, put in at the
+        # chunk map every draw goes through
+        batches = []
+
+        def full_route(cfgs, fn, outs):
+            batches.append(cfgs)
+            for one, out in zip(cfgs, outs):
+                out[:] = scalars_read(one.series.tag,
+                                      SAMPLERS[one.series.tag](one))
+            return outs
+
+        monkeypatch.setattr(montecarlo, "_map_chunks", full_route)
+        rep = concentration_experiment(c, r)
+        assert batches == [(c,)]   # the report read the full route
+        return rep
 
     @pytest.mark.parametrize("tag,n,r", [("C", 3, 0.5)])
     def test_reports_match_full_samplers(self, monkeypatch, tag, n, r):
@@ -470,7 +491,7 @@ class TestSpinClosedForm:
         m = matrix_size(tag, n)
         for seed in (42, 43, 44):
             for i in range(3):
-                g = montecarlo.haar_so_chunk(montecarlo._chunk_rng(seed, i),
+                g = montecarlo.haar_so_chunk(chunk_fill(seed, i, CHUNK, m),
                                              CHUNK, m, montecarlo._Buffers())
                 got = montecarlo._spin_coordinates(g)
                 want = householder_reduce(g[:, :, 1], g[:, :, 0])[:, 0]
@@ -496,11 +517,12 @@ class TestBandThreshold:
         # every draw and radius of criteria 5 and 6 at the quick count:
         # the same verdict per sample, so the same reported band mass
         draws = {}
-        for name in ("sample_su", "sample_so", "sample_usp"):
-            def recorded(c, f=getattr(montecarlo, name)):
-                draws[c] = f(c)
-                return draws[c]
-            monkeypatch.setattr(montecarlo, name, recorded)
+
+        def recorded(cfgs, fn, outs):
+            draws.update(zip(cfgs, MAP_CHUNKS(cfgs, fn, outs)))
+            return outs
+
+        monkeypatch.setattr(montecarlo, "_map_chunks", recorded)
         reports = []
         monkeypatch.setattr(reproduce, "concentration_experiment",
                             lambda c, *args: reports.append(
@@ -509,7 +531,7 @@ class TestBandThreshold:
         reproduce.criterion_su_concentration(count=20_000, seed=seed)
         reproduce.criterion_product_factorization(count=20_000,
                                                   seed=seed + 1)
-        assert len(reports) == 19
+        assert len(reports) == 19 and len(draws) == 16
         for c, rep in reports:   # each report beside the draw of its config
             scalars = draws[c]
             want = arcsin_verdicts(c.series.tag, scalars, rep.r)
@@ -545,12 +567,11 @@ class TestOneDrawPerConfig:
     @staticmethod
     def _sweep(monkeypatch, seed):
         # the (config, radius, report) of criteria 5 and 6 at the quick
-        # count, and the configs of the draws they made
+        # count, and the configs of each draw they made
         draws, reports = [], []
-        map_chunks = montecarlo._map_chunks
         monkeypatch.setattr(montecarlo, "_map_chunks",
                             lambda *args: draws.append(args[0])
-                            or map_chunks(*args))
+                            or MAP_CHUNKS(*args))
 
         def experiment(c, r, *args):
             reports.append((c, r, concentration_experiment(c, r, *args)))
@@ -566,10 +587,15 @@ class TestOneDrawPerConfig:
 
     @pytest.mark.parametrize("seed", [42, 43])
     def test_one_draw_per_config(self, monkeypatch, seed):
-        # r = 0.2 and r = 0.4 score one sample of each SU(n)
+        # r = 0.2 and r = 0.4 score one sample of each SU(n); criterion 5
+        # draws its three groups together at each of four seeds, and
+        # criterion 6 its four groups at one
         reports, draws = self._sweep(monkeypatch, seed)
         assert len(reports) == 19
-        assert len(draws) == 16 == len(set(draws))
+        assert [len(batch) for batch in draws] == [3, 3, 3, 3, 4]
+        configs = list(itertools.chain(*draws))
+        assert len(set(configs)) == 16 == len(configs)
+        assert {c for c, _, _ in reports} == set(configs)
 
     @pytest.mark.parametrize("seed", [42, 43])
     def test_reports_equal_fresh_draws(self, monkeypatch, seed):
@@ -605,6 +631,116 @@ class TestOneDrawPerConfig:
                 concentration_experiment(c, 0.3, np.zeros((rows, 1)))
         assert concentration_experiment(c, 0.3, montecarlo.draw(c)) == \
             concentration_experiment(c, 0.3)
+
+
+class TestBatchDraw:
+    """Configs at one seed read prefixes of one Gaussian fill per chunk."""
+
+    # SU(9) is the widest (18 normals a sample); each family reads less
+    MIXED = (("A", 9), ("B", 3), ("C", 2), ("D", 4))
+
+    @staticmethod
+    def _batch(workers=1):
+        return [cfg(tag, n, count=3 * CHUNK + 5, seed=44, workers=workers)
+                for tag, n in TestBatchDraw.MIXED]
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_batch_equals_single_draws(self, workers):
+        batch = self._batch(workers)
+        got = montecarlo.draw(*batch)
+        assert len(got) == len(batch)
+        for c, scalars in zip(batch, got):
+            assert not scalars.flags.writeable
+            alone = montecarlo.draw(cfg(c.series.tag, c.series.n,
+                                        count=c.count, seed=c.seed))
+            assert scalars.shape == alone.shape
+            assert scalars.tobytes() == alone.tobytes()
+
+    def test_one_fill_per_chunk(self, monkeypatch):
+        # the mutation gate: a fill per config would make four per chunk
+        fills = []
+        chunk_rng = montecarlo._chunk_rng
+
+        class Counted:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def standard_normal(self, *args, **kwargs):
+                normals = self.rng.standard_normal(*args, **kwargs)
+                fills.append(normals.size)
+                return normals
+
+        monkeypatch.setattr(montecarlo, "_chunk_rng",
+                            lambda seed, i: Counted(chunk_rng(seed, i)))
+        montecarlo.draw(*self._batch())
+        assert fills == [CHUNK * 18] * 3 + [5 * 18]
+
+    @pytest.mark.parametrize("other", [{"seed": 45}, {"count": CHUNK},
+                                       {"workers": 2}])
+    def test_batch_must_share_seed_count_workers(self, monkeypatch, other):
+        def no_chunk(*args):
+            raise AssertionError("chunk drawn for a refused batch")
+
+        monkeypatch.setattr(montecarlo, "_map_chunks", no_chunk)
+        same = {"count": 3 * CHUNK + 5, "seed": 44, "workers": 1}
+        with pytest.raises(ValueError, match="share seed, count and workers"):
+            montecarlo.draw(cfg("A", 9, **same),
+                            cfg("B", 3, **{**same, **other}))
+
+    def test_budget_counts_every_draw_of_a_batch(self, monkeypatch):
+        # 10^7 samples of SU(21) fit the budget alone, three of them not
+        def no_chunk(*args):
+            raise AssertionError("chunk drawn for an oversize batch")
+
+        monkeypatch.setattr(montecarlo, "_map_chunks", no_chunk)
+        c = cfg("A", 21, count=10 ** 7)
+        montecarlo._check_sample_budget(c.count, 21, 1, 16, 1)
+        with pytest.raises(ValueError, match="3 draws of 10000000 samples, "
+                                             "the widest 21 x 1, need"):
+            montecarlo.draw(c, c, c)
+
+
+# (group, seed, r, empirical_mass.hex(), ks_statistic.hex()) of the 19
+# reports of criteria 5 and 6 at count 2048 and acceptance seed 42,
+# recorded before the draws at one seed shared their chunk fills.
+STREAM_PIN = sorted([
+    ("SU(11)", 42, 0.2, "0x1.5d80000000000p-2", "0x1.fbdca9cd32900p-7"),
+    ("SU(11)", 42, 0.4, "0x1.9b40000000000p-1", "0x1.fbdca9cd32900p-7"),
+    ("SU(11)", 43, 0.2, "0x1.4f80000000000p-2", "0x1.6a5500b8bdec0p-6"),
+    ("SU(11)", 44, 0.2, "0x1.6480000000000p-2", "0x1.1d1aa731a0210p-5"),
+    ("SU(11)", 45, 0.2, "0x1.4200000000000p-2", "0x1.b1ddd67685e60p-6"),
+    ("SU(21)", 42, 0.2, "0x1.1900000000000p-1", "0x1.a7da0624e8040p-6"),
+    ("SU(21)", 42, 0.4, "0x1.ebc0000000000p-1", "0x1.a7da0624e8040p-6"),
+    ("SU(21)", 43, 0.2, "0x1.1100000000000p-1", "0x1.6fd9326bd1c60p-6"),
+    ("SU(21)", 44, 0.2, "0x1.1880000000000p-1", "0x1.f608ca25a1c80p-7"),
+    ("SU(21)", 45, 0.2, "0x1.1c40000000000p-1", "0x1.70bdfcc46c640p-7"),
+    ("SU(6)", 42, 0.2, "0x1.8000000000000p-3", "0x1.e9e5de2255d00p-7"),
+    ("SU(6)", 42, 0.4, "0x1.1b00000000000p-1", "0x1.e9e5de2255d00p-7"),
+    ("SU(6)", 43, 0.2, "0x1.7900000000000p-3", "0x1.ca71b34577100p-7"),
+    ("SU(6)", 44, 0.2, "0x1.6a00000000000p-3", "0x1.145569edc9aa0p-6"),
+    ("SU(6)", 45, 0.2, "0x1.8400000000000p-3", "0x1.00fb92a9d0480p-6"),
+    ("Spin(5)", 43, 0.5, "0x1.8a00000000000p-2", "0x1.412709f0eaa60p-6"),
+    ("Spin(8)", 43, 0.5, "0x1.3340000000000p-1", "0x1.076ca3d638530p-6"),
+    ("USp(4)", 43, 0.5, "0x1.9f80000000000p-1", "0x1.e6b4a940d0a20p-7"),
+    ("USp(6)", 43, 0.5, "0x1.ce80000000000p-1", "0x1.0a823daaccb60p-6"),
+])
+
+
+def test_sweep_stream_is_pinned(monkeypatch):
+    # the acceptance sweep's Monte Carlo numbers, bit for bit, in any
+    # order of draws and reports
+    got = []
+
+    def experiment(c, r, *args):
+        rep = concentration_experiment(c, r, *args)
+        got.append((rep.series.group_name, rep.seed, rep.r,
+                    rep.empirical_mass.hex(), rep.ks_statistic.hex()))
+        return rep
+
+    monkeypatch.setattr(reproduce, "concentration_experiment", experiment)
+    reproduce.criterion_su_concentration(count=2048, seed=42)
+    reproduce.criterion_product_factorization(count=2048, seed=43)
+    assert sorted(got) == STREAM_PIN
 
 
 class TestSampleBudget:
