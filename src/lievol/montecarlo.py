@@ -37,7 +37,9 @@ as wide as its widest config, and each config reduces its own prefix:
 the same scalars, bit for bit, as its own draw.  The draws at one seed
 shared their normals in this way before they were batched too, so no
 draw's law changes.  `reproduce --quick` draws its 16 configs in 5
-batches, 3.68 M normals where one draw per config filled 7.0 M.
+batches, 3.68 M normals where one draw per config filled 7.0 M; on a
+2-core host criteria 5 and 6 take 0.11-0.12 s quick and 0.51-0.54 s
+full, where one draw per config took 0.16-0.17 s and 0.79-0.87 s.
 
 Callers draw once and pass the read-only scalars to each statistic that
 reads them, so criterion 5's two radii and `sample --hist ksi` score one
