@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import itertools
 import json
 import math
@@ -81,6 +80,7 @@ def _write(report: dict, fmt: str, out) -> None:
             out.write("".join(block))
         out.write("\n")
     elif fmt == "csv":
+        import csv
         w = csv.writer(out)
         w.writerow(("key", "value"))
         w.writerows(_flatten(report))

@@ -23,7 +23,8 @@ counter-keyed Philox stream and written into its rows of one
 preallocated result, so the statistics are bit-identical for a given
 (seed, count) at any worker count.  With w busy workers, worker j draws
 chunks j, j + w, ... into one set of work arrays, kept for the whole
-draw; the calling thread is worker 0.  A draw whose scalars, statistics
+draw; the calling thread is worker 0, and only a draw with a second
+worker imports a thread pool.  A draw whose scalars, statistics
 and work arrays would exceed SAMPLE_BUDGET bytes is refused before any
 chunk is drawn.
 
@@ -55,7 +56,6 @@ lives beside the tests that use it.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -159,8 +159,8 @@ def _map_chunks(cfgs: tuple, fn: Callable, outs: list) -> list:
     Worker w draws chunks w, w + busy, ... into one _Buffers, so beside
     `outs` only one chunk's work arrays per worker are alive; the rows a
     chunk fills depend only on its index, whichever worker draws it.
-    The calling thread is worker 0 and the pool runs the others, so a
-    one-worker draw starts no thread.
+    The calling thread is worker 0 and a pool runs the others; a
+    one-worker draw starts no thread and imports no thread pool.
     """
     cfg = cfgs[0]
     chunks = -(-cfg.count // CHUNK)
@@ -175,7 +175,11 @@ def _map_chunks(cfgs: tuple, fn: Callable, outs: list) -> list:
             for out, block in zip(outs, blocks):
                 out[start:start + size] = block
 
-    with ThreadPoolExecutor(max_workers=max(1, busy - 1)) as pool:
+    if busy == 1:
+        worker(0)
+        return outs
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=busy - 1) as pool:
         others = [pool.submit(worker, w) for w in range(1, busy)]
         worker(0)
         for fut in others:

@@ -716,12 +716,15 @@ class TestExitCodes:
 
     def test_too_many_workers_is_one(self, capsys, monkeypatch):
         # refused before any thread is started or chunk drawn
+        import concurrent.futures
+
         import lievol.montecarlo
 
         def no_thread(*args, **kwargs):
             raise AssertionError("threads started for a refused count")
 
-        monkeypatch.setattr(lievol.montecarlo, "ThreadPoolExecutor",
+        # _map_chunks imports the pool from here when it needs one
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
                             no_thread)
         monkeypatch.setattr(lievol.montecarlo, "haar_su_chunk", no_thread)
         code, out, err = run(capsys, "sample", "--series", "su", "--n", "4",
@@ -888,7 +891,39 @@ class TestExitContract:
         assert "Traceback" not in err.getvalue(), argv
 
 
+def _fresh_python(script: str, *argv: str) -> subprocess.CompletedProcess:
+    """Run script in a fresh interpreter that imports lievol from this
+    checkout, so that modules the tests import do not count."""
+    src = str(Path(lievol.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
 class TestImportPath:
+    def test_cold_start_loads_only_what_it_uses(self):
+        # quadrature nodes without numpy.polynomial, a one-worker draw
+        # without a thread pool, and no csv until a CSV report
+        script = textwrap.dedent("""
+            import json, sys
+            import lievol.cli, lievol.reproduce
+            from lievol.cpn import band_mass
+            from lievol.montecarlo import (SamplerConfig,
+                                           concentration_experiment)
+            from lievol.roots import Series
+            band_mass(1, 0.3)
+            concentration_experiment(
+                SamplerConfig(Series("A", 3), 5000, 7, workers=1), 0.3)
+            print(json.dumps([m for m in ("numpy.polynomial",
+                                          "concurrent.futures", "csv")
+                              if m in sys.modules]))
+        """)
+        res = _fresh_python(script)
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout.splitlines()[-1]) == []
+
     def test_runtime_path_imports_no_scipy_subpackage(self, tmp_path):
         # a fresh interpreter, so that modules the tests import do not count
         script = textwrap.dedent("""
@@ -902,13 +937,7 @@ class TestImportPath:
                                      if m.startswith("scipy.")),
                               "importlib.metadata" in sys.modules]))
         """)
-        src = str(Path(lievol.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
-        res = subprocess.run(
-            [sys.executable, "-c", script, str(tmp_path / "r.json")],
-            env=env, capture_output=True, text=True, timeout=300)
+        res = _fresh_python(script, str(tmp_path / "r.json"))
         assert res.returncode == 0, res.stderr
         loaded, metadata = json.loads(res.stdout.splitlines()[-1])
         # the provenance block, SIMD extensions included, reads no

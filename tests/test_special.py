@@ -2,10 +2,11 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import betainc, kolmogorov
+from scipy.special import betainc, kolmogorov, roots_legendre
 
 from lievol import special
 from lievol.cpn import chart_volume, theta_periods
@@ -56,6 +57,40 @@ class TestKolmogorovSf:
 
     def test_nonpositive_is_one(self):
         assert np.all(kolmogorov_sf([0.0, -1.0, 1e-9]) == 1.0)
+
+
+# The node counts gauss_legendre tries: GL_START doubled up to GL_CAP.
+GL_COUNTS = [special.GL_START << i for i in range(
+    (special.GL_CAP // special.GL_START).bit_length())]
+
+
+class TestLeggauss:
+    @pytest.mark.parametrize("n", GL_COUNTS)
+    def test_nodes_match_scipy(self, n):
+        x, w = special._leggauss(n)
+        assert np.max(np.abs(x - roots_legendre(n)[0])) <= 4.5e-16
+        assert np.array_equal(x, -x[::-1])
+        assert abs(w.sum() - 2.0) <= 1e-14
+
+    @pytest.mark.parametrize("n", [GL_COUNTS[0], GL_COUNTS[-1]])
+    def test_weights_match_mpmath(self, n):
+        # not scipy's weights: its end weights are off by up to 1.8e-9
+        # at n = 1024.  P_n' at the float node from mpmath's P_n and
+        # P_(n-1); the worst node reads 4.9e-12.
+        x, w = special._leggauss(n)
+        with mpmath.workdps(40):
+            for i in (0, 1, n // 2):
+                t = mpmath.mpf(float(x[i]))
+                dp = n * (mpmath.legendre(n - 1, t)
+                          - t * mpmath.legendre(n, t)) / (1 - t * t)
+                want = 2 / ((1 - t * t) * dp * dp)
+                assert abs(w[i] - want) <= 1e-11 * want
+
+    def test_step_cap_raises(self, monkeypatch):
+        # Tricomi's estimates need 3 steps at n = 64
+        monkeypatch.setattr(special, "_NEWTON_STEPS", 2)
+        with pytest.raises(ArithmeticError, match="Newton"):
+            special._leggauss.__wrapped__(special.GL_START)
 
 
 def _band(n):
