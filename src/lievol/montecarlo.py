@@ -1,13 +1,14 @@
 """Haar sampling on SU(n), Spin(m), USp(2n) and concentration experiments.
 
 The concentration statistics read at most two columns of a Haar sample,
-so a sampler draws only those: k Gaussian columns per sample (k = 1 for
-SU and USp, 2 for Spin), orthonormalized by Gram-Schmidt; SU and USp
-read only g_00, so their chunks divide that one entry by its column's
-norm.  For k < m the first k columns of a Haar matrix are uniform on
-the Stiefel manifold, the law of Gram-Schmidt applied to k i.i.d.
-Gaussian columns (Mezzadri, Notices AMS 2007), and the det phase or
-sign that makes a sample special leaves that law alone.  USp(2n) acts
+so a sampler draws only those: k Gaussian columns per sample (one
+complex column for SU and USp, two real ones for Spin), orthonormalized
+by Gram-Schmidt, 2m normals a sample, m = `Series.matrix_dim`; SU and
+USp read only g_00, so their chunks divide that one entry by its
+column's norm.  For k < m the first k columns of a Haar matrix are
+uniform on the Stiefel manifold, the law of Gram-Schmidt applied to k
+i.i.d. Gaussian columns (Mezzadri, Notices AMS 2007), and the det phase
+or sign that makes a sample special leaves that law alone.  USp(2n) acts
 transitively on the unit sphere of C^{2n}, so its first column is drawn
 as SU(2n)'s.  The full-matrix samplers that check this law live beside
 the tests.
@@ -29,18 +30,14 @@ and work arrays would exceed SAMPLE_BUDGET bytes is refused before any
 chunk is drawn.
 
 Chunk i of every draw at (seed, count) covers the same rows and is read
-off the stream Philox(key=seed, counter=[0, 0, 0, i]) from the front:
-SU(m) reads its first 2 size m normals (the real parts, then the
-imaginary), USp(2n) its first 4 size n, Spin(m) its first 2 size m in
-(size, m, 2) order.  Every narrower draw at a seed thus reads a prefix
-of the widest one's normals, so draw(cfg, *more) fills each chunk once,
-as wide as its widest config, and each config reduces its own prefix:
-the same scalars, bit for bit, as its own draw.  The draws at one seed
-shared their normals in this way before they were batched too, so no
-draw's law changes.  `reproduce --quick` draws its 16 configs in 5
-batches, 3.68 M normals where one draw per config filled 7.0 M; on a
-2-core host criteria 5 and 6 take 0.11-0.12 s quick and 0.51-0.54 s
-full, where one draw per config took 0.16-0.17 s and 0.79-0.87 s.
+off the stream Philox(key=seed, counter=[0, 0, 0, i]) from the front,
+2 size m normals: SU(m) and USp(m) take the real parts, then the
+imaginary, Spin(m) takes them in (size, m, 2) order.  Every narrower
+draw at a seed thus reads a prefix of the widest one's normals, so
+draw(cfg, *more) fills each chunk once, as wide as its widest config,
+and each config reduces its own prefix: the same scalars, bit for bit,
+as its own draw.  `reproduce --quick` draws its 16 configs in 5
+batches, 3.68 M normals.
 
 Callers draw once and pass the read-only scalars to each statistic that
 reads them, so criterion 5's two radii and `sample --hist ksi` score one
@@ -80,13 +77,14 @@ SAMPLE_BUDGET = 2 * 2 ** 30
 _STATS_BYTES = 80
 
 # Work arrays one worker holds while it draws and reduces a chunk, in
-# chunks of its widest config's drawn columns (min(CHUNK, count) x m x k
-# x itemsize), the chunk's Gaussian fill among them: above the draw's
-# result, tracemalloc measured peaks of 3.2-4.6 chunks at count
-# 32 * CHUNK and 3.2-4.9 at count 256, the most for SU(2), whose
-# per-sample arrays weigh most beside its short column (SU(2), SU(6),
-# SU(21), USp(4), USp(6), Spin(5), Spin(8), Spin(21), Spin(64)), and
-# 3.2 chunks of SU(21) for criterion 5's SU(6), SU(11), SU(21) batch.
+# chunks of its widest config's normals, 2m normals a sample (m =
+# Series.matrix_dim; min(CHUNK, count) x 2m x 8 B), the chunk's Gaussian
+# fill among them: above the draw's result, tracemalloc measured peaks
+# of 3.2-4.6 chunks at count 32 * CHUNK and 3.2-4.9 at count 256, the
+# most for SU(2), whose per-sample arrays weigh most beside its short
+# column (SU(2), SU(6), SU(21), USp(4), USp(6), Spin(5), Spin(8),
+# Spin(21), Spin(64)), and 3.2 chunks of SU(21) for criterion 5's
+# SU(6), SU(11), SU(21) batch.
 _WORK_CHUNKS = 5
 
 # Most threads one sample may use.  The draw stops gaining at the core
@@ -278,45 +276,42 @@ def haar_usp_chunk(fill: np.ndarray, size: int, two_n: int,
     return z[:, 0] / _row_norms(z, buffers)
 
 
-def _check_sample_budget(count: int, rows: int, cols: int, itemsize: int,
-                         workers: int, draws: int = 1) -> None:
+def _check_sample_budget(count: int, width: int, workers: int,
+                         draws: int = 1) -> None:
     """Refuse a draw whose results and work arrays exceed SAMPLE_BUDGET.
 
     The results and the statistics built from them cost _STATS_BYTES a
     sample of each of the `draws` configs; each busy worker holds
-    _WORK_CHUNKS chunks of the widest config's rows x cols columns
-    besides.
+    _WORK_CHUNKS chunks of `width` float64 normals a sample besides.
     """
     busy = min(workers, -(-count // CHUNK))
     need = (draws * count * _STATS_BYTES
-            + busy * _WORK_CHUNKS * min(CHUNK, count) * rows * cols * itemsize)
+            + busy * _WORK_CHUNKS * min(CHUNK, count) * width * 8)
     if need > SAMPLE_BUDGET:
-        what = f"{count} samples of {rows} x {cols}"
+        what = f"{count} samples of {width} normals"
         if draws > 1:
-            what = (f"{draws} draws of {count} samples, the widest "
-                    f"{rows} x {cols},")
+            what = f"{draws} draws of {what}"
         raise ValueError(
             f"{what} need {need / 2 ** 30:.1f} "
             f"GiB, above the {SAMPLE_BUDGET / 2 ** 30:.0f} GiB sample budget")
 
 
 def _reader(cfg: SamplerConfig) -> tuple:
-    """(rows, cols, itemsize, read) of cfg's draw: each sample is drawn as
-    rows x cols columns of itemsize bytes, and read(fill, size, buffers)
-    reduces a chunk of them to its (size, cols) scalars.
+    """(m, k, read) of cfg's draw: each sample reads 2m normals of its
+    chunk's fill, m = `Series.matrix_dim`, and read(fill, size, buffers)
+    reduces a chunk of them to its (size, k) scalars.
 
     The lambdas look haar_*_chunk up when called, so rebinding one in
     this module (to trace or to fail it) reaches every draw.
     """
-    tag, n = cfg.series.tag, cfg.series.n
+    tag, m = cfg.series.tag, cfg.series.matrix_dim
     if tag == "A":   # |g_00|
-        return n, 1, 16, lambda fill, size, buffers: np.abs(
-            haar_su_chunk(fill, size, n, buffers))[:, None]
+        return m, 1, lambda fill, size, buffers: np.abs(
+            haar_su_chunk(fill, size, m, buffers))[:, None]
     if tag == "C":   # Re g_00
-        return 2 * n, 1, 16, lambda fill, size, buffers: haar_usp_chunk(
-            fill, size, 2 * n, buffers).real[:, None]
-    m = 2 * n + 1 if tag == "B" else 2 * n
-    return m, 2, 8, lambda fill, size, buffers: _spin_coordinates(
+        return m, 1, lambda fill, size, buffers: haar_usp_chunk(
+            fill, size, m, buffers).real[:, None]
+    return m, 2, lambda fill, size, buffers: _spin_coordinates(
         haar_so_chunk(fill, size, m, buffers))
 
 
@@ -335,26 +330,27 @@ def draw(cfg: SamplerConfig, *more: SamplerConfig):
         raise ValueError("the configs of one draw must share seed, count "
                          "and workers")
     readers = [_reader(c) for c in cfgs]
-    # the widest reads first, so that its chunk sizes the shared buffers
-    order = sorted(range(len(cfgs)),
-                   key=lambda j: -math.prod(readers[j][:3]))
-    rows, cols, itemsize, _ = readers[order[0]]
-    _check_sample_budget(cfg.count, rows, cols, itemsize, cfg.workers,
-                         len(cfgs))
-    width = rows * cols * itemsize // 8   # normals a sample
+    width = 2 * max(m for m, _, _ in readers)   # normals a sample
+    _check_sample_budget(cfg.count, width, cfg.workers, len(cfgs))
+    # The widest config reduces first, so that each shared buffer is
+    # allocated once, at its largest: reduced in config order, the
+    # perfbench sweep_quick peak RSS rose from 40.08-40.15 to
+    # 40.34-40.47 MiB on a 2-core host.
+    order = sorted(range(len(cfgs)), key=lambda j: -readers[j][0])
 
     def chunk(rng, size, buffers):
         fill = rng.standard_normal(out=buffers.get("fill", (size * width,),
                                                    float))
-        return [readers[j][3](fill, size, buffers) for j in order]
+        blocks = [None] * len(cfgs)
+        for j in order:
+            blocks[j] = readers[j][2](fill, size, buffers)
+        return blocks
 
-    outs = _map_chunks(tuple(cfgs[j] for j in order), chunk,
-                       [np.empty((cfg.count, readers[j][1])) for j in order])
-    scalars = [None] * len(cfgs)
-    for j, out in zip(order, outs):
+    outs = _map_chunks(cfgs, chunk,
+                       [np.empty((cfg.count, k)) for _, k, _ in readers])
+    for out in outs:
         out.flags.writeable = False
-        scalars[j] = out
-    return scalars if more else scalars[0]
+    return outs if more else outs[0]
 
 
 # One family's draw, under the names perfbench/tracer.py wraps; the
@@ -494,7 +490,7 @@ def concentration_experiment(cfg: SamplerConfig, r: float,
     read off draw(cfg)'s `scalars`, drawn here when none are given."""
     check_radius(r)
     series = cfg.series
-    n = series.n
+    n, m = series.n, series.matrix_dim
     note = ""
     if scalars is None:
         scalars = draw(cfg)
@@ -505,12 +501,11 @@ def concentration_experiment(cfg: SamplerConfig, r: float,
         # SU(n): distance of the fiber point to the hyperplane at
         # infinity, pi/2 - xi = asin |g_00|
         from .cpn import band_complement_mass  # keeps cpn off CLI start-up
-        predicted = band_complement_mass(n - 1, r)
-        base = f"CP^{n - 1} hyperplane at infinity"
+        predicted = band_complement_mass(m - 1, r)
+        base = f"CP^{m - 1} hyperplane at infinity"
         stat, pval = ks_test(np.sort(scalars[:, 0] ** 2),
-                             lambda s2: 1.0 - (1.0 - s2) ** (n - 1))
+                             lambda s2: 1.0 - (1.0 - s2) ** (m - 1))
     elif series.tag in ("B", "D"):
-        m = 2 * n + 1 if series.tag == "B" else 2 * n
         predicted = sphere_band_mass(m - 1, r) * sphere_band_mass(m - 2, r)
         base = f"S^{m - 1} x S^{m - 2} bi-equator"
         stat, pval = ks_test(np.sort(np.abs(scalars[:, 0])),
@@ -518,11 +513,11 @@ def concentration_experiment(cfg: SamplerConfig, r: float,
         note = ("sampling on SO(m); band statistics live on the base "
                 "spheres and are unchanged under the double cover")
     else:  # C
-        # first real coordinate of S^{4n-1}
-        predicted = sphere_band_mass(4 * n - 1, r)
-        base = f"S^{4 * n - 1} equator"
+        # first real coordinate of S^{2m-1}
+        predicted = sphere_band_mass(2 * m - 1, r)
+        base = f"S^{2 * m - 1} equator"
         stat, pval = ks_test(np.sort(np.abs(scalars[:, 0])),
-                             lambda t: _band_cdf(4 * n - 1, t))
+                             lambda t: _band_cdf(2 * m - 1, t))
 
     # each scalar is a base point's distance to its equator, as a sine
     inside = np.all(np.abs(scalars) < math.sin(r), axis=1)

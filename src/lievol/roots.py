@@ -40,9 +40,9 @@ MAX_EXACT_RANK = 260
 # CLI / report aliases for each series tag.
 SERIES_ALIASES = {
     "a": "A", "su": "A",
-    "b": "B", "spin-odd": "B", "so-odd": "B",
-    "c": "C", "usp": "C", "sp": "C",
-    "d": "D", "spin-even": "D", "so-even": "D",
+    "b": "B", "spin-odd": "B",
+    "c": "C", "usp": "C",
+    "d": "D", "spin-even": "D",
 }
 
 
@@ -75,6 +75,13 @@ class Series:
         n = self.n
         return {"A": n * n - 1, "B": n * (2 * n + 1),
                 "C": n * (2 * n + 1), "D": n * (2 * n - 1)}[self.tag]
+
+    @property
+    def matrix_dim(self) -> int:
+        """m of the m x m matrices the group is sampled as: SU(m),
+        SO(m) under Spin(m) and USp(m)."""
+        n = self.n
+        return {"A": n, "B": 2 * n + 1, "C": 2 * n, "D": 2 * n}[self.tag]
 
     @property
     def group_name(self) -> str:

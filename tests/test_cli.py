@@ -757,8 +757,12 @@ class TestExitCodes:
         assert out == ""
 
     def test_unknown_series_is_one(self, capsys):
-        code, _, err = run(capsys, "roots", "--series", "e8", "--n", "8")
-        assert code == 1
+        # so-odd, so-even and sp are no aliases: only the documented four
+        for series in ("e8", "so-odd", "so-even", "sp"):
+            code, _, err = run(capsys, "roots", "--series", series,
+                               "--n", "8")
+            assert code == 1
+            assert f"unknown series tag {series!r}" in err
 
     def test_usage_error_is_two(self):
         with pytest.raises(SystemExit) as ex:

@@ -135,7 +135,7 @@ def full_usp_chunk(rng, size, two_n):
 
 
 def matrix_size(tag, n):
-    return {"A": n, "B": 2 * n + 1, "C": 2 * n, "D": 2 * n}[tag]
+    return Series(tag, n).matrix_dim
 
 
 # the program's chunk map, kept for the full samplers while a test
@@ -387,7 +387,7 @@ def column_array_report(c, r):
         mag2 = np.sort(np.abs(g[:, 0, 0]) ** 2)
         stat, pval = ks_test(mag2, lambda s2: 1.0 - (1.0 - s2) ** (n - 1))
     elif series.tag in ("B", "D"):
-        m = 2 * n + 1 if series.tag == "B" else 2 * n
+        m = matrix_size(series.tag, n)
         first = g[:, :, 0]
         second = householder_reduce(g[:, :, 1], first)
         inside = ((equator_distance(first[:, 0]) < r)
@@ -475,7 +475,7 @@ class TestReducedRoute:
     def test_statistics_cap(self):
         # about 2.7 * 10^7 samples of SU(21) fit the budget
         def need(count):
-            montecarlo._check_sample_budget(count, 21, 1, 16, 1)
+            montecarlo._check_sample_budget(count, 42, 1)
 
         need(2 * 10 ** 7)
         with pytest.raises(ValueError, match="budget"):
@@ -674,6 +674,11 @@ class TestBatchDraw:
                             lambda seed, i: Counted(chunk_rng(seed, i)))
         montecarlo.draw(*self._batch())
         assert fills == [CHUNK * 18] * 3 + [5 * 18]
+        # drawn alone, each family fills 2m normals a sample
+        for c, width in zip(self._batch(), (18, 14, 8, 16)):
+            fills.clear()
+            montecarlo.draw(c)
+            assert fills == [CHUNK * width] * 3 + [5 * width]
 
     @pytest.mark.parametrize("other", [{"seed": 45}, {"count": CHUNK},
                                        {"workers": 2}])
@@ -694,9 +699,9 @@ class TestBatchDraw:
 
         monkeypatch.setattr(montecarlo, "_map_chunks", no_chunk)
         c = cfg("A", 21, count=10 ** 7)
-        montecarlo._check_sample_budget(c.count, 21, 1, 16, 1)
-        with pytest.raises(ValueError, match="3 draws of 10000000 samples, "
-                                             "the widest 21 x 1, need"):
+        montecarlo._check_sample_budget(c.count, 42, 1)
+        with pytest.raises(ValueError, match="3 draws of 10000000 samples "
+                                             "of 42 normals need"):
             montecarlo.draw(c, c, c)
 
 
@@ -746,7 +751,7 @@ def test_sweep_stream_is_pinned(monkeypatch):
 class TestSampleBudget:
     def test_large_column_sample_fits(self):
         # 10^6 samples of SU(21): 80 MB of scalars and statistics
-        montecarlo._check_sample_budget(10 ** 6, 21, 1, 16, 1)
+        montecarlo._check_sample_budget(10 ** 6, 42, 1)
 
     @pytest.mark.parametrize("sampler,tag,n,columns,count",
                              [(montecarlo.sample_su, "A", 21, 1, 10 ** 9),
@@ -758,9 +763,12 @@ class TestSampleBudget:
             raise AssertionError("chunk drawn for an oversize request")
 
         monkeypatch.setattr(montecarlo, "_map_chunks", no_chunk)
-        m = matrix_size(tag, n)
-        # the refusal names the columns a sample would be drawn as
-        with pytest.raises(ValueError, match=f"of {m} x {columns} need .* "
+        # the refusal names the normals a sample reads: its columns'
+        # bytes, 2m normals for every family
+        itemsize = np.dtype(COLUMN_DRAW[tag][3]).itemsize
+        normals = matrix_size(tag, n) * columns * itemsize // 8
+        assert normals == 2 * matrix_size(tag, n)
+        with pytest.raises(ValueError, match=f"of {normals} normals need .* "
                                              f"budget"):
             sampler(cfg(tag, n, count=count))
 

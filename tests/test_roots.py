@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from lievol.exact import ExactScalar
-from lievol.roots import (Series, build_root_system, coroot_norm_product,
-                          coroots, dense, norms, root_system_json,
-                          torus_volume)
+from lievol.roots import (_MIN_RANK, Series, build_root_system,
+                          coroot_norm_product, coroots, dense, norms,
+                          root_system_json, torus_volume)
 
 
 def ES(q, k=0, s=1):
@@ -112,6 +112,13 @@ class TestSeries:
         assert Series("D", 4).group_name == "Spin(8)"
         assert Series("D", 4).group_dim == 28
 
+    @pytest.mark.parametrize("tag", "ABCD")
+    def test_matrix_dim_names_the_group(self, tag):
+        # SU(m), Spin(m), USp(m)
+        for n in range(_MIN_RANK[tag], 40):
+            s = Series(tag, n)
+            assert s.group_name.endswith(f"({s.matrix_dim})")
+
     def test_rank(self):
         assert Series("A", 5).rank == 4
         assert Series("B", 5).rank == 5
@@ -124,11 +131,10 @@ class TestRootCounts:
         assert len(build_root_system(Series("C", 3)).positive_roots) == 9
         assert len(build_root_system(Series("D", 4)).positive_roots) == 12
 
-    @pytest.mark.parametrize("tag", "ABCD")
-    @pytest.mark.parametrize("n", range(2, 13))
-    def test_count_identity(self, tag, n):
-        if tag == "D" and n < 4:
-            pytest.skip("below minimum rank")
+    @pytest.mark.parametrize("n,tag", [(n, tag) for n in range(2, 13)
+                                       for tag in "ABCD"
+                                       if n >= _MIN_RANK[tag]])
+    def test_count_identity(self, n, tag):
         s = Series(tag, n)
         rs = build_root_system(s)
         assert 2 * len(rs.positive_roots) + s.rank == s.group_dim

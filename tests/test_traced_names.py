@@ -1,5 +1,6 @@
-"""Every lievol function the benchmark's tracer wraps still exists, and
-the benchmark's workloads still call lievol as they expect.
+"""Every lievol function the benchmark's tracer wraps still exists, the
+benchmark's workloads still call lievol as they expect, and the tracer's
+frozen table of scalars a sample agrees with the draws.
 
 perfbench/tracer.py times lievol from outside by rebinding public
 functions by name, and perfbench/workloads.py calls some of them, so a
@@ -15,6 +16,7 @@ from pathlib import Path
 import lievol.cpn
 import lievol.montecarlo
 import lievol.reproduce
+from lievol.roots import Series
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -70,3 +72,13 @@ def test_workloads_call_shapes(monkeypatch):
         t.uninstall()
     assert len(prints) == 19
     assert _bytecode() == before
+
+
+def test_columns_used_is_the_draw_width(monkeypatch):
+    # the benchmark's frozen scalars-a-sample table, which its
+    # columns_used_frac reads, against the draws themselves
+    tracer = _load(monkeypatch, "tracer")
+    for tag, n in (("A", 3), ("B", 2), ("C", 2), ("D", 4)):
+        c = lievol.montecarlo.SamplerConfig(Series(tag, n), count=16, seed=1)
+        assert lievol.montecarlo.draw(c).shape[1] == tracer.COLUMNS_USED[tag]
+    assert set(tracer.COLUMNS_USED) == set("ABCD")

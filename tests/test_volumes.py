@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from lievol.exact import ExactScalar
-from lievol.roots import MAX_EXACT_RANK, Series
+from lievol.roots import _MIN_RANK, MAX_EXACT_RANK, Series
 from lievol.volumes import (LOG_VOLUME_MAX_RANK, _tree_prod,
                             closed_form_volume, group_volume, log_volume,
                             ratio_asymptote, ratio_exponent)
@@ -41,11 +41,10 @@ class TestFrozenValues:
 
 
 class TestPipelineVsClosedForm:
-    @pytest.mark.parametrize("tag", "ABCD")
-    @pytest.mark.parametrize("n", range(2, 41))
-    def test_exact_equality(self, tag, n):
-        if tag == "D" and n < 4:
-            pytest.skip("below minimum rank")
+    @pytest.mark.parametrize("n,tag", [(n, tag) for n in range(2, 41)
+                                       for tag in "ABCD"
+                                       if n >= _MIN_RANK[tag]])
+    def test_exact_equality(self, n, tag):
         s = Series(tag, n)
         assert group_volume(s).exact == closed_form_volume(s)
 
