@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .curvature import (LEVY_MIN_INDEX, curvature_report,
+from .curvature import (LEVY_MIN_INDEX, LEVY_PER_INDEX, curvature_report,
                         ricci_bound_sequence, rescaled_levy_check)
 from .montecarlo import (CHUNK, SamplerConfig, check_bins, check_radius,
                          concentration_experiment, draw, xi_histogram)
@@ -204,8 +204,7 @@ def cmd_sample(args) -> dict:
 
 
 def cmd_levy(args) -> dict:
-    start = (LEVY_MIN_INDEX[args.family.upper()] if args.start is None
-             else args.start)
+    start = LEVY_MIN_INDEX[args.family] if args.start is None else args.start
     if start > args.stop:
         raise ValueError(f"--start {start} is above --stop {args.stop}")
     if args.stop - start >= LEVY_MAX_TERMS:
@@ -267,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_ratio)
 
     sp = sub.add_parser("curvature", help="Killing/Ricci/chi report")
-    sp.add_argument("--series", required=True, choices=("su", "so", "usp"))
+    sp.add_argument("--series", required=True, choices=LEVY_PER_INDEX)
     sp.add_argument("--n", type=int, required=True,
                     help="defining matrix size")
     add_common(sp, series=False)
@@ -293,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_sample)
 
     sp = sub.add_parser("levy", help="Ricci bound sequences and rescaling")
-    sp.add_argument("--family", required=True, choices=("su", "so", "usp"))
+    sp.add_argument("--family", required=True, choices=LEVY_PER_INDEX)
     sp.add_argument("--start", type=int,
                     help="first index (default: the family's smallest, "
                          "SU 2, SO 3, USp 2)")

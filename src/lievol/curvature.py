@@ -15,7 +15,8 @@ of the d^2 entries of K and Ric), so no (d, d) array is built; dense
 views, the Riemann tensor and the Jacobi residual live in the tests.
 Matrix sizes above MAX_MATRIX_DIM, the measured limit of each algebra,
 are refused before a basis is built.  The Levy-family bound sequences
-close the module.
+close the module: R_i is the claimed chi at the matrix size m = p*i of
+index i (p from LEVY_PER_INDEX), over |coroot|^2.
 """
 
 from __future__ import annotations
@@ -423,36 +424,48 @@ def curvature_report(algebra: str, matrix_dim: int) -> CurvatureReport:
 
 # -- Levy-family bound sequences -------------------------------------
 
-# Smallest index i of SU(i), SO(i) and USp(2i) with a basis here: the
-# least i whose matrix size (i, i and 2i) reaches MIN_MATRIX_DIM.
-LEVY_MIN_INDEX = {family: -(-MIN_MATRIX_DIM[algebra] // per_index)
-                  for family, algebra, per_index in (
-                      ("SU", "su", 1), ("SO", "so", 1), ("USP", "usp", 2))}
+# Matrix size per index p of the families SU(i), SO(i) and USp(2i).
+LEVY_PER_INDEX = {"su": 1, "so": 1, "usp": 2}
+
+# Smallest index with a basis here, the least i whose matrix size p*i
+# reaches MIN_MATRIX_DIM; and the largest, up to which every index
+# converts to a float exactly.
+LEVY_MIN_INDEX = {alg: -(-MIN_MATRIX_DIM[alg] // p)
+                  for alg, p in LEVY_PER_INDEX.items()}
+LEVY_MAX_INDEX = 2 ** 53
+
 
 def ricci_bound_sequence(family: str, n_range: Sequence[int],
                          coroot_length: Optional[float] = None) -> list:
-    """R_i per family: SU (i+2)/4, SO (i-2)/4, USp(2i) (i+1)/2.
+    """R_i = CLAIMED_CHI at the matrix size m = p*i, over |coroot|^2.
 
-    For SU an explicit coroot length replaces the standard value 2 via
-    R_i = (i+2)/|coroot|^2.
+    The coroot length is 2 (SU (i+2)/4, SO (i-2)/4, USp(2i) (i+1)/2);
+    for SU an explicit coroot length replaces it.  Every index and
+    length is checked before the first bound.
     """
+    fam = family.lower()
+    if fam not in LEVY_PER_INDEX:
+        raise ValueError(f"unknown family {family!r}")
     if coroot_length is not None and not coroot_length > 0:
         raise ValueError(f"the coroot length must be positive, "
                          f"not {coroot_length}")
-    fam = family.upper()
-    low = LEVY_MIN_INDEX.get(fam)
-    if low is not None and any(i < low for i in n_range):
-        raise ValueError(f"{fam} bounds start at index {low}")
-    if fam == "SU":
-        ell2 = 4.0 if coroot_length is None else coroot_length ** 2
-        return [(i + 2) / ell2 for i in n_range]
-    if coroot_length is not None:
+    low = LEVY_MIN_INDEX[fam]
+    if any(not low <= i <= LEVY_MAX_INDEX for i in n_range):
+        raise ValueError(f"{fam.upper()} bounds start at index {low} and "
+                         f"end at 2^53")
+    if coroot_length is not None and fam != "su":
         raise ValueError("coroot_length rescaling is defined for SU only")
-    if fam == "SO":
-        return [(i - 2) / 4.0 for i in n_range]
-    if fam == "USP":
-        return [(i + 1) / 2.0 for i in n_range]
-    raise ValueError(f"unknown family {family!r}")
+    # x ** 2, not x * x: the two differ in the last bit for about one
+    # length in a thousand, and ** raises where the square overflows
+    try:
+        ell2 = 4.0 if coroot_length is None else coroot_length ** 2
+    except OverflowError:
+        ell2 = math.inf
+    if not 0 < ell2 < math.inf:
+        raise ValueError(f"the coroot length {coroot_length} has no positive "
+                         f"finite square; about 1.6e-162 to 1.3e154 do")
+    return [CLAIMED_CHI[fam](LEVY_PER_INDEX[fam] * i) / ell2
+            for i in n_range]
 
 
 def rescaled_levy_check(r_seq: Sequence[float], c_seq: Sequence[float],

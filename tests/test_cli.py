@@ -864,6 +864,93 @@ def _small_only(mp, module, name, size, limit):
     mp.setattr(module, name, guarded)
 
 
+def _edges(low, limit, skip=()):
+    """An integer option's edges, as argv text: below its minimum, the
+    minimum, its limit, one past it and 10^30, less those in skip."""
+    return [str(v) for v in (low - 1, low, limit, limit + 1, 10 ** 30)
+            if v not in skip]
+
+
+def _edge_argv() -> list:
+    """argv at the edges of every subcommand's inputs.  Limits that do
+    real work (roots at A228, volume and ratio at 10^6, curvature at
+    MAX_MATRIX_DIM, check-metric at 27, 10^5 levy indices) are left out:
+    the comment at each limit's constant records its time."""
+    from lievol.cli import LEVY_MAX_TERMS, ROOTS_MAX_ENTRIES
+    from lievol.curvature import MAX_MATRIX_DIM, MIN_MATRIX_DIM
+    from lievol.montecarlo import HIST_MAX_BINS, MAX_WORKERS, SEED_LIMIT
+    from lievol.reproduce import GEOMETRY_MAX_N, GEOMETRY_MAX_POINTS
+    from lievol.roots import _MIN_RANK, MAX_EXACT_RANK
+    from lievol.volumes import LOG_VOLUME_MAX_RANK
+    out = []
+    for tag, low in _MIN_RANK.items():
+        top = max(n for n in range(low, 300)
+                  if Series(tag, n).group_dim * n <= ROOTS_MAX_ENTRIES)
+        out += [("roots", "--series", tag, "--n", n)
+                for n in _edges(low, top, skip={top})]
+        out += [("volume", "--series", tag, "--n", n, route)
+                for route, top in (("--exact", MAX_EXACT_RANK),
+                                   ("--log", LOG_VOLUME_MAX_RANK))
+                for n in _edges(low, top, skip={top})]
+        first = low + 1 if tag in "BCD" else low   # one rank to step down
+        top = LOG_VOLUME_MAX_RANK - (tag == "A")
+        out += [("ratio", "--series", tag, "--n", n)
+                for n in _edges(first, top, skip={top})]
+        out += [("sample", "--series", tag, "--n", str(n), "--count", "8",
+                 "--seed", "0") for n in (low - 1, low, 10 ** 30)]
+    out += [("volume", "--series", "a", "--n", "3", "--gamma", g)
+            for g in _edges(1, 3)]   # the center of SU(3) has order 3
+    for alg, low in MIN_MATRIX_DIM.items():
+        top = MAX_MATRIX_DIM[alg]
+        out += [("curvature", "--series", alg, "--n", m)
+                for m in _edges(low, top, skip={top})]
+    out.append(("curvature", "--series", "usp", "--n", "5"))
+    out += [("cpn", "band-mass", "--n", n) for n in _edges(1, 10 ** 30)]
+    out += [("cpn", "band-mass", "--n", "2", "--eps", e)
+            for e in ("-0.1", "0", repr(math.pi / 2), "1.6", "1e30")]
+    out += [("cpn", "check-metric", "--n", n, "--points", "2")
+            for n in _edges(1, GEOMETRY_MAX_N, skip={GEOMETRY_MAX_N})]
+    out += [("cpn", "check-metric", "--n", "1", "--points", k)
+            for k in _edges(1, GEOMETRY_MAX_POINTS,
+                            skip={GEOMETRY_MAX_POINTS})]
+    out += [("cpn", "check-metric", "--n", "1", "--points", "2", "--tol",
+             t) for t in ("-1", "0")]
+    sample = ("sample", "--series", "a", "--n", "2", "--seed", "0")
+    # a draw takes a count of 1 and up, the KS test 8
+    out += [(*sample, "--count", c) for c in _edges(1, 8)]
+    out += [(*sample, "--count", "8", "--workers", w)
+            for w in _edges(1, MAX_WORKERS)]
+    out += [("sample", "--series", "a", "--n", "2", "--count", "8",
+             "--seed", s) for s in _edges(0, SEED_LIMIT - 1)]
+    out += [(*sample, "--count", "8", "--hist", "ksi", "--bins", b)
+            for b in _edges(1, HIST_MAX_BINS)]
+    out += [(*sample, "--count", "8", "--r", r)
+            for r in ("-0.1", "0", repr(math.pi / 2), "2")]
+    top = 2 ** 53   # the last index whose float conversion is exact
+    for fam, low in (("su", 2), ("so", 3), ("usp", 2)):
+        levy = ("levy", "--family", fam)
+        out += [(*levy, "--start", i, "--stop", i) for i in _edges(low, top)]
+        out += [(*levy, "--stop", str(i)) for i in (low - 1, low, 10 ** 30)]
+        out += [(*levy, "--start", str(low), "--stop",
+                 str(low + LEVY_MAX_TERMS))]
+        out += [(*levy, "--coroot-length", x)
+                for x in ("1e-170", "1.6e-162", "1e-150", "1.3e154",
+                          "1e160")]
+        out += [(*levy, "--start", str(top - 2), "--stop", str(top + 1),
+                 "--rescale", "linear"),
+                (*levy, "--start", str(10 ** 400), "--stop", str(10 ** 400)),
+                (*levy, "--stop", "5", "--rescale", "log", "--floor", "-1")]
+    out += [("reproduce", "--seed", s) for s in _edges(0, SEED_LIMIT - 4)]
+    return out
+
+
+# The messages that Python's float arithmetic raised through `levy`, as
+# they reached stderr: each says nothing of the input and its limit.
+_RAW_MESSAGES = ("int too large to convert to float",
+                 "float division by zero",
+                 "(34, 'Numerical result out of range')")
+
+
 class TestExitContract:
     @pytest.mark.parametrize("command", sorted(_ARGV))
     @settings(max_examples=30, deadline=None)
@@ -893,6 +980,30 @@ class TestExitContract:
         event(f"exit {code}")
         assert code in (0, 1, 2), (argv, code)
         assert "Traceback" not in err.getvalue(), argv
+
+    @pytest.mark.parametrize("argv", _edge_argv(), ids=lambda argv: " ".join(
+        f"<{len(a)} digits>" if len(a) > 40 else a for a in argv))
+    def test_edge_inputs(self, argv, monkeypatch):
+        if argv[0] == "reproduce":   # the seed check, not the sweep
+            for name in dir(lievol.reproduce):
+                if name.startswith("criterion_"):
+                    monkeypatch.setattr(
+                        lievol.reproduce, name,
+                        lambda name=name, **kwargs: {
+                            "id": 1, "name": name, "passed": True,
+                            "runtime_s": 0.0})
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            try:
+                code = main(list(argv))
+            except SystemExit as ex:
+                code = ex.code
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 1:
+            assert not any(m in err.getvalue() for m in _RAW_MESSAGES), \
+                err.getvalue()
 
 
 def _fresh_python(script: str, *argv: str) -> subprocess.CompletedProcess:

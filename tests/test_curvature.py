@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from lievol.curvature import (CLAIMED_CHI, LEVY_MIN_INDEX, MAX_MATRIX_DIM,
+from lievol.curvature import (CLAIMED_CHI, LEVY_MAX_INDEX, LEVY_MIN_INDEX,
+                              MAX_MATRIX_DIM,
                               TRACE_FORM_INDEX, LieAlgebraBasis,
                               StructureTensor, _match, _sort, _summed,
                               build_basis, check_orthonormal,
@@ -647,6 +648,48 @@ class TestLevySequences:
         with pytest.raises(ValueError):
             ricci_bound_sequence("so", [5], coroot_length=2.0)
 
+    def test_bounds_are_the_parent_closed_forms(self):
+        # the three per-family formulas, bit for bit, at the first 10^4
+        # indices and at the last 8 whose float conversion is exact
+        closed = {"su": lambda i: (i + 2) / 4.0, "so": lambda i: (i - 2) / 4.0,
+                  "usp": lambda i: (i + 1) / 2.0}
+        top = range(2 ** 53 - 7, 2 ** 53 + 1)
+        for family, low in (("su", 2), ("so", 3), ("usp", 2)):
+            for ns in (range(low, low + 10 ** 4), top):
+                got = ricci_bound_sequence(family, ns)
+                assert [x.hex() for x in got] == [
+                    closed[family](i).hex() for i in ns]
+        for length in (0.7, math.sqrt(10), 3.5):
+            for ns in (range(2, 2 + 10 ** 4), top):
+                got = ricci_bound_sequence("su", ns, coroot_length=length)
+                assert [x.hex() for x in got] == [
+                    ((i + 2) / length ** 2).hex() for i in ns]
+
+    @pytest.mark.parametrize("family", ["su", "so", "usp"])
+    def test_indices_end_at_2_to_the_53(self, family):
+        # above 2^53 an index rounds on its way to a float: 2^53 + 1
+        # gave the bound of 2^53, and 10^400 no float at all
+        assert LEVY_MAX_INDEX == 2 ** 53
+        assert len(ricci_bound_sequence(family, [LEVY_MAX_INDEX])) == 1
+        for i in (LEVY_MAX_INDEX + 1, 10 ** 400):
+            with pytest.raises(ValueError, match=r"end at 2\^53"):
+                ricci_bound_sequence(family, [LEVY_MAX_INDEX, i])
+
+    @pytest.mark.parametrize("length", [1e-170, 1e-162, 1.4e154, 1e160])
+    def test_coroot_square_must_be_a_positive_float(self, length):
+        # 1e-170 squared underflows to 0 and 1e160 squared overflows
+        with pytest.raises(ValueError, match="no positive finite square"):
+            ricci_bound_sequence("su", [5], coroot_length=length)
+
+    @pytest.mark.parametrize("length", [1.6e-162, 1e-150, 1.3e154])
+    def test_coroot_square_in_float_range(self, length):
+        assert ricci_bound_sequence("su", [5], coroot_length=length)[0] > 0
+
+    def test_unknown_family_is_named_first(self):
+        for length in (None, -1.0, 2.0):
+            with pytest.raises(ValueError, match="unknown family 'e8'"):
+                ricci_bound_sequence("e8", [5], coroot_length=length)
+
     def test_rescaled_levy_pass(self):
         ns = list(range(3, 20))
         r = ricci_bound_sequence("so", ns)
@@ -675,7 +718,7 @@ class TestLevySequences:
                                                   ("usp", 2)])
     def test_minimum_index_is_the_smallest_basis(self, family, per_index):
         # the first index has a basis, the one before it none
-        low = LEVY_MIN_INDEX[family.upper()]
+        low = LEVY_MIN_INDEX[family]
         build_basis(family, per_index * low)
         with pytest.raises(ValueError, match="needs"):
             build_basis(family, per_index * (low - 1))
